@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 
 from .forms import BiForm, BinaryForm, _frac, binary_gcd, rational_roots
-from .resultant import IntPoly, bareiss_det_poly, sylvester_rows
+from .resultant import bareiss_det_poly, sylvester_rows
 
 
 class DegenerateComposition(ValueError):
@@ -150,28 +150,17 @@ def compose(f: Correspondence, g: Correspondence) -> Correspondence:
 
     The defining form is the resultant, in the shared middle pair (z0, z1),
     of f's form read in (x, z) against g's form read in (z, y); f contributes
-    z-degree e and g contributes z-degree d'.
+    z-degree e and g contributes z-degree d'.  The Sylvester entries are
+    dehomogenized at x0 = y0 = 1, so the determinant is a polynomial in
+    (x1, y1) whose (i, j) coefficient is that of x0^(dd'-i) x1^i y0^(ee'-j) y1^j.
     """
     d, e = f.deg_x, f.deg_y
     dp, ep = g.deg_x, g.deg_y
     df = math.lcm(*(c.denominator for row in f.form.coeffs for c in row))
     dg = math.lcm(*(c.denominator for row in g.form.coeffs for c in row))
-    fz: list[IntPoly] = []
-    for j in range(e + 1):
-        entry: IntPoly = {}
-        for i in range(d + 1):
-            v = int(f.form.coeffs[i][j] * df)
-            if v:
-                entry[(d - i, i, 0, 0)] = v
-        fz.append(entry)
-    gz: list[IntPoly] = []
-    for k in range(dp + 1):
-        entry = {}
-        for l in range(ep + 1):
-            v = int(g.form.coeffs[k][l] * dg)
-            if v:
-                entry[(0, 0, ep - l, l)] = v
-        gz.append(entry)
+    fc, gc = f.form.coeffs, g.form.coeffs
+    fz = [{(i, 0): int(fc[i][j] * df) for i in range(d + 1)} for j in range(e + 1)]
+    gz = [{(0, l): int(gc[k][l] * dg) for l in range(ep + 1)} for k in range(dp + 1)]
     det = bareiss_det_poly(sylvester_rows(fz, gz, {}))
     if not det:
         shared = _shared_linear_obstruction(f.form, g.form)
@@ -188,13 +177,8 @@ def compose(f: Correspondence, g: Correspondence) -> Correspondence:
                 detail = f": shared irrational linear factor, gcd certificate {shared!r}"
         raise DegenerateComposition("composition degenerates to the zero form" + detail, shared)
     scale = Fraction(1, df**dp * dg**e)
-    nd, ne = d * dp, e * ep
-    rows = [[Fraction(0)] * (ne + 1) for _ in range(nd + 1)]
-    for key, val in det.items():
-        xd, i, yd, j = key
-        assert xd == nd - i and yd == ne - j, "composite must be bihomogeneous"
-        rows[i][j] = val * scale
-    return Correspondence.from_matrix(nd, ne, rows)
+    rows = [[det.get((i, j), 0) * scale for j in range(e * ep + 1)] for i in range(d * dp + 1)]
+    return Correspondence.from_matrix(d * dp, e * ep, rows)
 
 
 def iterate(f: Correspondence, n: int) -> Correspondence:

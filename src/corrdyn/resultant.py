@@ -8,15 +8,20 @@ the descending-order classical layout by the sign (-1)^(d*e); all downstream
 consumers either compare projectively or are validated against independent
 oracles, so the sign is absorbed here once.
 
-Determinants are evaluated by fraction-free Bareiss elimination.  Rows are
-scaled to integer (or integer-polynomial) entries first and the known scale
-factor is divided back out at the end, so the elimination itself runs on
-plain Python integers; all divisions performed by the recurrence are exact in
-the underlying integral domain.
+Determinants are evaluated by fraction-free Bareiss elimination on plain
+Python integers; rows are scaled to integer entries first and the known scale
+factor is divided back out at the end, and every division the recurrence
+performs is exact.  A matrix with integer-polynomial entries goes through the
+same integer kernel (evaluation/interpolation, as in Collins' resultant
+method): its determinant has degree at most D_v in each variable v, where D_v
+sums over the rows the row's largest exponent of v, so it is evaluated at
+every point of the integer grid prod_v {0..D_v} and the coefficients are
+recovered by exact Newton interpolation, one variable at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -24,89 +29,73 @@ from typing import Sequence
 from .forms import BinaryForm, CovariantForm
 
 # Sparse polynomial with integer coefficients: exponent tuple -> coefficient.
-# The zero polynomial is the empty dict.  Within one matrix every key has the
-# same length; () is the scalar case.
+# Inputs may store zero coefficients; results never do, so the zero result is
+# the empty dict.  Within one matrix every key has the same length; () is the
+# scalar case.
 IntPoly = dict[tuple[int, ...], int]
 
 
-def _p_mul(a: IntPoly, b: IntPoly) -> IntPoly:
-    out: IntPoly = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            key = tuple(x + y for x, y in zip(ka, kb))
-            v = out.get(key, 0) + va * vb
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
+def _evaluate(p: IntPoly, point: tuple[int, ...]) -> int:
+    return sum(c * math.prod(x**k for x, k in zip(point, key)) for key, c in p.items())
+
+
+def _interpolate_line(vals: list[int]) -> list[int]:
+    """Ascending coefficients of the integer polynomial with vals[x] at x = 0, 1, ...
+
+    Newton divided differences at consecutive integer nodes; for an
+    integer-coefficient polynomial every one of them is an integer.
+    """
+    c = list(vals)
+    m = len(c)
+    for j in range(1, m):
+        for k in range(m - 1, j - 1, -1):
+            q, r = divmod(c[k] - c[k - 1], j)
+            if r:
+                raise ArithmeticError("inexact divided difference in determinant interpolation")
+            c[k] = q
+    # Horner in the Newton basis: out <- out * (x - k) + c[k].
+    out = [0] * m
+    for k in range(m - 1, -1, -1):
+        for i in range(m - 1, 0, -1):
+            out[i] = out[i - 1] - k * out[i]
+        out[0] = c[k] - k * out[0]
     return out
-
-
-def _p_sub(a: IntPoly, b: IntPoly) -> IntPoly:
-    out = dict(a)
-    for k, v in b.items():
-        nv = out.get(k, 0) - v
-        if nv:
-            out[k] = nv
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _p_exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
-    """Exact division in Z[x1..xn]; valid only when den divides num."""
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    den_lt = max(den)
-    den_lc = den[den_lt]
-    q: IntPoly = {}
-    r = dict(num)
-    while r:
-        r_lt = max(r)
-        mono = tuple(a - b for a, b in zip(r_lt, den_lt))
-        if any(x < 0 for x in mono) or r[r_lt] % den_lc != 0:
-            raise ArithmeticError("inexact polynomial division inside Bareiss elimination")
-        c = r[r_lt] // den_lc
-        q[mono] = q.get(mono, 0) + c
-        for dk, dv in den.items():
-            key = tuple(a + b for a, b in zip(mono, dk))
-            nv = r.get(key, 0) - c * dv
-            if nv:
-                r[key] = nv
-            else:
-                r.pop(key, None)
-    return q
 
 
 def bareiss_det_poly(rows: list[list[IntPoly]]) -> IntPoly:
-    """Determinant of a square matrix of integer polynomials, Bareiss style."""
+    """Determinant of a square matrix of integer polynomials.
+
+    Evaluates the entries on the integer grid prod_v {0..D_v}, takes
+    bareiss_det_int at every point and interpolates the values back, one
+    variable at a time.  D_v sums each row's largest exponent of variable v,
+    which bounds every term of the determinant's expansion.
+    """
     n = len(rows)
     if n == 0:
         return {(): 1}
-    a = [row[:] for row in rows]
-    sign = 1
-    prev: IntPoly | None = None
-    for k in range(n - 1):
-        if not a[k][k]:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return {}
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                t = _p_sub(_p_mul(a[k][k], a[i][j]), _p_mul(a[i][k], a[k][j]))
-                if prev is not None and t:
-                    t = _p_exact_div(t, prev)
-                a[i][j] = t
-            a[i][k] = {}
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    if sign < 0:
-        det = {k: -v for k, v in det.items()}
-    return det
+    nvars = next((len(key) for row in rows for entry in row for key in entry), 0)
+    bounds = [
+        sum(max((key[v] for entry in row for key in entry), default=0) for row in rows)
+        for v in range(nvars)
+    ]
+    # Sylvester rows repeat the same entry objects; evaluate each one once.
+    entries = {id(entry): entry for row in rows for entry in row}
+    values = []
+    for point in itertools.product(*(range(b + 1) for b in bounds)):
+        at = {i: _evaluate(entry, point) for i, entry in entries.items()}
+        values.append(bareiss_det_int([[at[id(entry)] for entry in row] for row in rows]))
+    # values is row-major over the grid; interpolate along each axis in turn.
+    stride = len(values)
+    for b in bounds:
+        size = b + 1
+        stride //= size
+        for base in range(len(values)):
+            if base // stride % size:
+                continue
+            line = slice(base, base + size * stride, stride)
+            values[line] = _interpolate_line(values[line])
+    keys = itertools.product(*(range(b + 1) for b in bounds))
+    return {key: v for key, v in zip(keys, values) if v}
 
 
 def bareiss_det_int(rows: list[list[int]]) -> int:
@@ -199,18 +188,12 @@ def covariant_resultant(f: BinaryForm, p: BinaryForm, q: BinaryForm) -> Covarian
     den = math.lcm(*(c.denominator for c in p.coeffs + q.coeffs))
     pi = [int(c * den) for c in p.coeffs]
     qi = [int(c * den) for c in q.coeffs]
-    frow = [{(0, 0): c} if c else {} for c in fi]
-    grow = []
-    for pk, qk in zip(pi, qi):
-        entry: IntPoly = {}
-        if pk:
-            entry[(1, 0)] = pk
-        if qk:
-            entry[(0, 1)] = qk
-        grow.append(entry)
+    # Dehomogenized at dy = 1: the key (k,) stands for dx^k * dy^(n-k).
+    frow = [{(0,): c} for c in fi]
+    grow = [{(1,): pk, (0,): qk} for pk, qk in zip(pi, qi)]
     det = bareiss_det_poly(sylvester_rows(frow, grow, {}))
     scale = Fraction(1, df**n * den**n)
-    coeffs = [det.get((k, n - k), 0) * scale for k in range(n + 1)]
+    coeffs = [det.get((k,), 0) * scale for k in range(n + 1)]
     return CovariantForm(n, coeffs)
 
 

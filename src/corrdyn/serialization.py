@@ -25,9 +25,12 @@ class SchemaError(ValueError):
 def parse_rational(text) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise SchemaError(f"malformed rational {text!r}; expected 'p' or 'p/q'")
-    if "/" in text and int(text.split("/")[1]) == 0:
-        raise SchemaError(f"zero denominator in {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise SchemaError(f"zero denominator in {text!r}") from None
+    except ValueError:  # more digits than int() converts
+        raise SchemaError(f"rational of {len(text)} characters exceeds the digit limit") from None
 
 
 def format_rational(value: Fraction) -> str:

@@ -576,7 +576,15 @@ def _check_derivative_relations(rng, cap, c: _Check):
 
 def _check_spectrum_conjugation(rng, cap, c: _Check):
     for _ in range(8):
-        f = rand_good_position(rng, rng.randint(1, 2), rng.randint(1, 2))
+        # An infinite multiplier stays infinite under every conjugation, so
+        # such an f is redrawn rather than conjugated forever.
+        while True:
+            f = rand_good_position(rng, rng.randint(1, 2), rng.randint(1, 2))
+            try:
+                lhs = multiplier.sigma_spectrum(multiplier.multiplier_form(f))
+                break
+            except multiplier.IndeterminateMultiplier:
+                continue
         while True:
             g = rand_moebius(rng)
             h = conjugate(f, g)
@@ -585,7 +593,6 @@ def _check_spectrum_conjugation(rng, cap, c: _Check):
                 break
             except ValueError:
                 continue
-        lhs = multiplier.sigma_spectrum(multiplier.multiplier_form(f))
         c.record(lhs == rhs, lambda: f"f={f!r} g={g!r}")
 
 

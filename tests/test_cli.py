@@ -62,6 +62,11 @@ class TestSchemaErrors:
         code, _, err = run_main(capsys, ["stability", "--input", path])
         assert code == 3
 
+    def test_zero_denominator(self, tmp_path, capsys):
+        path = write(tmp_path, "z.json", {"d": 0, "e": 0, "coeffs": [["1/0"]]})
+        code, _, err = run_main(capsys, ["stability", "--input", path])
+        assert code == 3 and "zero denominator" in err
+
 
 class TestCommands:
     def test_graph_and_iterate(self, tmp_path, capsys):
@@ -182,6 +187,22 @@ class TestSubprocess:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["verdict"] == "StrictlySemistable"
+
+    @pytest.mark.parametrize(
+        "entry", ["1" * 5000, "1/" + "3" * 5000], ids=["numerator", "denominator"]
+    )
+    def test_oversized_coefficient_is_a_schema_error(self, tmp_path, entry):
+        # 5000 digits is over the interpreter's 4300-digit int() limit.
+        path = write(tmp_path, "long.json", {"d": 0, "e": 0, "coeffs": [[entry]]})
+        proc = subprocess.run(
+            [sys.executable, "-m", "corrdyn", "stability", "--input", path],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("SchemaError")
+        assert "Traceback" not in proc.stderr
 
     def test_verify_reports_are_byte_identical(self):
         cmd = [sys.executable, "-m", "corrdyn", "verify", "--seed", "7", "--degree-cap", "2",

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -5,6 +6,8 @@ import pytest
 
 from corrdyn.forms import BinaryForm, binary_gcd
 from corrdyn.resultant import (
+    bareiss_det_int,
+    bareiss_det_poly,
     covariant_resultant,
     homogeneous_resultant,
     resultant_shift_invariance,
@@ -196,3 +199,78 @@ class TestCovariant:
             r = covariant_resultant(f, p, q)
             common = binary_gcd([f, binary_gcd([p, q])])
             assert r.is_zero() == (common.is_zero() or common.degree >= 1)
+
+
+def leibniz_det_poly(rows):
+    """Independent polynomial determinant oracle: the permutation expansion."""
+    n = len(rows)
+    total = {}
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = {(): (-1) ** inversions}
+        for r, col in enumerate(perm):
+            product = {}
+            for ka, va in term.items():
+                for kb, vb in rows[r][col].items():
+                    key = tuple(a + b for a, b in itertools.zip_longest(ka, kb, fillvalue=0))
+                    product[key] = product.get(key, 0) + va * vb
+            term = product
+        for key, v in term.items():
+            total[key] = total.get(key, 0) + v
+    return {k: v for k, v in total.items() if v}
+
+
+class TestDetPoly:
+    def test_empty_matrix(self):
+        assert bareiss_det_poly([]) == {(): 1}
+
+    def test_identically_zero(self):
+        # second row is (x + 1) times the first; every grid point is singular
+        row = [{(0,): 2, (1,): 1}, {(2,): -3}]
+        scaled = [{(0,): 2, (1,): 3, (2,): 1}, {(2,): -3, (3,): -3}]
+        assert bareiss_det_poly([row, scaled]) == {}
+        assert bareiss_det_poly([[{}, {}], [{(1, 0): 1}, {(0, 1): 1}]]) == {}
+
+    def test_singular_at_some_grid_points(self):
+        # det = x^2 - 1: the (0, 0) pivot vanishes at x = 0 and needs a row
+        # swap, and the whole matrix is singular at x = 1.
+        x, one = {(1,): 1}, {(0,): 1}
+        assert bareiss_det_poly([[x, one], [one, x]]) == {(2,): 1, (0,): -1}
+        rows = [[x, one, {}], [one, x, one], [{}, one, x]]
+        assert bareiss_det_poly(rows) == leibniz_det_poly(rows) == {(3,): 1, (1,): -2}
+
+    def test_scalar_matrix_matches_integer_kernel(self):
+        rng = random.Random(27)
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            ints = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            det = bareiss_det_int(ints)
+            got = bareiss_det_poly([[{(): v} if v else {} for v in row] for row in ints])
+            assert got == ({(): det} if det else {})
+
+    def test_variable_in_some_rows_only(self):
+        # y enters only the last row, z only the first; the degree bound in
+        # each variable comes from the rows that carry it.
+        rng = random.Random(28)
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            rows = []
+            for r in range(n):
+                row = []
+                for _ in range(n):
+                    entry = {}
+                    for _ in range(rng.randint(0, 2)):
+                        key = (rng.randint(0, 2), rng.randint(0, 3) * (r == n - 1),
+                               rng.randint(0, 1) * (r == 0))
+                        entry[key] = entry.get(key, 0) + rng.randint(-9, 9)
+                    row.append({k: v for k, v in entry.items() if v})
+                rows.append(row)
+            assert bareiss_det_poly(rows) == leibniz_det_poly(rows)
+
+    def test_large_coefficients(self):
+        rng = random.Random(29)
+        for _ in range(10):
+            n = rng.randint(2, 4)
+            rows = [[{(rng.randint(0, 3), rng.randint(0, 2)): rng.randint(-2**80, 2**80)}
+                     for _ in range(n)] for _ in range(n)]
+            assert bareiss_det_poly(rows) == leibniz_det_poly(rows)

@@ -1,0 +1,81 @@
+"""The polynomial-entry resultants against sympy.resultant as an outside oracle.
+
+The package's Sylvester layout is ascending, sympy's descending, so each pair
+must agree up to the sign (-1)^(d*e) of the two declared degrees.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from corrdyn.correspondence import Correspondence, compose
+from corrdyn.forms import BinaryForm
+from corrdyn.multiplier import woods_hole_resultant
+from corrdyn.resultant import covariant_resultant
+
+sympy = pytest.importorskip("sympy")
+x, y, z, t = sympy.symbols("x y z t")
+
+
+def rat(c: F):
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def nonzero(rng):
+    return F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 3))
+
+
+def coeff_of(poly, var_powers):
+    """Coefficient of the monomial prod(var**k) as a Fraction."""
+    c = sympy.Poly(poly, *(v for v, _ in var_powers)).coeff_monomial(
+        tuple(k for _, k in var_powers)
+    )
+    c = sympy.Rational(c)
+    return F(int(c.p), int(c.q))
+
+
+def test_compose_matches_sympy():
+    rng = random.Random(31)
+    for _ in range(12):
+        d, e, dp, ep = (rng.randint(1, 2) for _ in range(4))
+        a = [[nonzero(rng) for _ in range(e + 1)] for _ in range(d + 1)]
+        b = [[nonzero(rng) for _ in range(ep + 1)] for _ in range(dp + 1)]
+        h = compose(Correspondence.from_matrix(d, e, a), Correspondence.from_matrix(dp, ep, b))
+        # Dehomogenized at x0 = y0 = z0 = 1: f read in (x, z), g in (z, y).
+        fz = sum(rat(a[i][j]) * x**i * z**j for i in range(d + 1) for j in range(e + 1))
+        gz = sum(rat(b[k][l]) * z**k * y**l for k in range(dp + 1) for l in range(ep + 1))
+        want = sympy.expand((-1) ** (e * dp) * sympy.resultant(fz, gz, z))
+        for i in range(d * dp + 1):
+            for j in range(e * ep + 1):
+                assert h.form.coeffs[i][j] == coeff_of(want, [(x, i), (y, j)])
+
+
+def test_covariant_resultant_matches_sympy():
+    rng = random.Random(32)
+    for _ in range(12):
+        n = rng.randint(1, 4)
+        f, p, q = (
+            BinaryForm(n, [F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n)] + [nonzero(rng)])
+            for _ in range(3)
+        )
+        r = covariant_resultant(f, p, q)
+        # Dehomogenized at z0 = 1 and dy = 1, with t standing for dx.
+        fz = sum(rat(c) * z**k for k, c in enumerate(f.coeffs))
+        pencil = sum((rat(a) * t + rat(b)) * z**k for k, (a, b) in enumerate(zip(p.coeffs, q.coeffs)))
+        want = sympy.expand((-1) ** (n * n) * sympy.resultant(fz, pencil, z))
+        assert list(r.coeffs) == [coeff_of(want, [(t, k)]) for k in range(n + 1)]
+
+
+def test_woods_hole_resultant_matches_sympy():
+    rng = random.Random(33)
+    for _ in range(12):
+        df = rng.randint(3, 6)
+        f = [F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(df)] + [nonzero(rng)]
+        g = [F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(rng.randint(1, df - 1))]
+        got = woods_hole_resultant(f, g)
+        fx = sum(rat(c) * x**k for k, c in enumerate(f))
+        gx = sum(rat(c) * x**k for k, c in enumerate(g))
+        # Declared degrees df and df - 1: the sign (-1)^(df*(df-1)) is always +1.
+        want = sympy.expand(sympy.resultant(fx, sympy.diff(fx, x) + t * gx, x))
+        assert list(got) == [coeff_of(want, [(t, k)]) for k in range(df + 1)]

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 import corrdyn.multiplier as multiplier_mod
@@ -30,6 +33,19 @@ class TestSuite:
             run_verify_suite(seed=1, degree_cap=1)
         with pytest.raises(ValueError):
             run_verify_suite(seed=1, degree_cap=3, only="nonexistent")
+
+
+class TestTermination:
+    def test_spectrum_conjugation_redraws_an_infinite_multiplier(self):
+        # At this seed the identity draws an f with an infinite multiplier,
+        # which no conjugation makes finite; it must redraw f, not retry forever.
+        code = (
+            "from corrdyn.verify import run_verify_suite\n"
+            "report = run_verify_suite(800639, 3, only='spectrum-conjugation-invariance')\n"
+            "raise SystemExit(0 if report.passed else 1)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], timeout=60)
+        assert proc.returncode == 0
 
 
 class TestMutationSensitivity:
