@@ -161,7 +161,12 @@ def compose(f: Correspondence, g: Correspondence) -> Correspondence:
     fc, gc = f.form.coeffs, g.form.coeffs
     fz = [{(i, 0): int(fc[i][j] * df) for i in range(d + 1)} for j in range(e + 1)]
     gz = [{(0, l): int(gc[k][l] * dg) for l in range(ep + 1)} for k in range(dp + 1)]
-    det = bareiss_det_poly(sylvester_rows(fz, gz, {}))
+    if e == dp == 0:
+        # Neither form involves the middle pair: the Sylvester matrix is 0 x 0,
+        # and its determinant 1 is the bidegree (0, 0) composite.
+        det = {(0, 0): 1}
+    else:
+        det = bareiss_det_poly(sylvester_rows(fz, gz, {}))
     if not det:
         shared = _shared_linear_obstruction(f.form, g.form)
         detail = ""

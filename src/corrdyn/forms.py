@@ -122,20 +122,16 @@ class BinaryForm:
         """F(a*z0 + b*z1, c*z0 + d*z1) for the 2x2 matrix m = ((a, b), (c, d))."""
         (a, b), (c, d) = m
         a, b, c, d = _frac(a), _frac(b), _frac(c), _frac(d)
-        n = self.degree
-        out = [Fraction(0)] * (n + 1)
-        for k, coeff in enumerate(self.coeffs):
-            if coeff == 0:
-                continue
-            top = _pow_linear(a, b, n - k)
-            bot = _pow_linear(c, d, k)
-            for s, u in enumerate(top):
-                if u == 0:
-                    continue
-                for t, v in enumerate(bot):
-                    if v != 0:
-                        out[s + t] += coeff * u * v
-        return BinaryForm(n, out)
+        # Homogeneous Horner: after step k, acc holds sum_{j<=k} c_j L^(k-j) M^j
+        # and bpow holds M^k, for L = a*z0 + b*z1 and M = c*z0 + d*z1.
+        acc = [self.coeffs[0]]
+        bpow = [Fraction(1)]
+        for coeff in self.coeffs[1:]:
+            bpow = _convolve(bpow, [c, d])
+            acc = _convolve(acc, [a, b])
+            if coeff != 0:
+                acc = [u + coeff * v for u, v in zip(acc, bpow)]
+        return BinaryForm(self.degree, acc)
 
     def divide_exact(self, divisor: "BinaryForm") -> "BinaryForm":
         """Quotient Q with self == divisor * Q; raises ValueError when not divisible.

@@ -1,4 +1,4 @@
-"""Sylvester resultants over exact coefficient domains.
+"""Sylvester and Bezout resultants over exact coefficient domains.
 
 Layout convention (normative for the whole package): for f of declared degree
 d and g of declared degree e, the Sylvester matrix is (d+e) x (d+e) with the
@@ -7,6 +7,13 @@ r..r+d and row e+s carries g[x^0..x^e] in columns s..s+e.  This differs from
 the descending-order classical layout by the sign (-1)^(d*e); all downstream
 consumers either compare projectively or are validated against independent
 oracles, so the sign is absorbed here once.
+
+When both arguments share one declared degree n, the covariant resultant
+runs on the n x n Bezout matrix instead (Bini & Pan, Polynomial and Matrix
+Computations I, ch. 2): entry (i, j) is the coefficient of x^i y^j in
+(f(x) g(y) - f(y) g(x)) / (x - y), which is bilinear in the coefficients of f
+and g, and its determinant equals the ascending-layout Sylvester resultant
+times (-1)^(n(n+1)/2), leading coefficients zero or not.
 
 Determinants are evaluated by fraction-free Bareiss elimination on plain
 Python integers; rows are scaled to integer entries first and the known scale
@@ -33,10 +40,6 @@ from .forms import BinaryForm, CovariantForm
 # the empty dict.  Within one matrix every key has the same length; () is the
 # scalar case.
 IntPoly = dict[tuple[int, ...], int]
-
-
-def _evaluate(p: IntPoly, point: tuple[int, ...]) -> int:
-    return sum(c * math.prod(x**k for x, k in zip(point, key)) for key, c in p.items())
 
 
 def _interpolate_line(vals: list[int]) -> list[int]:
@@ -80,9 +83,11 @@ def bareiss_det_poly(rows: list[list[IntPoly]]) -> IntPoly:
     ]
     # Sylvester rows repeat the same entry objects; evaluate each one once.
     entries = {id(entry): entry for row in rows for entry in row}
+    keys = {key for entry in entries.values() for key in entry}
     values = []
     for point in itertools.product(*(range(b + 1) for b in bounds)):
-        at = {i: _evaluate(entry, point) for i, entry in entries.items()}
+        mono = {key: math.prod(x**k for x, k in zip(point, key)) for key in keys}
+        at = {i: sum(c * mono[key] for key, c in entry.items()) for i, entry in entries.items()}
         values.append(bareiss_det_int([[at[id(entry)] for entry in row] for row in rows]))
     # values is row-major over the grid; interpolate along each axis in turn.
     stride = len(values)
@@ -94,8 +99,8 @@ def bareiss_det_poly(rows: list[list[IntPoly]]) -> IntPoly:
                 continue
             line = slice(base, base + size * stride, stride)
             values[line] = _interpolate_line(values[line])
-    keys = itertools.product(*(range(b + 1) for b in bounds))
-    return {key: v for key, v in zip(keys, values) if v}
+    grid = itertools.product(*(range(b + 1) for b in bounds))
+    return {key: v for key, v in zip(grid, values) if v}
 
 
 def bareiss_det_int(rows: list[list[int]]) -> int:
@@ -171,13 +176,34 @@ def homogeneous_resultant(f: BinaryForm, g: BinaryForm) -> Fraction:
     return resultant_univariate(f.coeffs, g.coeffs, f.degree, g.degree)
 
 
+def bezout_rows(f: Sequence[int], g: Sequence[int]) -> list[list[int]]:
+    """The n x n Bezout matrix of two ascending integer vectors of declared degree n.
+
+    Entry (i, j) is the coefficient of x^i y^j in the Bezoutian
+    (f(x) g(y) - f(y) g(x)) / (x - y); each pair of coefficient indices
+    p < q adds to one antidiagonal run of q - p entries.
+    """
+    n = len(f) - 1
+    if len(g) != n + 1:
+        raise ValueError("Bezout matrix needs two vectors of one declared degree")
+    rows = [[0] * n for _ in range(n)]
+    for q in range(1, n + 1):
+        for p in range(q):
+            c = f[p] * g[q] - f[q] * g[p]
+            if c:
+                for s in range(q - p):
+                    rows[p + s][q - 1 - s] -= c
+    return rows
+
+
 def covariant_resultant(f: BinaryForm, p: BinaryForm, q: BinaryForm) -> CovariantForm:
     """Resultant of f against the pencil p*dx + q*dy, as a form in (dx, dy).
 
-    All three inputs share one declared degree n >= 1; the Sylvester matrix
-    has n scalar rows from f and n rows of linear forms in (dx, dy), so the
-    determinant is homogeneous of degree n.  The result is the zero form
-    exactly when f shares a projective root with both p and q.
+    All three inputs share one declared degree n >= 1.  The determinant runs on
+    the n x n Bezout matrix of f and the pencil, whose entries are linear forms
+    in (dx, dy), so it is homogeneous of degree n; the sign (-1)^(n(n+1)/2)
+    turns it into the ascending-layout Sylvester resultant.  The result is the
+    zero form exactly when f shares a projective root with both p and q.
     """
     n = f.degree
     if p.degree != n or q.degree != n:
@@ -189,10 +215,12 @@ def covariant_resultant(f: BinaryForm, p: BinaryForm, q: BinaryForm) -> Covarian
     pi = [int(c * den) for c in p.coeffs]
     qi = [int(c * den) for c in q.coeffs]
     # Dehomogenized at dy = 1: the key (k,) stands for dx^k * dy^(n-k).
-    frow = [{(0,): c} for c in fi]
-    grow = [{(1,): pk, (0,): qk} for pk, qk in zip(pi, qi)]
-    det = bareiss_det_poly(sylvester_rows(frow, grow, {}))
-    scale = Fraction(1, df**n * den**n)
+    rows = [
+        [{(1,): a, (0,): b} for a, b in zip(prow, qrow)]
+        for prow, qrow in zip(bezout_rows(fi, pi), bezout_rows(fi, qi))
+    ]
+    det = bareiss_det_poly(rows)
+    scale = Fraction((-1) ** (n * (n + 1) // 2), df**n * den**n)
     coeffs = [det.get((k,), 0) * scale for k in range(n + 1)]
     return CovariantForm(n, coeffs)
 

@@ -204,6 +204,19 @@ class TestSubprocess:
         assert proc.stderr.startswith("SchemaError")
         assert "Traceback" not in proc.stderr
 
+    def test_compose_without_middle_variable(self, tmp_path):
+        left = write(tmp_path, "l.json", {"d": 1, "e": 0, "coeffs": [["2"], ["3"]]})
+        right = write(tmp_path, "r.json", {"d": 0, "e": 1, "coeffs": [["5", "7"]]})
+        proc = subprocess.run(
+            [sys.executable, "-m", "corrdyn", "compose", "--left", left, "--right", right],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout) == {"d": 0, "e": 0, "coeffs": [["1"]]}
+
     def test_verify_reports_are_byte_identical(self):
         cmd = [sys.executable, "-m", "corrdyn", "verify", "--seed", "7", "--degree-cap", "2",
                "--only", "resultant-equivariance"]

@@ -72,6 +72,15 @@ class TestCompose:
             compose(f, g)
         assert "y0" in str(err.value) and "x0" in str(err.value)
 
+    def test_no_middle_variable_gives_empty_determinant(self):
+        # f = 2*x0 + 3*x1 and g = 5*y0 + 7*y1 share no z: the eliminant is the
+        # 0 x 0 determinant 1, as sympy.resultant(2 + 3*x, 5 + 7*y, z) is.
+        f = Correspondence.from_matrix(1, 0, [[2], [3]])
+        g = Correspondence.from_matrix(0, 1, [[5, 7]])
+        out = compose(f, g)
+        assert out.bidegree == (0, 0)
+        assert out.form == BiForm(0, 0, [[1]])
+
     def test_bidegree_law(self):
         rng = random.Random(32)
         for _ in range(10):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,6 +9,7 @@ from corrdyn.forms import BinaryForm, binary_gcd
 from corrdyn.resultant import (
     bareiss_det_int,
     bareiss_det_poly,
+    bezout_rows,
     covariant_resultant,
     homogeneous_resultant,
     resultant_shift_invariance,
@@ -199,6 +201,69 @@ class TestCovariant:
             r = covariant_resultant(f, p, q)
             common = binary_gcd([f, binary_gcd([p, q])])
             assert r.is_zero() == (common.is_zero() or common.degree >= 1)
+
+
+def sylvester_covariant(f, p, q):
+    """Reference route: the 2n x 2n Sylvester matrix of f against p*dx + q*dy.
+
+    n scalar rows from f and n rows of linear forms in dx (dy = 1), in the
+    ascending layout, on integer-scaled inputs.
+    """
+    n = f.degree
+    df = math.lcm(*(c.denominator for c in f.coeffs))
+    den = math.lcm(*(c.denominator for c in p.coeffs + q.coeffs))
+    frow = [{(0,): int(c * df)} for c in f.coeffs]
+    grow = [{(1,): int(a * den), (0,): int(b * den)} for a, b in zip(p.coeffs, q.coeffs)]
+    det = bareiss_det_poly(sylvester_rows(frow, grow, {}))
+    return [F(det.get((k,), 0), df**n * den**n) for k in range(n + 1)]
+
+
+class TestBezout:
+    def test_bezoutian_identity(self):
+        # sum B[i][j] x^i y^j * (x - y) == f(x) g(y) - f(y) g(x) at integer points
+        def ev(v, t):
+            return sum(c * t**k for k, c in enumerate(v))
+
+        rng = random.Random(40)
+        for _ in range(30):
+            n = rng.randint(0, 6)
+            f = [rng.randint(-9, 9) for _ in range(n + 1)]
+            g = [rng.randint(-9, 9) for _ in range(n + 1)]
+            b = bezout_rows(f, g)
+            assert len(b) == n and all(len(row) == n for row in b)
+            for x, y in [(2, -3), (5, 1), (-1, 4)]:
+                lhs = sum(b[i][j] * x**i * y**j for i in range(n) for j in range(n)) * (x - y)
+                assert lhs == ev(f, x) * ev(g, y) - ev(f, y) * ev(g, x)
+
+    def test_degree_mismatch(self):
+        with pytest.raises(ValueError):
+            bezout_rows([1, 2, 3], [1, 2])
+
+    def test_covariant_matches_sylvester_route(self):
+        rng = random.Random(41)
+
+        def draw(n):
+            cs = [F(rng.randint(-30, 30), rng.randint(1, 6)) if rng.random() < 0.8 else F(0)
+                  for _ in range(n + 1)]
+            if rng.random() < 0.3:
+                cs[-1] = F(0)  # vanishing leading coefficient: root at [0:1]
+            if rng.random() < 0.3:
+                cs[0] = F(0)  # vanishing trailing coefficient: root at [1:0]
+            return BinaryForm(n, cs)
+
+        for n in range(1, 11):
+            for trial in range(8):
+                f, p, q = draw(n), draw(n), draw(n)
+                if trial == 0:
+                    f = BinaryForm.zero(n)
+                elif trial == 1:
+                    # all three share the root [2:3]: the result is the zero form
+                    shared = BinaryForm(1, [3, -2])
+                    f, p, q = (shared * draw(n - 1) for _ in range(3))
+                r = covariant_resultant(f, p, q)
+                assert list(r.coeffs) == sylvester_covariant(f, p, q)
+                if trial == 1:
+                    assert r.is_zero()
 
 
 def leibniz_det_poly(rows):

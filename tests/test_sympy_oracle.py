@@ -53,16 +53,22 @@ def test_compose_matches_sympy():
 
 def test_covariant_resultant_matches_sympy():
     rng = random.Random(32)
-    for _ in range(12):
-        n = rng.randint(1, 4)
+    for trial in range(16):
+        n = trial % 8 + 1
         f, p, q = (
-            BinaryForm(n, [F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n)] + [nonzero(rng)])
+            [F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n)] + [nonzero(rng)]
             for _ in range(3)
         )
-        r = covariant_resultant(f, p, q)
+        # A zero leading coefficient in p or q (not both, so the pencil keeps
+        # z-degree n for sympy) exercises the declared-degree sign.
+        if trial % 3 == 1:
+            p[-1] = F(0)
+        elif trial % 3 == 2:
+            q[-1] = F(0)
+        r = covariant_resultant(BinaryForm(n, f), BinaryForm(n, p), BinaryForm(n, q))
         # Dehomogenized at z0 = 1 and dy = 1, with t standing for dx.
-        fz = sum(rat(c) * z**k for k, c in enumerate(f.coeffs))
-        pencil = sum((rat(a) * t + rat(b)) * z**k for k, (a, b) in enumerate(zip(p.coeffs, q.coeffs)))
+        fz = sum(rat(c) * z**k for k, c in enumerate(f))
+        pencil = sum((rat(a) * t + rat(b)) * z**k for k, (a, b) in enumerate(zip(p, q)))
         want = sympy.expand((-1) ** (n * n) * sympy.resultant(fz, pencil, z))
         assert list(r.coeffs) == [coeff_of(want, [(t, k)]) for k in range(n + 1)]
 
