@@ -259,8 +259,9 @@ def rational_roots(form: BinaryForm) -> list[tuple[tuple[int, int], int]]:
 
     Points are returned as coprime integer pairs (p0, p1) with p0 > 0, or
     (0, 1) for the point at infinity of the z1/z0 chart; the list is sorted.
-    Roots at [1:0] and [0:1] are read off the z1- and z0-valuations, affine
-    ones come from the rational root theorem on the primitive integer part.
+    Roots at [1:0] and [0:1] are read off the z1- and z0-valuations; a linear
+    remainder gives its root directly, and a longer one goes through the
+    rational root theorem on the primitive integer part.
     """
     if form.is_zero():
         raise ValueError("the zero form vanishes everywhere")
@@ -273,7 +274,10 @@ def rational_roots(form: BinaryForm) -> list[tuple[tuple[int, int], int]]:
     if hi < prim.degree:
         roots.append(((0, 1), prim.degree - hi))
     core = [int(c) for c in prim.coeffs[lo : hi + 1]]
-    if len(core) > 1:
+    if len(core) == 2:
+        r = Fraction(-core[0], core[1])
+        roots.append(((r.denominator, r.numerator), 1))
+    elif len(core) > 2:
         cands = set()
         for p in _divisors(core[0]):
             for q in _divisors(core[-1]):

@@ -38,7 +38,6 @@ from .forms import (
     BinaryForm,
     CovariantForm,
     _frac,
-    binary_gcd,
     projectively_equal,
     rational_roots,
 )
@@ -108,9 +107,10 @@ def diagonal_derivative_forms(f: Correspondence) -> DiagonalDerivatives:
 def multiplier_form(f: Correspondence) -> CovariantForm:
     """The fixed point multiplier form res_z(F, diag_x*dx + diag_y*dy).
 
-    Requires good position (a00 != 0 and a_de != 0) and a constant GCD of
-    (F, diag_x, diag_y); conjugating by a generic Moebius map restores both,
-    since multipliers are conjugation invariants.  The result is nonzero and
+    Requires good position (a00 != 0 and a_de != 0); conjugating by a generic
+    Moebius map restores it, since multipliers are conjugation invariants.
+    Raises IndeterminateMultiplier when the form is zero, which happens exactly
+    when a fixed point is a common root of diag_x and diag_y.  The result is
     well-defined up to scalars; its coefficients divided by a00*a_de are
     conjugation-invariant functions of the coefficient matrix.
     """
@@ -123,12 +123,12 @@ def multiplier_form(f: Correspondence) -> CovariantForm:
             "Moebius map first"
         )
     dd = diagonal_derivative_forms(f)
-    shared = binary_gcd([dd.diag, dd.diag_x, dd.diag_y])
-    if shared.is_zero() or shared.degree >= 1:
+    r = covariant_resultant(dd.diag, dd.diag_x, dd.diag_y)
+    if r.is_zero():
         raise IndeterminateMultiplier(
             "a fixed point is critical in both directions; the multiplier map is undefined"
         )
-    return covariant_resultant(dd.diag, dd.diag_x, dd.diag_y)
+    return r
 
 
 def nth_multiplier_form(f: Correspondence, n: int) -> CovariantForm:

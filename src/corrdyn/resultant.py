@@ -1,4 +1,4 @@
-"""Sylvester and Bezout resultants over exact coefficient domains.
+"""Sylvester resultants over exact coefficient domains.
 
 Layout convention (normative for the whole package): for f of declared degree
 d and g of declared degree e, the Sylvester matrix is (d+e) x (d+e) with the
@@ -8,22 +8,31 @@ the descending-order classical layout by the sign (-1)^(d*e); all downstream
 consumers either compare projectively or are validated against independent
 oracles, so the sign is absorbed here once.
 
-When both arguments share one declared degree n, the covariant resultant
-runs on the n x n Bezout matrix instead (Bini & Pan, Polynomial and Matrix
-Computations I, ch. 2): entry (i, j) is the coefficient of x^i y^j in
-(f(x) g(y) - f(y) g(x)) / (x - y), which is bilinear in the coefficients of f
-and g, and its determinant equals the ascending-layout Sylvester resultant
-times (-1)^(n(n+1)/2), leading coefficients zero or not.
+The covariant resultant res(f, p*dx + q*dy) takes the pencil at n + 1
+integer points dx = t, dy = 1 and interpolates.  At each point a
+fraction-free subresultant polynomial remainder sequence (Collins, J. ACM 14
+(1967); Cohen, A Course in Computational Algebraic Number Theory, Algorithm
+3.3.7) gives the integer resultant in O(n^2) operations instead of the O(n^3)
+of an elimination.  That sequence needs exact degrees, so the declared
+degrees are reduced first: a degree-0 argument gives a power of its constant,
+two vanishing leading coefficients give 0, a vanishing leading coefficient of
+f alone swaps the arguments with the sign (-1)^(d*e), and g of actual degree
+k < e contributes lc(f)^(e-k).
 
-Determinants are evaluated by fraction-free Bareiss elimination on plain
-Python integers; rows are scaled to integer entries first and the known scale
-factor is divided back out at the end, and every division the recurrence
-performs is exact.  A matrix with integer-polynomial entries goes through the
-same integer kernel (evaluation/interpolation, as in Collins' resultant
-method): its determinant has degree at most D_v in each variable v, where D_v
-sums over the rows the row's largest exponent of v, so it is evaluated at
-every point of the integer grid prod_v {0..D_v} and the coefficients are
-recovered by exact Newton interpolation, one variable at a time.
+Every other determinant is evaluated by fraction-free Bareiss elimination on
+plain Python integers: the univariate Sylvester resultant, kept as the
+independent route the covariant resultant is checked against; composition,
+whose entries are polynomials in two variables; and the Woods Hole resultant,
+a pencil too, but one that only feeds a verification identity, which is better
+served by a route the multiplier form does not take.  Rows are scaled to
+integer entries first and the known scale factor is divided back out at the
+end, and every division the recurrence performs is exact.  A matrix with
+integer-polynomial entries goes through the same integer kernel
+(evaluation/interpolation, as in Collins' resultant method): its determinant
+has degree at most D_v in each variable v, where D_v sums over the rows the
+row's largest exponent of v, so it is evaluated at every point of the integer
+grid prod_v {0..D_v} and the coefficients are recovered by exact Newton
+interpolation, one variable at a time.
 """
 
 from __future__ import annotations
@@ -176,34 +185,86 @@ def homogeneous_resultant(f: BinaryForm, g: BinaryForm) -> Fraction:
     return resultant_univariate(f.coeffs, g.coeffs, f.degree, g.degree)
 
 
-def bezout_rows(f: Sequence[int], g: Sequence[int]) -> list[list[int]]:
-    """The n x n Bezout matrix of two ascending integer vectors of declared degree n.
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """Pseudo-remainder of ascending integer vectors with lc(b) != 0 and len(a) >= len(b).
 
-    Entry (i, j) is the coefficient of x^i y^j in the Bezoutian
-    (f(x) g(y) - f(y) g(x)) / (x - y); each pair of coefficient indices
-    p < q adds to one antidiagonal run of q - p entries.
+    Returns r with lc(b)^(deg a - deg b + 1) * a = b*q + r, trailing zeros
+    stripped, so the zero remainder is [].
     """
-    n = len(f) - 1
-    if len(g) != n + 1:
-        raise ValueError("Bezout matrix needs two vectors of one declared degree")
-    rows = [[0] * n for _ in range(n)]
-    for q in range(1, n + 1):
-        for p in range(q):
-            c = f[p] * g[q] - f[q] * g[p]
-            if c:
-                for s in range(q - p):
-                    rows[p + s][q - 1 - s] -= c
-    return rows
+    m = len(b) - 1
+    lead = b[-1]
+    r = list(a)
+    for top in range(len(a) - 1, m - 1, -1):
+        # r <- lead * r - r[top] * x^(top - m) * b, which clears r[top]
+        c, shift = r[top], top - m
+        r = [lead * x for x in r[:shift]] + [lead * x - c * y for x, y in zip(r[shift:top], b)]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _resultant_prs(f: Sequence[int], g: Sequence[int]) -> int:
+    """bareiss_det_int(sylvester_rows(f, g, 0)) by a subresultant PRS.
+
+    f and g are ascending integer vectors of declared degrees d = len(f) - 1
+    and e = len(g) - 1; the ascending layout is (-1)^(d*e) times the
+    classical resultant Res_{d,e}.  The declared degrees are reduced to exact
+    ones first (d = 0 gives f0^e, e = 0 gives g0^d; two vanishing leading
+    coefficients give 0; Res_{d,e}(f, g) = (-1)^(d*e) Res_{e,d}(g, f); and
+    Res_{d,e} = lc(f)^(e-k) Res_{d,k} when g has actual degree k < e), then
+    Collins' subresultant sequence runs as in Cohen, A Course in
+    Computational Algebraic Number Theory, Algorithm 3.3.7.
+    """
+    d, e = len(f) - 1, len(g) - 1
+    if d == 0:
+        return f[0] ** e
+    if e == 0:
+        return g[0] ** d
+    sign = (-1) ** (d * e)
+    if f[-1] == 0:
+        if g[-1] == 0:
+            return 0
+        f, g, d, e = g, f, e, d
+        sign *= (-1) ** (d * e)
+    b = list(g)
+    while b and not b[-1]:
+        b.pop()
+    if not b:
+        return 0
+    a = list(f)
+    scale = a[-1] ** (e - len(b) + 1)
+    if len(b) == 1:
+        return sign * scale * b[0] ** d
+    if len(a) < len(b):
+        a, b = b, a
+        sign *= (-1) ** ((len(a) - 1) * (len(b) - 1))
+    lead, h = 1, 1
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da % 2 and db % 2:
+            sign = -sign
+        r = _prem(a, b)
+        if not r:
+            return 0
+        div = lead * h**delta
+        a, b = b, [c // div for c in r]
+        lead = a[-1]
+        if delta:
+            h = lead**delta // h ** (delta - 1)
+        if len(b) == 1:
+            da = len(a) - 1
+            return sign * scale * (b[0] ** da // h ** (da - 1))
 
 
 def covariant_resultant(f: BinaryForm, p: BinaryForm, q: BinaryForm) -> CovariantForm:
     """Resultant of f against the pencil p*dx + q*dy, as a form in (dx, dy).
 
-    All three inputs share one declared degree n >= 1.  The determinant runs on
-    the n x n Bezout matrix of f and the pencil, whose entries are linear forms
-    in (dx, dy), so it is homogeneous of degree n; the sign (-1)^(n(n+1)/2)
-    turns it into the ascending-layout Sylvester resultant.  The result is the
-    zero form exactly when f shares a projective root with both p and q.
+    All three inputs share one declared degree n >= 1, so the result is
+    homogeneous of degree n.  It is taken at dx = t, dy = 1 for t = 0..n by
+    the integer subresultant kernel and interpolated back, in the
+    ascending-layout Sylvester sign.  The result is the zero form exactly when
+    f shares a projective root with both p and q.
     """
     n = f.degree
     if p.degree != n or q.degree != n:
@@ -214,15 +275,9 @@ def covariant_resultant(f: BinaryForm, p: BinaryForm, q: BinaryForm) -> Covarian
     den = math.lcm(*(c.denominator for c in p.coeffs + q.coeffs))
     pi = [int(c * den) for c in p.coeffs]
     qi = [int(c * den) for c in q.coeffs]
-    # Dehomogenized at dy = 1: the key (k,) stands for dx^k * dy^(n-k).
-    rows = [
-        [{(1,): a, (0,): b} for a, b in zip(prow, qrow)]
-        for prow, qrow in zip(bezout_rows(fi, pi), bezout_rows(fi, qi))
-    ]
-    det = bareiss_det_poly(rows)
-    scale = Fraction((-1) ** (n * (n + 1) // 2), df**n * den**n)
-    coeffs = [det.get((k,), 0) * scale for k in range(n + 1)]
-    return CovariantForm(n, coeffs)
+    values = [_resultant_prs(fi, [t * a + b for a, b in zip(pi, qi)]) for t in range(n + 1)]
+    scale = Fraction(1, df**n * den**n)
+    return CovariantForm(n, [c * scale for c in _interpolate_line(values)])
 
 
 def resultant_shift_invariance(f: Sequence, g: Sequence, d: int, e: int, a) -> tuple[Fraction, Fraction]:

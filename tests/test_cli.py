@@ -217,6 +217,25 @@ class TestSubprocess:
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stdout) == {"d": 0, "e": 0, "coeffs": [["1"]]}
 
+    def test_compose_with_a_tall_shared_linear_factor_ends(self, tmp_path):
+        # f = (2x0 + 3x1)(E*y0 - y1) and g = (E*x0 - x1)(5y0 + 7y1) share the
+        # middle factor E*z0 - z1; its root must not be found by trial
+        # division up to sqrt(E).
+        big = 10**30
+        left = write(tmp_path, "l.json", {"d": 1, "e": 1, "coeffs": [
+            [str(2 * big), "-2"], [str(3 * big), "-3"]]})
+        right = write(tmp_path, "r.json", {"d": 1, "e": 1, "coeffs": [
+            [str(5 * big), str(7 * big)], ["-5", "-7"]]})
+        proc = subprocess.run(
+            [sys.executable, "-m", "corrdyn", "compose", "--left", left, "--right", right],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("DegenerateComposition")
+        assert "Traceback" not in proc.stderr
+
     def test_verify_reports_are_byte_identical(self):
         cmd = [sys.executable, "-m", "corrdyn", "verify", "--seed", "7", "--degree-cap", "2",
                "--only", "resultant-equivariance"]

@@ -12,7 +12,7 @@ from corrdyn.correspondence import (
     iterate,
     moebius_graph,
 )
-from corrdyn.forms import BinaryForm, CovariantForm
+from corrdyn.forms import BiForm, BinaryForm, CovariantForm, binary_gcd
 from corrdyn.multiplier import (
     BadPosition,
     IndeterminateMultiplier,
@@ -125,6 +125,52 @@ class TestMultiplierForm:
         f = Correspondence.from_matrix(1, 1, [[1, -1], [-1, 1]])
         with pytest.raises(IndeterminateMultiplier):
             multiplier_form(f)
+
+    def test_raises_exactly_when_slope_forms_share_a_fixed_point(self):
+        # The zero multiplier form stands in for a nonconstant
+        # gcd(F, diag_x, diag_y).  Plant a fixed point p in three ways: as a
+        # node (u*v, u^2 and v^2 terms with u = x1 - p*x0 and v = y1 - p*y0,
+        # critical in both directions), as a point critical in y only
+        # (u*A + v^2*B), or not at all.
+        rng = random.Random(81)
+
+        def rand_bi(d, e):
+            return BiForm(d, e, [[rng.randint(-6, 6) for _ in range(e + 1)] for _ in range(d + 1)])
+
+        raised = kept = 0
+        for trial in range(150):
+            d, e = rng.randint(1, 3), rng.randint(1, 3)
+            p = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+            u, v = BiForm(1, 0, [[-p], [1]]), BiForm(0, 1, [[-p, 1]])
+            kind = trial % 3
+            if kind == 0:
+                form = rand_bi(d, e)
+            elif kind == 1:
+                form = u * v * rand_bi(d - 1, e - 1)
+                if d >= 2:
+                    form = form + u * u * rand_bi(d - 2, e)
+                if e >= 2:
+                    form = form + v * v * rand_bi(d, e - 2)
+            else:
+                e = max(e, 2)
+                form = u * rand_bi(d - 1, e) + v * v * rand_bi(d, e - 2)
+            if form.is_zero():
+                continue
+            f = Correspondence(form)
+            dd = diagonal_derivative_forms(f)
+            shared = binary_gcd([dd.diag, dd.diag_x, dd.diag_y])
+            critical = shared.is_zero() or shared.degree >= 1
+            try:
+                multiplier_form(f)
+            except BadPosition:
+                continue
+            except IndeterminateMultiplier:
+                assert critical
+                raised += 1
+            else:
+                assert not critical
+                kept += 1
+        assert raised >= 20 and kept >= 40
 
     def test_conjugated_square_spectrum(self):
         f = conjugated_square_map()

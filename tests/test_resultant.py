@@ -7,9 +7,9 @@ import pytest
 
 from corrdyn.forms import BinaryForm, binary_gcd
 from corrdyn.resultant import (
+    _resultant_prs,
     bareiss_det_int,
     bareiss_det_poly,
-    bezout_rows,
     covariant_resultant,
     homogeneous_resultant,
     resultant_shift_invariance,
@@ -148,6 +148,21 @@ class TestShiftInvariance:
             resultant_shift_invariance([1, 2, 3], [1, 2], 2, 1, 1)
 
 
+def sylvester_covariant(f, p, q):
+    """Reference route: the 2n x 2n Sylvester matrix of f against p*dx + q*dy.
+
+    n scalar rows from f and n rows of linear forms in dx (dy = 1), in the
+    ascending layout, on integer-scaled inputs.
+    """
+    n = f.degree
+    df = math.lcm(*(c.denominator for c in f.coeffs))
+    den = math.lcm(*(c.denominator for c in p.coeffs + q.coeffs))
+    frow = [{(0,): int(c * df)} for c in f.coeffs]
+    grow = [{(1,): int(a * den), (0,): int(b * den)} for a, b in zip(p.coeffs, q.coeffs)]
+    det = bareiss_det_poly(sylvester_rows(frow, grow, {}))
+    return [F(det.get((k,), 0), df**n * den**n) for k in range(n + 1)]
+
+
 class TestCovariant:
     def test_zero_pencil(self):
         f = BinaryForm(2, [1, 1, 1])
@@ -202,43 +217,6 @@ class TestCovariant:
             common = binary_gcd([f, binary_gcd([p, q])])
             assert r.is_zero() == (common.is_zero() or common.degree >= 1)
 
-
-def sylvester_covariant(f, p, q):
-    """Reference route: the 2n x 2n Sylvester matrix of f against p*dx + q*dy.
-
-    n scalar rows from f and n rows of linear forms in dx (dy = 1), in the
-    ascending layout, on integer-scaled inputs.
-    """
-    n = f.degree
-    df = math.lcm(*(c.denominator for c in f.coeffs))
-    den = math.lcm(*(c.denominator for c in p.coeffs + q.coeffs))
-    frow = [{(0,): int(c * df)} for c in f.coeffs]
-    grow = [{(1,): int(a * den), (0,): int(b * den)} for a, b in zip(p.coeffs, q.coeffs)]
-    det = bareiss_det_poly(sylvester_rows(frow, grow, {}))
-    return [F(det.get((k,), 0), df**n * den**n) for k in range(n + 1)]
-
-
-class TestBezout:
-    def test_bezoutian_identity(self):
-        # sum B[i][j] x^i y^j * (x - y) == f(x) g(y) - f(y) g(x) at integer points
-        def ev(v, t):
-            return sum(c * t**k for k, c in enumerate(v))
-
-        rng = random.Random(40)
-        for _ in range(30):
-            n = rng.randint(0, 6)
-            f = [rng.randint(-9, 9) for _ in range(n + 1)]
-            g = [rng.randint(-9, 9) for _ in range(n + 1)]
-            b = bezout_rows(f, g)
-            assert len(b) == n and all(len(row) == n for row in b)
-            for x, y in [(2, -3), (5, 1), (-1, 4)]:
-                lhs = sum(b[i][j] * x**i * y**j for i in range(n) for j in range(n)) * (x - y)
-                assert lhs == ev(f, x) * ev(g, y) - ev(f, y) * ev(g, x)
-
-    def test_degree_mismatch(self):
-        with pytest.raises(ValueError):
-            bezout_rows([1, 2, 3], [1, 2])
-
     def test_covariant_matches_sylvester_route(self):
         rng = random.Random(41)
 
@@ -264,6 +242,55 @@ class TestBezout:
                 assert list(r.coeffs) == sylvester_covariant(f, p, q)
                 if trial == 1:
                     assert r.is_zero()
+
+
+class TestResultantPRS:
+    def test_prs_kernel_matches_sylvester_determinant(self):
+        rng = random.Random(42)
+
+        def draw(deg):
+            v = [rng.randint(-20, 20) if rng.random() < 0.75 else 0 for _ in range(deg + 1)]
+            if rng.random() < 0.05:
+                return [0] * (deg + 1)
+            if rng.random() < 0.2:
+                v[0] = 0  # vanishing trailing coefficient
+            return v
+
+        def times(a, b):
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            return out
+
+        for trial in range(2400):
+            d, e = rng.randint(0, 9), rng.randint(0, 9)
+            kind = trial % 4
+            if kind == 0 and d >= 1 and e >= 1:
+                # planted shared factor root[0] + root[1]*x
+                root = [rng.randint(-5, 5), rng.choice([-3, -2, -1, 1, 2, 3])]
+                f, g = times(root, draw(d - 1)), times(root, draw(e - 1))
+            else:
+                f, g = draw(d), draw(e)
+                if kind == 1:
+                    g[-1] = 0  # leading-coefficient drop in g only
+                    f[-1] = f[-1] or 1
+                elif kind == 2:
+                    f[-1] = 0  # in f only: the swap branch
+                    g[-1] = g[-1] or 1
+            assert _resultant_prs(f, g) == bareiss_det_int(sylvester_rows(f, g, 0)), (f, g)
+
+    def test_prs_kernel_edge_cases(self):
+        assert _resultant_prs([5], [1, 2, 3]) == 25  # d = 0: f0^e
+        assert _resultant_prs([1, 2, 3], [7]) == 49  # e = 0: g0^d
+        assert _resultant_prs([1, 2, 0], [3, 4, 0]) == 0  # both leads vanish
+        assert _resultant_prs([1, 1], [0, 0, 0]) == 0
+        assert _resultant_prs([0, 0, 0], [1, 1]) == 0
+        # (x - 1)(x - 2) and (x - 2)(x + 5) share the root 2
+        assert _resultant_prs([2, -3, 1], [-10, 3, 1]) == 0
+        big = [10**40 + 7, -(3**70), 2**100 + 1, 5]
+        other = [11**30, 0, -(7**33), 13**20, 1]
+        assert _resultant_prs(big, other) == bareiss_det_int(sylvester_rows(big, other, 0))
 
 
 def leibniz_det_poly(rows):
