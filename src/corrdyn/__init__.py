@@ -14,13 +14,11 @@ __version__ = "0.1.0"
 
 from .clebsch import (
     CgComponents,
-    WeightVector,
     cayley_omega,
     cg_decompose,
     cg_reconstruct,
     rho_embed,
     torus_weight,
-    torus_weights,
 )
 from .correspondence import (
     Correspondence,
@@ -31,7 +29,7 @@ from .correspondence import (
     iterate,
     moebius_graph,
 )
-from .forms import BiForm, BinaryForm, CovariantForm, Rational, binary_gcd, rational_roots
+from .forms import BiForm, BinaryForm, binary_gcd, rational_roots
 from .multiplier import (
     BadPosition,
     DiagonalDerivatives,
@@ -53,9 +51,7 @@ from .multiplier import (
 from .resultant import (
     covariant_resultant,
     homogeneous_resultant,
-    resultant_shift_invariance,
     resultant_univariate,
-    sylvester_rows,
 )
 from .serialization import SchemaError, parse_correspondence, serialize_correspondence
 from .stability import (
@@ -73,17 +69,14 @@ __all__ = [
     "BinaryForm",
     "CgComponents",
     "Correspondence",
-    "CovariantForm",
     "DegenerateComposition",
     "DiagonalDerivatives",
     "IndeterminateMultiplier",
     "MoebiusMap",
     "MultiplierSpectrum",
-    "Rational",
     "SchemaError",
     "StabilityVerdict",
     "Verdict",
-    "WeightVector",
     "binary_gcd",
     "cayley_omega",
     "cg_decompose",
@@ -107,16 +100,13 @@ __all__ = [
     "parse_correspondence",
     "rational_fixed_point_oracle",
     "rational_roots",
-    "resultant_shift_invariance",
     "resultant_univariate",
     "rho_compatibility_check",
     "rho_embed",
     "run_verify_suite",
     "serialize_correspondence",
     "sigma_spectrum",
-    "sylvester_rows",
     "torus_weight",
-    "torus_weights",
     "woods_hole_residual",
     "woods_hole_resultant",
 ]

@@ -26,22 +26,15 @@ from .forms import BiForm, BinaryForm, _frac
 
 def _omega_weight(d: int, e: int, m: int, i: int, j: int) -> int:
     """Integer weight of a_ij in the m-th Cayley power (binomial expansion)."""
-
-    def fall(n: int, t: int) -> int:
-        out = 1
-        for s in range(t):
-            out *= n - s
-        return out
-
     total = 0
     for k in range(m + 1):
         total += (
             (-1) ** (m - k)
             * math.comb(m, k)
-            * fall(d - i, k)
-            * fall(i, m - k)
-            * fall(e - j, m - k)
-            * fall(j, k)
+            * math.perm(d - i, k)
+            * math.perm(i, m - k)
+            * math.perm(e - j, m - k)
+            * math.perm(j, k)
         )
     return total
 
@@ -180,18 +173,3 @@ def torus_weight(d: int, e: int, i: int, j: int) -> int:
     if not (0 <= i <= d and 0 <= j <= e):
         raise ValueError("coefficient index out of range")
     return (d + e) - 2 * (i + j)
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Full torus weight matrix of a bidegree; constant along anti-diagonals."""
-
-    deg_x: int
-    deg_y: int
-    weights: tuple[tuple[int, ...], ...]
-
-
-def torus_weights(d: int, e: int) -> WeightVector:
-    return WeightVector(
-        d, e, tuple(tuple(torus_weight(d, e, i, j) for j in range(e + 1)) for i in range(d + 1))
-    )

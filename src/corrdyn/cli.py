@@ -2,7 +2,11 @@
 
 Exit codes: 0 success, 1 verification failure, 2 precondition error
 (BadPosition, DegenerateComposition, IndeterminateMultiplier, named on
-stderr), 3 schema or input error.
+stderr), 3 schema or input error, 4 internal error (any other exception,
+reported as one ``InternalError: <type>: <message>`` line on stderr).
+
+The multiplier form is printed in the (dx, dy) monomials: entry k of
+``dx_dy`` multiplies dx^k * dy^(n-k).
 """
 
 from __future__ import annotations
@@ -117,6 +121,8 @@ def _cmd_project(args) -> int:
 
 def _cmd_stability(args) -> int:
     f = _load_correspondence(args.input)
+    if f.deg_x + f.deg_y < 1:
+        raise SchemaError("stability needs total degree d + e at least 1")
     result = classify_stability(f)
     doc = {
         "verdict": result.verdict.value,
@@ -129,6 +135,8 @@ def _cmd_stability(args) -> int:
 
 def _cmd_multipliers(args) -> int:
     f = _load_correspondence(args.input)
+    if f.deg_x + f.deg_y < 1:
+        raise SchemaError("the multiplier form needs total degree d + e at least 1")
     iterated = iterate(f, args.n)
     d, e = iterated.bidegree
     r = multiplier_form(iterated)
@@ -226,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "n", 1) is not None and getattr(args, "n", 1) < 1:
+    if getattr(args, "n", 1) < 1:
         print("error: --n must be positive", file=sys.stderr)
         return 3
     try:
@@ -237,6 +245,10 @@ def main(argv=None) -> int:
     except (BadPosition, DegenerateComposition, IndeterminateMultiplier) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"InternalError: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -4,7 +4,10 @@ Coefficient conventions, fixed once and used everywhere:
 
 * ``BinaryForm(n, coeffs)``: ``coeffs[k]`` multiplies ``z0^(n-k) * z1^k``.
 * ``BiForm(d, e, rows)``: ``rows[i][j]`` multiplies ``x0^(d-i) x1^i y0^(e-j) y1^j``.
-* ``CovariantForm(n, coeffs)``: ``coeffs[k]`` multiplies ``dx^k * dy^(n-k)``.
+
+A form in the covariables (dx, dy), such as the multiplier form, is a
+``BinaryForm`` read with (z0, z1) = (dy, dx): ``coeffs[k]`` multiplies
+``dx^k * dy^(n-k)``, and it is evaluated as ``evaluate(dy, dx)``.
 
 Degrees are declared, not inferred: the all-zero form of every degree is a
 legal value, and trailing zero coefficients are significant because Sylvester
@@ -18,8 +21,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-Rational = Fraction
 
 
 def _frac(x) -> Fraction:
@@ -109,14 +110,7 @@ class BinaryForm:
         return BinaryForm(self.degree, [c * x for x in self.coeffs])
 
     def __mul__(self, other: "BinaryForm") -> "BinaryForm":
-        out = [Fraction(0)] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0:
-                    out[i + j] += a * b
-        return BinaryForm(self.degree + other.degree, out)
+        return BinaryForm(self.degree + other.degree, _convolve(self.coeffs, other.coeffs))
 
     def substitute_linear(self, m) -> "BinaryForm":
         """F(a*z0 + b*z1, c*z0 + d*z1) for the 2x2 matrix m = ((a, b), (c, d))."""
@@ -383,10 +377,10 @@ class BiForm:
                 if src == 0:
                     continue
                 w = (
-                    _falling(d - ii - j, i)
-                    * _falling(ii + j, j)
-                    * _falling(e - jj - l, k)
-                    * _falling(jj + l, l)
+                    math.perm(d - ii - j, i)
+                    * math.perm(ii + j, j)
+                    * math.perm(e - jj - l, k)
+                    * math.perm(jj + l, l)
                 )
                 rows[ii][jj] = src * w
         return BiForm(nd, ne, rows)
@@ -460,14 +454,7 @@ class BiForm:
         )
 
 
-def _falling(n: int, t: int) -> int:
-    out = 1
-    for s in range(t):
-        out *= n - s
-    return out
-
-
-def _convolve(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _convolve(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, u in enumerate(a):
         if u == 0:
@@ -476,60 +463,3 @@ def _convolve(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
             if v != 0:
                 out[i + j] += u * v
     return out
-
-
-class CovariantForm:
-    """Form of declared degree n in the covariables (dx, dy); coeffs[k] ~ dx^k dy^(n-k)."""
-
-    __slots__ = ("degree", "coeffs")
-
-    def __init__(self, degree: int, coeffs: Iterable):
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        cs = tuple(_frac(c) for c in coeffs)
-        if len(cs) != degree + 1:
-            raise ValueError(f"degree {degree} needs {degree + 1} coefficients, got {len(cs)}")
-        self.degree = degree
-        self.coeffs = cs
-
-    @classmethod
-    def zero(cls, degree: int) -> "CovariantForm":
-        return cls(degree, [0] * (degree + 1))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def evaluate(self, dx, dy) -> Fraction:
-        dx, dy = _frac(dx), _frac(dy)
-        n = self.degree
-        return sum((c * dx**k * dy ** (n - k) for k, c in enumerate(self.coeffs)), Fraction(0))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CovariantForm)
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.degree, self.coeffs))
-
-    def __repr__(self):
-        return f"CovariantForm({self.degree}, {[str(c) for c in self.coeffs]})"
-
-    def scale(self, c) -> "CovariantForm":
-        c = _frac(c)
-        return CovariantForm(self.degree, [c * v for v in self.coeffs])
-
-    def __mul__(self, other: "CovariantForm") -> "CovariantForm":
-        out = [Fraction(0)] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0:
-                    out[i + j] += a * b
-        return CovariantForm(self.degree + other.degree, out)
-
-    def projectively_equal(self, other: "CovariantForm") -> bool:
-        return self.degree == other.degree and projectively_equal(self.coeffs, other.coeffs)

@@ -13,9 +13,10 @@ and y1*d_{y1}f - y0*d_{y0}f; both carry the same global flip, so the ratio,
 the multiplier and everything downstream are unaffected.
 
 The multiplier form is res_z(F, diag_x*dx + diag_y*dy), a form of degree d+e
-in the covariables; it factors through the fixed points as a product of
-(diag_x(p)*dx + diag_y(p)*dy), so its coefficients encode the elementary
-symmetric functions of the multipliers.  The same covector rewrites exactly
+in the covariables, held as a BinaryForm in (z0, z1) = (dy, dx); it factors
+through the fixed points as a product of (diag_x(p)*dx + diag_y(p)*dy), so
+its coefficients encode the elementary symmetric functions of the
+multipliers.  The same covector rewrites exactly
 as w0*dz0 + w1*dz1 in the basis
 
     dz0 = (d*dx + e*dy)/(d+e)      dz1 = (2*dx - 2*dy)/(d+e)
@@ -34,13 +35,7 @@ from typing import Sequence
 
 from .clebsch import cayley_omega, rho_embed
 from .correspondence import Correspondence, iterate
-from .forms import (
-    BinaryForm,
-    CovariantForm,
-    _frac,
-    projectively_equal,
-    rational_roots,
-)
+from .forms import BinaryForm, _frac, projectively_equal, rational_roots
 from .resultant import IntPoly, bareiss_det_poly, covariant_resultant, sylvester_rows
 
 
@@ -86,25 +81,23 @@ def diagonal_derivative_forms(f: Correspondence) -> DiagonalDerivatives:
     """All five diagonal derivative forms of a correspondence."""
     d, e = f.deg_x, f.deg_y
     n = d + e
-    fk = [Fraction(0)] * (n + 1)
+    diag = f.form.diagonal_restriction()
     xk = [Fraction(0)] * (n + 1)
     yk = [Fraction(0)] * (n + 1)
     for i, row in enumerate(f.form.coeffs):
         for j, c in enumerate(row):
             if c == 0:
                 continue
-            k = i + j
-            fk[k] += c
-            xk[k] += (d - 2 * i) * c
-            yk[k] += (e - 2 * j) * c
-    w0 = [(n - 2 * k) * fk[k] for k in range(n + 1)]
+            xk[i + j] += (d - 2 * i) * c
+            yk[i + j] += (e - 2 * j) * c
+    w0 = [(n - 2 * k) * c for k, c in enumerate(diag.coeffs)]
     w1 = [Fraction(e, 2) * xk[k] - Fraction(d, 2) * yk[k] for k in range(n + 1)]
     return DiagonalDerivatives(
-        BinaryForm(n, fk), BinaryForm(n, xk), BinaryForm(n, yk), BinaryForm(n, w0), BinaryForm(n, w1)
+        diag, BinaryForm(n, xk), BinaryForm(n, yk), BinaryForm(n, w0), BinaryForm(n, w1)
     )
 
 
-def multiplier_form(f: Correspondence) -> CovariantForm:
+def multiplier_form(f: Correspondence) -> BinaryForm:
     """The fixed point multiplier form res_z(F, diag_x*dx + diag_y*dy).
 
     Requires good position (a00 != 0 and a_de != 0); conjugating by a generic
@@ -131,12 +124,12 @@ def multiplier_form(f: Correspondence) -> CovariantForm:
     return r
 
 
-def nth_multiplier_form(f: Correspondence, n: int) -> CovariantForm:
+def nth_multiplier_form(f: Correspondence, n: int) -> BinaryForm:
     """Multiplier form of the n-th iterate; degree d^n + e^n in the covariables."""
     return multiplier_form(iterate(f, n))
 
 
-def sigma_spectrum(r: CovariantForm) -> MultiplierSpectrum:
+def sigma_spectrum(r: BinaryForm) -> MultiplierSpectrum:
     """Normalized spectrum sigma[i] = (-1)^i * r[dx^i dy^(n-i)] / r[dy^n]."""
     lead = r.coeffs[0]
     if lead == 0:
@@ -179,7 +172,7 @@ def rational_fixed_point_oracle(f: Correspondence) -> MultiplierSpectrum:
     return MultiplierSpectrum(n, tuple(sigma), defined_at="rational-fixed-points")
 
 
-def dz_coordinates(r: CovariantForm, deg_x: int, deg_y: int) -> tuple[Fraction, ...]:
+def dz_coordinates(r: BinaryForm, deg_x: int, deg_y: int) -> tuple[Fraction, ...]:
     """Coefficients of r in the (dz0, dz1) basis attached to (deg_x, deg_y).
 
     Entry k multiplies dz0^(n-k) * dz1^k; the rewrite uses the exact inverse
@@ -189,22 +182,18 @@ def dz_coordinates(r: CovariantForm, deg_x: int, deg_y: int) -> tuple[Fraction, 
     n = r.degree
     if deg_x + deg_y != n or n < 1:
         raise ValueError("basis bidegree must sum to the form degree")
-    # View r as a binary form in (z0, z1) = (dy, dx); the index conventions agree.
-    as_binary = BinaryForm(n, r.coeffs)
     m = ((Fraction(1), Fraction(-deg_x, 2)), (Fraction(1), Fraction(deg_y, 2)))
-    return as_binary.substitute_linear(m).coeffs
+    return r.substitute_linear(m).coeffs
 
 
-def dz_to_covariant(coords: Sequence, deg_x: int, deg_y: int) -> CovariantForm:
+def dz_to_covariant(coords: Sequence, deg_x: int, deg_y: int) -> BinaryForm:
     """Inverse of dz_coordinates: rebuild the (dx, dy) form from dz coefficients."""
     n = deg_x + deg_y
-    cs = [_frac(c) for c in coords]
-    if len(cs) != n + 1:
+    if len(coords) != n + 1:
         raise ValueError("coordinate vector length must be d' + e' + 1")
     s = Fraction(1, n)
-    as_binary = BinaryForm(n, cs)
     m = ((deg_y * s, deg_x * s), (-2 * s, 2 * s))
-    return CovariantForm(n, as_binary.substitute_linear(m).coeffs)
+    return BinaryForm(n, coords).substitute_linear(m)
 
 
 def hyperplane_residual(f: Correspondence) -> Fraction:

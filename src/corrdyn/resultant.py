@@ -42,7 +42,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .forms import BinaryForm, CovariantForm
+from .forms import BinaryForm
 
 # Sparse polynomial with integer coefficients: exponent tuple -> coefficient.
 # Inputs may store zero coefficients; results never do, so the zero result is
@@ -257,12 +257,14 @@ def _resultant_prs(f: Sequence[int], g: Sequence[int]) -> int:
             return sign * scale * (b[0] ** da // h ** (da - 1))
 
 
-def covariant_resultant(f: BinaryForm, p: BinaryForm, q: BinaryForm) -> CovariantForm:
+def covariant_resultant(f: BinaryForm, p: BinaryForm, q: BinaryForm) -> BinaryForm:
     """Resultant of f against the pencil p*dx + q*dy, as a form in (dx, dy).
 
     All three inputs share one declared degree n >= 1, so the result is
-    homogeneous of degree n.  It is taken at dx = t, dy = 1 for t = 0..n by
-    the integer subresultant kernel and interpolated back, in the
+    homogeneous of degree n: a BinaryForm read with (z0, z1) = (dy, dx), so
+    coefficient k multiplies dx^k * dy^(n-k) and r.evaluate(dy, dx) is the
+    resultant of f against p*dx + q*dy.  It is taken at dx = t, dy = 1 for
+    t = 0..n by the integer subresultant kernel and interpolated back, in the
     ascending-layout Sylvester sign.  The result is the zero form exactly when
     f shares a projective root with both p and q.
     """
@@ -277,7 +279,7 @@ def covariant_resultant(f: BinaryForm, p: BinaryForm, q: BinaryForm) -> Covarian
     qi = [int(c * den) for c in q.coeffs]
     values = [_resultant_prs(fi, [t * a + b for a, b in zip(pi, qi)]) for t in range(n + 1)]
     scale = Fraction(1, df**n * den**n)
-    return CovariantForm(n, [c * scale for c in _interpolate_line(values)])
+    return BinaryForm(n, [c * scale for c in _interpolate_line(values)])
 
 
 def resultant_shift_invariance(f: Sequence, g: Sequence, d: int, e: int, a) -> tuple[Fraction, Fraction]:

@@ -346,9 +346,9 @@ def _check_covariant_specialization(rng, cap, c: _Check):
         t, u = rand_fraction(rng), rand_fraction(rng)
         pencil = BinaryForm(n, [t * a + u * b for a, b in zip(p.coeffs, q.coeffs)])
         ok = (
-            r.evaluate(0, 1) == homogeneous_resultant(f, q)
-            and r.evaluate(1, 0) == homogeneous_resultant(f, p)
-            and r.evaluate(t, u) == homogeneous_resultant(f, pencil)
+            r.evaluate(1, 0) == homogeneous_resultant(f, q)
+            and r.evaluate(0, 1) == homogeneous_resultant(f, p)
+            and r.evaluate(u, t) == homogeneous_resultant(f, pencil)
         )
         c.record(ok, lambda: f"f={f!r} p={p!r} q={q!r}")
 
@@ -463,7 +463,7 @@ def _check_omega0_equivariance(rng, cap, c: _Check):
         c.record(lhs == rhs, lambda: f"f={f!r} g={g!r}")
 
 
-def _check_torus_weights(rng, cap, c: _Check):
+def _check_torus_weight_scaling(rng, cap, c: _Check):
     for _ in range(8):
         d, e = rand_bidegree(rng, cap)
         f = rand_correspondence(rng, d, e)
@@ -683,7 +683,7 @@ CHECKS = [
     ("cayley-explicit-monomial", _check_cayley_explicit),
     ("cg-roundtrip", _check_cg_roundtrip),
     ("omega0-conjugation-equivariance", _check_omega0_equivariance),
-    ("torus-weight-scaling", _check_torus_weights),
+    ("torus-weight-scaling", _check_torus_weight_scaling),
     ("stability-conjugation-invariance", _check_stability_conjugation),
     ("stability-odd-parity", _check_stability_odd_parity),
     ("stability-matrix-crosscheck", _check_stability_matrix_crosscheck),

@@ -11,7 +11,6 @@ from corrdyn.clebsch import (
     cg_reconstruct,
     rho_embed,
     torus_weight,
-    torus_weights,
 )
 from corrdyn.correspondence import Correspondence, MoebiusMap, conjugate
 from corrdyn.forms import BiForm, BinaryForm
@@ -176,14 +175,6 @@ class TestTorusWeights:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             torus_weight(2, 1, 3, 0)
-
-    def test_matrix_invariants(self):
-        wv = torus_weights(3, 2)
-        assert wv.weights[0][0] == 5 and wv.weights[3][2] == -5
-        # anti-diagonal constancy
-        for i in range(4):
-            for j in range(3):
-                assert wv.weights[i][j] == 5 - 2 * (i + j)
 
     def test_conjugation_scaling(self):
         rng = random.Random(50)

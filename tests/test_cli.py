@@ -177,6 +177,21 @@ class TestVerifyCommand:
         assert "FAIL hyperplane-residual" in out
 
 
+class TestInternalError:
+    def test_unexpected_exception_exits_4_with_one_line(self, tmp_path, capsys, monkeypatch):
+        import corrdyn.cli as cli_mod
+
+        def broken(f):
+            raise RuntimeError("planted\nfailure")
+
+        monkeypatch.setattr(cli_mod, "classify_stability", broken)
+        path = write(tmp_path, "f.json", MOEBIUS_DOC)
+        code, out, err = run_main(capsys, ["stability", "--input", path])
+        assert code == 4
+        assert out == ""
+        assert err.splitlines() == ["InternalError: RuntimeError: planted failure"]
+
+
 class TestSubprocess:
     def test_module_entry_point(self, tmp_path):
         path = write(tmp_path, "f.json", MOEBIUS_DOC)
@@ -196,6 +211,19 @@ class TestSubprocess:
         path = write(tmp_path, "long.json", {"d": 0, "e": 0, "coeffs": [[entry]]})
         proc = subprocess.run(
             [sys.executable, "-m", "corrdyn", "stability", "--input", path],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("SchemaError")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["stability", "multipliers"])
+    def test_bidegree_zero_zero_is_a_schema_error(self, tmp_path, command):
+        path = write(tmp_path, "c.json", {"d": 0, "e": 0, "coeffs": [["1"]]})
+        proc = subprocess.run(
+            [sys.executable, "-m", "corrdyn", command, "--input", path],
             capture_output=True,
             text=True,
             timeout=60,

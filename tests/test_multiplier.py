@@ -12,7 +12,7 @@ from corrdyn.correspondence import (
     iterate,
     moebius_graph,
 )
-from corrdyn.forms import BiForm, BinaryForm, CovariantForm, binary_gcd
+from corrdyn.forms import BiForm, BinaryForm, binary_gcd
 from corrdyn.multiplier import (
     BadPosition,
     IndeterminateMultiplier,
@@ -111,7 +111,7 @@ class TestDiagonalDerivatives:
 class TestMultiplierForm:
     def test_moebius_fixture(self):
         r = multiplier_form(MOEBIUS_FIXTURE)
-        assert r.projectively_equal(CovariantForm(2, [1, -2, 1]))  # (dy - dx)^2
+        assert r.projectively_equal(BinaryForm(2, [1, -2, 1]))  # (dy - dx)^2
 
     def test_bad_position(self):
         square = Correspondence.from_matrix(2, 1, [[0, -1], [0, 0], [1, 0]])
@@ -240,21 +240,21 @@ class TestMultiplierForm:
 
 class TestSigmaSpectrum:
     def test_square_of_difference(self):
-        assert sigma_spectrum(CovariantForm(2, [1, -2, 1])).sigma == (1, 2, 1)
+        assert sigma_spectrum(BinaryForm(2, [1, -2, 1])).sigma == (1, 2, 1)
 
     def test_pure_power(self):
-        assert sigma_spectrum(CovariantForm(3, [1, 0, 0, 0])).sigma == (1, 0, 0, 0)
+        assert sigma_spectrum(BinaryForm(3, [1, 0, 0, 0])).sigma == (1, 0, 0, 0)
 
     def test_product_expansion(self):
         # prod (dy - m*dx) for m = (0, 2, 0); sigma must be the elementary
         # symmetric functions
-        factors = [CovariantForm(1, [1, -m]) for m in (0, 2, 0)]
+        factors = [BinaryForm(1, [1, -m]) for m in (0, 2, 0)]
         r = factors[0] * factors[1] * factors[2]
         assert sigma_spectrum(r).sigma == elementary_symmetric([F(0), F(2), F(0)])
 
     def test_infinite_multiplier_rejected(self):
         with pytest.raises(IndeterminateMultiplier):
-            sigma_spectrum(CovariantForm(2, [0, 1, 1]))
+            sigma_spectrum(BinaryForm(2, [0, 1, 1]))
 
 
 class TestOracle:
@@ -317,7 +317,7 @@ class TestNthMultiplier:
 class TestDzCoordinates:
     def test_difference_square(self):
         # dy - dx = -dz1 in the (1, 1) basis, so the square is pure dz1^2
-        assert dz_coordinates(CovariantForm(2, [1, -2, 1]), 1, 1) == (0, 0, 1)
+        assert dz_coordinates(BinaryForm(2, [1, -2, 1]), 1, 1) == (0, 0, 1)
 
     def test_pure_dz0_power(self):
         r = dz_to_covariant([1, 0, 0, 0], 1, 2)
@@ -327,12 +327,12 @@ class TestDzCoordinates:
         rng = random.Random(77)
         for _ in range(15):
             d, e = rng.randint(1, 3), rng.randint(1, 3)
-            r = CovariantForm(d + e, [rng.randint(-9, 9) for _ in range(d + e + 1)])
+            r = BinaryForm(d + e, [rng.randint(-9, 9) for _ in range(d + e + 1)])
             assert dz_to_covariant(dz_coordinates(r, d, e), d, e) == r
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
-            dz_coordinates(CovariantForm(2, [1, 0, 1]), 1, 2)
+            dz_coordinates(BinaryForm(2, [1, 0, 1]), 1, 2)
 
 
 class TestHyperplane:

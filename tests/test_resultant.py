@@ -200,11 +200,11 @@ class TestCovariant:
                 continue
             p, q = rand_binary(rng, n), rand_binary(rng, n)
             r = covariant_resultant(f, p, q)
-            assert r.evaluate(0, 1) == homogeneous_resultant(f, q)
-            assert r.evaluate(1, 0) == homogeneous_resultant(f, p)
+            assert r.evaluate(1, 0) == homogeneous_resultant(f, q)
+            assert r.evaluate(0, 1) == homogeneous_resultant(f, p)
             t, u = F(rng.randint(-5, 5)), F(rng.randint(-5, 5))
             pencil = BinaryForm(n, [t * a + u * b for a, b in zip(p.coeffs, q.coeffs)])
-            assert r.evaluate(t, u) == homogeneous_resultant(f, pencil)
+            assert r.evaluate(u, t) == homogeneous_resultant(f, pencil)
 
     def test_zero_iff_triple_common_root(self):
         rng = random.Random(26)
