@@ -16,10 +16,9 @@ test in the suite.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .forms import BiForm, BinaryForm, _frac, binary_gcd, rational_roots
+from .forms import BiForm, BinaryForm, _frac, _int_scale, binary_gcd, rational_roots
 from .resultant import bareiss_det_poly, sylvester_rows
 
 
@@ -156,11 +155,10 @@ def compose(f: Correspondence, g: Correspondence) -> Correspondence:
     """
     d, e = f.deg_x, f.deg_y
     dp, ep = g.deg_x, g.deg_y
-    df = math.lcm(*(c.denominator for row in f.form.coeffs for c in row))
-    dg = math.lcm(*(c.denominator for row in g.form.coeffs for c in row))
-    fc, gc = f.form.coeffs, g.form.coeffs
-    fz = [{(i, 0): int(fc[i][j] * df) for i in range(d + 1)} for j in range(e + 1)]
-    gz = [{(0, l): int(gc[k][l] * dg) for l in range(ep + 1)} for k in range(dp + 1)]
+    fi, df = _int_scale(f.form.flat())
+    gi, dg = _int_scale(g.form.flat())
+    fz = [{(i, 0): fi[i * (e + 1) + j] for i in range(d + 1)} for j in range(e + 1)]
+    gz = [{(0, l): gi[k * (ep + 1) + l] for l in range(ep + 1)} for k in range(dp + 1)]
     if e == dp == 0:
         # Neither form involves the middle pair: the Sylvester matrix is 0 x 0,
         # and its determinant 1 is the bidegree (0, 0) composite.
@@ -181,8 +179,10 @@ def compose(f: Correspondence, g: Correspondence) -> Correspondence:
             else:
                 detail = f": shared irrational linear factor, gcd certificate {shared!r}"
         raise DegenerateComposition("composition degenerates to the zero form" + detail, shared)
-    scale = Fraction(1, df**dp * dg**e)
-    rows = [[det.get((i, j), 0) * scale for j in range(e * ep + 1)] for i in range(d * dp + 1)]
+    scale = df**dp * dg**e
+    rows = [
+        [Fraction(det.get((i, j), 0), scale) for j in range(e * ep + 1)] for i in range(d * dp + 1)
+    ]
     return Correspondence.from_matrix(d * dp, e * ep, rows)
 
 

@@ -12,8 +12,12 @@ A form in the covariables (dx, dy), such as the multiplier form, is a
 Degrees are declared, not inferred: the all-zero form of every degree is a
 legal value, and trailing zero coefficients are significant because Sylvester
 matrices are shaped by declared degrees.  Coefficients are
-``fractions.Fraction``; every operation is exact and every value is
-immutable, so everything here is safe to share between threads.
+``fractions.Fraction`` at every interface; every operation is exact and every
+value is immutable, so everything here is safe to share between threads.
+Inside, the hot loops (linear substitution here; the resultant, composition
+and diagonal derivative kernels elsewhere) run on integer numerators over one
+common denominator from ``_int_scale`` and make one ``Fraction`` per output
+coefficient at the end.
 """
 
 from __future__ import annotations
@@ -29,6 +33,12 @@ def _frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected int or Fraction coefficient, got {type(x).__name__}")
+
+
+def _int_scale(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of coeffs over their least common denominator, and that denominator."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _pow_linear(p: Fraction, q: Fraction, t: int) -> list[Fraction]:
@@ -114,18 +124,18 @@ class BinaryForm:
 
     def substitute_linear(self, m) -> "BinaryForm":
         """F(a*z0 + b*z1, c*z0 + d*z1) for the 2x2 matrix m = ((a, b), (c, d))."""
-        (a, b), (c, d) = m
-        a, b, c, d = _frac(a), _frac(b), _frac(c), _frac(d)
-        # Homogeneous Horner: after step k, acc holds sum_{j<=k} c_j L^(k-j) M^j
-        # and bpow holds M^k, for L = a*z0 + b*z1 and M = c*z0 + d*z1.
-        acc = [self.coeffs[0]]
-        bpow = [Fraction(1)]
-        for coeff in self.coeffs[1:]:
-            bpow = _convolve(bpow, [c, d])
-            acc = _convolve(acc, [a, b])
-            if coeff != 0:
-                acc = [u + coeff * v for u, v in zip(acc, bpow)]
-        return BinaryForm(self.degree, acc)
+        (a, b, c, d), den = _int_scale([_frac(v) for row in m for v in row])
+        ints, cden = _int_scale(self.coeffs)
+        # Homogeneous Horner on integers, for L = a*z0 + b*z1 and M = c*z0 + d*z1
+        # (den times the substituted linear forms) and the numerators c_j: after
+        # step k, acc holds sum_{j<=k} c_j L^(k-j) M^j and mpow holds M^k.
+        acc = ints[:1]
+        mpow = [1]
+        for coeff in ints[1:]:
+            mpow = [c * u + d * v for u, v in zip(mpow + [0], [0] + mpow)]
+            acc = [a * u + b * v + coeff * w for u, v, w in zip(acc + [0], [0] + acc, mpow)]
+        scale = cden * den**self.degree
+        return BinaryForm(self.degree, [Fraction(v, scale) for v in acc])
 
     def divide_exact(self, divisor: "BinaryForm") -> "BinaryForm":
         """Quotient Q with self == divisor * Q; raises ValueError when not divisible.
@@ -151,8 +161,7 @@ class BinaryForm:
         """Integer-primitive representative with positive first nonzero coefficient."""
         if self.is_zero():
             return self
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
+        ints, _ = _int_scale(self.coeffs)
         g = math.gcd(*ints)
         ints = [v // g for v in ints]
         first = next(v for v in ints if v != 0)

@@ -28,14 +28,13 @@ dz0^(d+e-1)*dz1] = 0 lives.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .clebsch import cayley_omega, rho_embed
 from .correspondence import Correspondence, iterate
-from .forms import BinaryForm, _frac, projectively_equal, rational_roots
+from .forms import BinaryForm, _frac, _int_scale, projectively_equal, rational_roots
 from .resultant import IntPoly, bareiss_det_poly, covariant_resultant, sylvester_rows
 
 
@@ -82,18 +81,20 @@ def diagonal_derivative_forms(f: Correspondence) -> DiagonalDerivatives:
     d, e = f.deg_x, f.deg_y
     n = d + e
     diag = f.form.diagonal_restriction()
-    xk = [Fraction(0)] * (n + 1)
-    yk = [Fraction(0)] * (n + 1)
-    for i, row in enumerate(f.form.coeffs):
-        for j, c in enumerate(row):
-            if c == 0:
-                continue
-            xk[i + j] += (d - 2 * i) * c
-            yk[i + j] += (e - 2 * j) * c
-    w0 = [(n - 2 * k) * c for k, c in enumerate(diag.coeffs)]
-    w1 = [Fraction(e, 2) * xk[k] - Fraction(d, 2) * yk[k] for k in range(n + 1)]
+    ints, den = _int_scale(f.form.flat())
+    xk = [0] * (n + 1)
+    yk = [0] * (n + 1)
+    for i in range(d + 1):
+        for j, c in enumerate(ints[i * (e + 1) : (i + 1) * (e + 1)]):
+            if c:
+                xk[i + j] += (d - 2 * i) * c
+                yk[i + j] += (e - 2 * j) * c
     return DiagonalDerivatives(
-        diag, BinaryForm(n, xk), BinaryForm(n, yk), BinaryForm(n, w0), BinaryForm(n, w1)
+        diag,
+        BinaryForm(n, [Fraction(x, den) for x in xk]),
+        BinaryForm(n, [Fraction(y, den) for y in yk]),
+        BinaryForm(n, [Fraction(x + y, den) for x, y in zip(xk, yk)]),
+        BinaryForm(n, [Fraction(e * x - d * y, 2 * den) for x, y in zip(xk, yk)]),
     )
 
 
@@ -189,6 +190,8 @@ def dz_coordinates(r: BinaryForm, deg_x: int, deg_y: int) -> tuple[Fraction, ...
 def dz_to_covariant(coords: Sequence, deg_x: int, deg_y: int) -> BinaryForm:
     """Inverse of dz_coordinates: rebuild the (dx, dy) form from dz coefficients."""
     n = deg_x + deg_y
+    if n < 1:
+        raise ValueError("basis bidegree must sum to the form degree")
     if len(coords) != n + 1:
         raise ValueError("coordinate vector length must be d' + e' + 1")
     s = Fraction(1, n)
@@ -229,22 +232,20 @@ def woods_hole_resultant(f: Sequence, g: Sequence) -> tuple[Fraction, ...]:
         raise ValueError("g must have degree at most deg f - 2")
     deriv = [(k + 1) * fc[k + 1] for k in range(df)]
     gc += [Fraction(0)] * (df - len(gc))
-    den_f = math.lcm(*(c.denominator for c in fc))
-    fi = [int(c * den_f) for c in fc]
-    den_g = math.lcm(*(c.denominator for c in deriv + gc))
+    fi, den_f = _int_scale(fc)
+    dgi, den_g = _int_scale(deriv + gc)
     rows_f: list[IntPoly] = [{(0,): c} if c else {} for c in fi]
     rows_g: list[IntPoly] = []
-    for dk, gk in zip(deriv, gc):
+    for di, gi in zip(dgi[:df], dgi[df:]):
         entry: IntPoly = {}
-        di, gi = int(dk * den_g), int(gk * den_g)
         if di:
             entry[(0,)] = di
         if gi:
             entry[(1,)] = gi
         rows_g.append(entry)
     det = bareiss_det_poly(sylvester_rows(rows_f, rows_g, {}))
-    scale = Fraction(1, den_f ** (df - 1) * den_g**df)
-    return tuple(det.get((k,), 0) * scale for k in range(df + 1))
+    scale = den_f ** (df - 1) * den_g**df
+    return tuple(Fraction(det.get((k,), 0), scale) for k in range(df + 1))
 
 
 def woods_hole_residual(f: Sequence, g: Sequence) -> Fraction:

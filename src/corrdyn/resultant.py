@@ -32,7 +32,10 @@ integer-polynomial entries goes through the same integer kernel
 has degree at most D_v in each variable v, where D_v sums over the rows the
 row's largest exponent of v, so it is evaluated at every point of the integer
 grid prod_v {0..D_v} and the coefficients are recovered by exact Newton
-interpolation, one variable at a time.
+interpolation, one variable at a time.  Each distinct entry is evaluated once
+per value of the variables it involves (in a composition, the f-rows at each
+x1 and the g-rows at each y1), and the integer matrix at a grid point is
+gathered from those values through an index layout fixed in advance.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .forms import BinaryForm
+from .forms import BinaryForm, _int_scale
 
 # Sparse polynomial with integer coefficients: exponent tuple -> coefficient.
 # Inputs may store zero coefficients; results never do, so the zero result is
@@ -80,7 +83,8 @@ def bareiss_det_poly(rows: list[list[IntPoly]]) -> IntPoly:
     Evaluates the entries on the integer grid prod_v {0..D_v}, takes
     bareiss_det_int at every point and interpolates the values back, one
     variable at a time.  D_v sums each row's largest exponent of variable v,
-    which bounds every term of the determinant's expansion.
+    which bounds every term of the determinant's expansion.  An entry is
+    evaluated only on the values of the variables it involves.
     """
     n = len(rows)
     if n == 0:
@@ -90,14 +94,31 @@ def bareiss_det_poly(rows: list[list[IntPoly]]) -> IntPoly:
         sum(max((key[v] for entry in row for key in entry), default=0) for row in rows)
         for v in range(nvars)
     ]
-    # Sylvester rows repeat the same entry objects; evaluate each one once.
-    entries = {id(entry): entry for row in rows for entry in row}
-    keys = {key for entry in entries.values() for key in entry}
-    values = []
-    for point in itertools.product(*(range(b + 1) for b in bounds)):
-        mono = {key: math.prod(x**k for x, k in zip(point, key)) for key in keys}
-        at = {i: sum(c * mono[key] for key, c in entry.items()) for i, entry in entries.items()}
-        values.append(bareiss_det_int([[at[id(entry)] for entry in row] for row in rows]))
+    # Sylvester rows repeat the same entry objects: number the distinct ones
+    # and lay the matrix out as indices into that numbering.
+    distinct = {id(entry): entry for row in rows for entry in row}
+    slot = {key: k for k, key in enumerate(distinct)}
+    layout = [[slot[id(entry)] for entry in row] for row in rows]
+    # Evaluate each entry once per value of the variables it involves, then
+    # spread those values over the grid in itertools.product order.
+    columns = []
+    for entry in distinct.values():
+        used = [v for v in range(nvars) if any(key[v] for key in entry)]
+        table = [0] * math.prod(bounds[v] + 1 for v in used)
+        for key, c in entry.items():
+            term = [c]
+            for v in used:
+                k = key[v]
+                term = [t * x**k for t in term for x in range(bounds[v] + 1)]
+            table = [u + w for u, w in zip(table, term)]
+        spread = [0]
+        for v, b in enumerate(bounds):
+            if v in used:
+                spread = [i * (b + 1) + t for i in spread for t in range(b + 1)]
+            else:
+                spread = [i for i in spread for _ in range(b + 1)]
+        columns.append([table[i] for i in spread])
+    values = [bareiss_det_int([[at[k] for k in lrow] for lrow in layout]) for at in zip(*columns)]
     # values is row-major over the grid; interpolate along each axis in turn.
     stride = len(values)
     for b in bounds:
@@ -151,11 +172,6 @@ def sylvester_rows(f: Sequence, g: Sequence, zero):
         row[s : s + e + 1] = list(g)
         rows.append(row)
     return rows
-
-
-def _int_scale(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    den = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-    return [int(c * den) for c in coeffs], den
 
 
 def resultant_univariate(f: Sequence, g: Sequence, d: int, e: int) -> Fraction:
@@ -274,12 +290,11 @@ def covariant_resultant(f: BinaryForm, p: BinaryForm, q: BinaryForm) -> BinaryFo
     if n < 1:
         raise ValueError("declared degree must be at least 1")
     fi, df = _int_scale(f.coeffs)
-    den = math.lcm(*(c.denominator for c in p.coeffs + q.coeffs))
-    pi = [int(c * den) for c in p.coeffs]
-    qi = [int(c * den) for c in q.coeffs]
+    pq, den = _int_scale(p.coeffs + q.coeffs)
+    pi, qi = pq[: n + 1], pq[n + 1 :]
     values = [_resultant_prs(fi, [t * a + b for a, b in zip(pi, qi)]) for t in range(n + 1)]
-    scale = Fraction(1, df**n * den**n)
-    return BinaryForm(n, [c * scale for c in _interpolate_line(values)])
+    scale = df**n * den**n
+    return BinaryForm(n, [Fraction(c, scale) for c in _interpolate_line(values)])
 
 
 def resultant_shift_invariance(f: Sequence, g: Sequence, d: int, e: int, a) -> tuple[Fraction, Fraction]:

@@ -10,6 +10,18 @@ def rand_binary(rng, degree):
     return BinaryForm(degree, [rng.randint(-9, 9) for _ in range(degree + 1)])
 
 
+def rand_coeff(rng):
+    """Zero, small integer or small fraction, or a fraction with a large denominator."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return F(0)
+    if kind == 1:
+        return F(rng.randint(-9, 9))
+    if kind == 2:
+        return F(rng.randint(-30, 30), rng.randint(1, 12))
+    return F(rng.randint(-(10**25), 10**25), rng.randint(1, 10**25))
+
+
 def rand_biform(rng, d, e):
     return BiForm(d, e, [[rng.randint(-9, 9) for _ in range(e + 1)] for _ in range(d + 1)])
 
@@ -131,6 +143,25 @@ class TestBinaryGcd:
         assert binary_gcd([f]) == BinaryForm(2, [1, 0, -1])
 
 
+def fraction_horner(form, m):
+    """Reference substitution: homogeneous Horner in Fraction arithmetic."""
+
+    def convolve(a, b):
+        out = [F(0)] * (len(a) + len(b) - 1)
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+        return out
+
+    (a, b), (c, d) = ((F(v) for v in row) for row in m)
+    acc = [form.coeffs[0]]
+    mpow = [F(1)]
+    for coeff in form.coeffs[1:]:
+        mpow = convolve(mpow, [c, d])
+        acc = [u + coeff * v for u, v in zip(convolve(acc, [a, b]), mpow)]
+    return acc
+
+
 class TestSubstituteLinear:
     def test_identity(self):
         f = BinaryForm(2, [0, 1, 0])
@@ -159,6 +190,29 @@ class TestSubstituteLinear:
                 (m[1][0] * n[0][0] + m[1][1] * n[1][0], m[1][0] * n[0][1] + m[1][1] * n[1][1]),
             )
             assert f.substitute_linear(m).substitute_linear(n) == f.substitute_linear(prod)
+
+    def test_matches_fraction_horner(self):
+        rng = random.Random(12)
+        for trial in range(300):
+            n = rng.randint(0, 7)
+            form = BinaryForm(n, [rand_coeff(rng) for _ in range(n + 1)])
+            if trial % 4 == 0:  # singular: second row a multiple of the first
+                a, b, k = rand_coeff(rng), rand_coeff(rng), rand_coeff(rng)
+                m = ((a, b), (k * a, k * b))
+            elif trial % 4 == 1:  # half-integer entries
+                m = tuple(tuple(F(2 * rng.randint(-4, 3) + 1, 2) for _ in range(2))
+                          for _ in range(2))
+            else:
+                m = tuple(tuple(rand_coeff(rng) for _ in range(2)) for _ in range(2))
+            assert list(form.substitute_linear(m).coeffs) == fraction_horner(form, m), (form, m)
+
+    def test_degree_zero_zero_form_and_int_entries(self):
+        m = ((F(1, 3), -2), (5, F(7, 10**20)))
+        assert BinaryForm(0, [F(-4, 9)]).substitute_linear(m) == BinaryForm(0, [F(-4, 9)])
+        assert BinaryForm.zero(5).substitute_linear(m) == BinaryForm.zero(5)
+        form = BinaryForm(3, [1, F(1, 2), 0, F(-3, 10**30)])
+        assert list(form.substitute_linear(m).coeffs) == fraction_horner(form, m)
+        assert list(form.substitute_linear(((0, 0), (0, 0))).coeffs) == [0, 0, 0, 0]
 
 
 class TestRationalRoots:

@@ -1,0 +1,188 @@
+"""Golden outputs of the exact kernels over a fixed seeded corpus.
+
+Each kernel's outputs on the corpus are printed canonically (str of every
+Fraction, the type and message of every exception) and hashed; the pinned
+sha256 values were recorded before the kernels moved to integer inner loops.
+One digest per function, so a mismatch names the function whose output
+changed.  The corpus mixes zero, integer, half-integer and large-denominator
+coefficients, degree-0 and zero forms, singular and half-integer matrices and
+degenerate compositions.
+
+To re-record after a deliberate change of output, print `_digest(name)` for
+every name in GOLDEN.
+"""
+
+import hashlib
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from corrdyn.correspondence import Correspondence, compose
+from corrdyn.forms import BiForm, BinaryForm
+from corrdyn.multiplier import diagonal_derivative_forms, multiplier_form, woods_hole_resultant
+from corrdyn.resultant import covariant_resultant
+
+GOLDEN = {
+    "substitute_linear": "1fb2c00de86be73448f34185d602d9b76f867d693deb5e9ca3e63f48bee3f6f3",
+    "diagonal_derivative_forms": "9ad198945503420a7b43cece7cb20989724bbecc46436a15199076f6259dbe89",
+    "compose": "8da861da97b1963cb69238f3ed7943ec28519dd80a6fe7b545641c77a5f5c20c",
+    "covariant_resultant": "5a49c9286d094793e338144ebcc85b5bb2f62798fb02a50c1441cd85b52d50e4",
+    "multiplier_form": "c1536876b571097bfa2164e3ef5588abeb216e6f8379a6fdfd7e5b12cbc8fd0a",
+    "woods_hole_resultant": "44fb39ffae1f66c3c30d19e1894a15a9f0894c2a33003547e504e217eb88785f",
+}
+
+
+def _coeff(rng):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-9, 9)
+    if kind == 2:
+        return F(2 * rng.randint(-5, 4) + 1, 2)
+    if kind == 3:
+        return F(rng.randint(-(10**20), 10**20), rng.randint(1, 10**20))
+    return F(rng.randint(-30, 30), rng.randint(1, 12))
+
+
+def _binary(rng, n):
+    if rng.random() < 0.1:
+        return BinaryForm.zero(n)
+    return BinaryForm(n, [_coeff(rng) for _ in range(n + 1)])
+
+
+def _corr(rng, d, e):
+    rows = [[_coeff(rng) for _ in range(e + 1)] for _ in range(d + 1)]
+    if not any(c for row in rows for c in row):
+        rows[0][0] = 1  # a correspondence needs a nonzero form
+    return Correspondence.from_matrix(d, e, rows)
+
+
+def _matrix(rng):
+    kind = rng.randrange(5)
+    if kind == 0:  # singular: second row a multiple of the first
+        a, b, k = _coeff(rng), _coeff(rng), _coeff(rng)
+        return ((a, b), (k * a, k * b))
+    if kind == 1:  # half-integer entries
+        return tuple(tuple(F(2 * rng.randint(-4, 3) + 1, 2) for _ in range(2)) for _ in range(2))
+    if kind == 2:  # plain ints
+        return tuple(tuple(rng.randint(-5, 5) for _ in range(2)) for _ in range(2))
+    if kind == 3:
+        return ((0, 0), (0, 0)) if rng.random() < 0.3 else ((1, 0), (0, 1))
+    return tuple(tuple(_coeff(rng) for _ in range(2)) for _ in range(2))
+
+
+def _form(r):
+    return f"{r.degree}:" + ",".join(str(c) for c in r.coeffs)
+
+
+def _corr_text(f):
+    rows = ";".join(",".join(str(c) for c in row) for row in f.form.coeffs)
+    return f"{f.deg_x},{f.deg_y}:{rows}"
+
+
+def _safe(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _case_substitute_linear(rng):
+    form = _binary(rng, rng.randint(0, 7))
+    return _form(form.substitute_linear(_matrix(rng)))
+
+
+def _case_diagonal_derivative_forms(rng):
+    dd = diagonal_derivative_forms(_corr(rng, rng.randint(0, 3), rng.randint(0, 3)))
+    return "|".join(_form(x) for x in (dd.diag, dd.diag_x, dd.diag_y, dd.dz0_part, dd.dz1_part))
+
+
+def _case_compose(rng):
+    d, e, dp, ep = (rng.randint(0, 2) for _ in range(4))
+    f, g = _corr(rng, d, e), _corr(rng, dp, ep)
+    if rng.random() < 0.25 and e >= 1 and dp >= 1:
+        # Plant a shared linear factor (p1*z0 - p0*z1) in f's y-pair and
+        # g's x-pair, so the composite degenerates.
+        p0, p1 = rng.randint(-3, 3), rng.choice([1, 2, -3])
+        lin = [p1, -p0]
+        fy = [[_coeff(rng) or 1 for _ in range(e)] for _ in range(d + 1)]
+        gx = [[_coeff(rng) or 1 for _ in range(dp)] for _ in range(ep + 1)]
+        frows = [[sum(lin[t] * row[j - t] for t in range(2) if 0 <= j - t < e)
+                  for j in range(e + 1)] for row in fy]
+        gcols = [[sum(lin[t] * col[i - t] for t in range(2) if 0 <= i - t < dp)
+                  for i in range(dp + 1)] for col in gx]
+        grows = [[gcols[j][i] for j in range(ep + 1)] for i in range(dp + 1)]
+        f = Correspondence.from_matrix(d, e, frows)
+        g = Correspondence.from_matrix(dp, ep, grows)
+    out = _safe(compose, f, g)
+    return out if isinstance(out, str) else _corr_text(out)
+
+
+def _case_covariant_resultant(rng):
+    n = rng.randint(0, 5)
+    f, p, q = (_binary(rng, n) for _ in range(3))
+    if rng.random() < 0.1:
+        q = _binary(rng, n + 1)
+    out = _safe(covariant_resultant, f, p, q)
+    return out if isinstance(out, str) else _form(out)
+
+
+def _case_multiplier_form(rng):
+    d, e = rng.randint(0, 3), rng.randint(0, 3)
+    kind = rng.randrange(6)
+    if kind == 0:
+        # a rational map graph, often with critical fixed points
+        d = max(d, 1)
+        p = [rng.randint(-2, 2) for _ in range(d + 1)]
+        q = [rng.randint(-2, 2) for _ in range(d + 1)]
+        f = Correspondence.from_matrix(d, 1, [[-p[i], q[i]] for i in range(d + 1)])
+    elif kind == 1 and d >= 1 and e >= 1:
+        # a node (x1 - t*x0)(y1 - t*y0) * G at the fixed point [1:t]: critical
+        # in both directions, so the multiplier is undefined
+        t = rng.choice([-2, -1, 1, F(1, 3)])
+        node = BiForm(1, 0, [[-t], [1]]) * BiForm(0, 1, [[-t, 1]])
+        g = _corr(rng, d - 1, e - 1).form
+        f = Correspondence(node * g)
+    else:
+        f = _corr(rng, d, e)
+        if kind != 2:
+            rows = [list(row) for row in f.form.coeffs]
+            rows[0][0] = rows[0][0] or 1
+            rows[d][e] = rows[d][e] or -1
+            f = Correspondence.from_matrix(d, e, rows)
+    out = _safe(multiplier_form, f)
+    return out if isinstance(out, str) else _form(out)
+
+
+def _case_woods_hole_resultant(rng):
+    df = rng.randint(2, 6)
+    f = [_coeff(rng) for _ in range(df + 1)]
+    if rng.random() < 0.9:
+        f[-1] = f[-1] or F(rng.randint(1, 9), rng.randint(1, 9))
+    g = [_coeff(rng) for _ in range(rng.randint(1, df - 1) if rng.random() < 0.9 else df)]
+    out = _safe(woods_hole_resultant, f, g)
+    return out if isinstance(out, str) else ",".join(str(c) for c in out)
+
+
+CASES = {
+    "substitute_linear": (_case_substitute_linear, 300),
+    "diagonal_derivative_forms": (_case_diagonal_derivative_forms, 200),
+    "compose": (_case_compose, 120),
+    "covariant_resultant": (_case_covariant_resultant, 200),
+    "multiplier_form": (_case_multiplier_form, 120),
+    "woods_hole_resultant": (_case_woods_hole_resultant, 80),
+}
+
+
+def _digest(name):
+    case, count = CASES[name]
+    rng = random.Random(f"golden-{name}")
+    lines = [case(rng) for _ in range(count)]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_digest(name):
+    assert _digest(name) == GOLDEN[name], f"{name} output changed on the golden corpus"

@@ -102,6 +102,33 @@ class TestDiagonalDerivatives:
             n = d + e
             assert all(dd.dz0_part.coeffs[k] == (n - 2 * k) * dd.diag.coeffs[k] for k in range(n + 1))
 
+    def test_matches_definition_with_large_denominators(self):
+        # The class docstring's definitions, term by term, on coefficients
+        # that are zero, integers and fractions with large denominators.
+        rng = random.Random(74)
+        for _ in range(60):
+            d, e = rng.randint(0, 4), rng.randint(0, 4)
+            rows = [
+                [rng.choice([F(0), F(rng.randint(-9, 9)),
+                             F(rng.randint(-(10**22), 10**22), rng.randint(1, 10**22))])
+                 for _ in range(e + 1)]
+                for _ in range(d + 1)
+            ]
+            rows[0][0] = rows[0][0] or F(1)
+            dd = diagonal_derivative_forms(Correspondence.from_matrix(d, e, rows))
+            n = d + e
+            diag, xk, yk = ([F(0)] * (n + 1) for _ in range(3))
+            for i in range(d + 1):
+                for j in range(e + 1):
+                    diag[i + j] += rows[i][j]
+                    xk[i + j] += (d - 2 * i) * rows[i][j]
+                    yk[i + j] += (e - 2 * j) * rows[i][j]
+            assert list(dd.diag.coeffs) == diag
+            assert list(dd.diag_x.coeffs) == xk
+            assert list(dd.diag_y.coeffs) == yk
+            assert dd.dz0_part == dd.diag_x + dd.diag_y
+            assert dd.dz1_part == dd.diag_x.scale(F(e, 2)) - dd.diag_y.scale(F(d, 2))
+
     def test_symmetric_matrix_gives_equal_parts(self):
         f = Correspondence.from_matrix(2, 2, [[1, 2, 3], [2, 5, 7], [3, 7, 4]])
         dd = diagonal_derivative_forms(f)
@@ -333,6 +360,15 @@ class TestDzCoordinates:
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
             dz_coordinates(BinaryForm(2, [1, 0, 1]), 1, 2)
+
+    def test_bidegree_zero_rejected_both_ways(self):
+        # the (0, 0) basis has no dz1 direction; both directions refuse it
+        # with the same ValueError, before any length check
+        with pytest.raises(ValueError, match="basis bidegree"):
+            dz_coordinates(BinaryForm(0, [1]), 0, 0)
+        for coords in ([1], [], [1, 2]):
+            with pytest.raises(ValueError, match="basis bidegree"):
+                dz_to_covariant(coords, 0, 0)
 
 
 class TestHyperplane:

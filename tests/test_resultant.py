@@ -366,3 +366,24 @@ class TestDetPoly:
             rows = [[{(rng.randint(0, 3), rng.randint(0, 2)): rng.randint(-2**80, 2**80)}
                      for _ in range(n)] for _ in range(n)]
             assert bareiss_det_poly(rows) == leibniz_det_poly(rows)
+
+    def test_mixed_variable_subsets_and_shared_entries(self):
+        # Entries drawn from a small pool, so one entry object sits in several
+        # rows and columns; each pool entry involves its own subset of the
+        # three variables, and the last variable appears in no entry at all.
+        rng = random.Random(30)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            pool = []
+            for _ in range(rng.randint(1, 5)):
+                used = [rng.random() < 0.5, rng.random() < 0.5, False]
+                entry = {}
+                for _ in range(rng.randint(0, 3)):
+                    key = tuple(rng.randint(0, 2) * u for u in used)
+                    c = rng.choice([rng.randint(-9, 9), rng.randint(-(2**70), 2**70)])
+                    entry[key] = entry.get(key, 0) + c
+                pool.append(entry)
+            rows = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+            got = bareiss_det_poly(rows)
+            assert got == leibniz_det_poly(rows), rows
+            assert all(key[2] == 0 for key in got)
