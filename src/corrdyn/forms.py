@@ -14,10 +14,13 @@ legal value, and trailing zero coefficients are significant because Sylvester
 matrices are shaped by declared degrees.  Coefficients are
 ``fractions.Fraction`` at every interface; every operation is exact and every
 value is immutable, so everything here is safe to share between threads.
-Inside, the hot loops (linear substitution here; the resultant, composition
-and diagonal derivative kernels elsewhere) run on integer numerators over one
-common denominator from ``_int_scale`` and make one ``Fraction`` per output
-coefficient at the end.
+Inside, the hot loops run on integer numerators over one common denominator
+from ``_int_scale`` and make one ``Fraction`` per output coefficient at the
+end.  Here that is linear substitution (``substitute_linear``, which
+``BiForm.substitute_pair`` applies row by row and column by column) and the
+homogeneous GCD (a primitive remainder sequence, ``_gcd_int_forms``);
+elsewhere the resultant, composition, diagonal derivative and stability
+kernels.
 """
 
 from __future__ import annotations
@@ -41,9 +44,19 @@ def _int_scale(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _pow_linear(p: Fraction, q: Fraction, t: int) -> list[Fraction]:
-    """Coefficients of (p*v0 + q*v1)^t: entry s multiplies v0^(t-s) * v1^s."""
-    return [math.comb(t, s) * p ** (t - s) * q**s for s in range(t + 1)]
+def _primitive(p: Sequence[int]) -> list[int]:
+    """p divided by its content; p must have a nonzero entry."""
+    g = math.gcd(*p)
+    return [c // g for c in p]
+
+
+def _partial_weights(n: int, i: int, j: int) -> list[int]:
+    """Weights of d_{v0}^i d_{v1}^j on a degree-n form in (v0, v1).
+
+    Entry k (k = 0..n-i-j) multiplies source coefficient k + j, the one of
+    v0^(n-k-j) * v1^(k+j), to give output coefficient k.
+    """
+    return [math.perm(n - k - j, i) * math.perm(k + j, j) for k in range(n - i - j + 1)]
 
 
 def projectively_equal(a: Sequence[Fraction], b: Sequence[Fraction]) -> bool:
@@ -161,9 +174,7 @@ class BinaryForm:
         """Integer-primitive representative with positive first nonzero coefficient."""
         if self.is_zero():
             return self
-        ints, _ = _int_scale(self.coeffs)
-        g = math.gcd(*ints)
-        ints = [v // g for v in ints]
+        ints = _primitive(_int_scale(self.coeffs)[0])
         first = next(v for v in ints if v != 0)
         if first < 0:
             ints = [-v for v in ints]
@@ -203,45 +214,75 @@ def _poly_divmod(num: list[Fraction], den: list[Fraction]):
     return q, _trim(r)
 
 
-def _poly_gcd(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    """Monic Euclidean GCD of two ascending coefficient lists over the rationals."""
-    a, b = _trim(list(p)), _trim(list(q))
+def _gcd_int(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    """GCD of two ascending integer coefficient lists, primitive and up to sign.
+
+    Primitive remainder sequence (Knuth, TAOCP vol. 2, 4.6.1): each step takes
+    the pseudo-remainder, which stays integral, and divides out its content.
+    Top zero coefficients are ignored; the GCD of two zero lists is [].
+    """
+    a, b = list(p), list(q)
+    while a and not a[-1]:
+        a.pop()
+    while b and not b[-1]:
+        b.pop()
+    if len(a) < len(b):
+        a, b = b, a
     while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+        n, lead = len(b) - 1, b[-1]
+        r = a
+        while len(r) > n:
+            c = r.pop()
+            if c:
+                shift = len(r) - n
+                r = [lead * v for v in r]
+                for t in range(n):
+                    r[shift + t] -= c * b[t]
+        while r and not r[-1]:
+            r.pop()
+        a, b = b, (_primitive(r) if r else r)
+    return _primitive(a) if a else a
+
+
+def _gcd_int_forms(forms: Iterable[tuple[int, Sequence[int]]]) -> BinaryForm:
+    """binary_gcd of forms given as (degree, integer coefficients).
+
+    Each form's coefficients may carry their own nonzero scale: the normalized
+    GCD does not see it.
+    """
+    v1 = v0 = 0
+    acc: list[int] | None = None
+    for degree, cs in forms:
+        ks = [k for k, c in enumerate(cs) if c]
+        if not ks:
+            continue
+        lo, hi = ks[0], ks[-1]
+        if acc is None:
+            v1, v0, acc = lo, degree - hi, _primitive(cs[lo : hi + 1])
+            continue
+        v1, v0 = min(v1, lo), min(v0, degree - hi)
+        if len(acc) > 1:
+            acc = _gcd_int(acc, cs[lo : hi + 1])
+    if acc is None:
+        return BinaryForm.zero(0)
+    if acc[0] < 0:
+        acc = [-c for c in acc]
+    return BinaryForm(v1 + len(acc) - 1 + v0, [0] * v1 + acc + [0] * v0)
 
 
 def binary_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
     """Greatest common divisor of binary forms as homogeneous polynomials.
 
     Monomial factors z0^a and z1^b are split off first so that roots at [1:0]
-    and [0:1] survive dehomogenization; the remaining parts go through the
-    monic Euclidean algorithm.  Zero entries are absorbed, the gcd of an
-    all-zero list is the zero form, and the result is normalized to be
+    and [0:1] survive dehomogenization; the remaining parts go through a
+    primitive integer remainder sequence on their numerators, which stops
+    once the running GCD is constant.  Zero entries are absorbed, the gcd of
+    an all-zero list is the zero form, and the result is normalized to be
     integer-primitive with positive first nonzero coefficient.
     """
     if not forms:
         raise ValueError("binary_gcd needs at least one form")
-    nonzero = [f for f in forms if not f.is_zero()]
-    if not nonzero:
-        return BinaryForm.zero(0)
-    v1 = None
-    v0 = None
-    acc: list[Fraction] | None = None
-    for f in nonzero:
-        ks = [k for k, c in enumerate(f.coeffs) if c != 0]
-        lo, hi = ks[0], ks[-1]
-        v1 = lo if v1 is None else min(v1, lo)
-        v0 = (f.degree - hi) if v0 is None else min(v0, f.degree - hi)
-        core = list(f.coeffs[lo : hi + 1])
-        acc = core if acc is None else _poly_gcd(acc, core)
-    assert acc is not None
-    coeffs = [Fraction(0)] * v1 + acc + [Fraction(0)] * v0
-    return BinaryForm(v1 + len(acc) - 1 + v0, coeffs).primitive_normalized()
+    return _gcd_int_forms((f.degree, _int_scale(f.coeffs)[0]) for f in forms)
 
 
 def _divisors(n: int) -> list[int]:
@@ -379,19 +420,11 @@ class BiForm:
         nd, ne = d - i - j, e - k - l
         if nd < 0 or ne < 0:
             return BiForm.zero(max(nd, 0), max(ne, 0))
-        rows = [[Fraction(0)] * (ne + 1) for _ in range(nd + 1)]
-        for ii in range(nd + 1):
-            for jj in range(ne + 1):
-                src = self.coeffs[ii + j][jj + l]
-                if src == 0:
-                    continue
-                w = (
-                    math.perm(d - ii - j, i)
-                    * math.perm(ii + j, j)
-                    * math.perm(e - jj - l, k)
-                    * math.perm(jj + l, l)
-                )
-                rows[ii][jj] = src * w
+        wy = _partial_weights(e, k, l)
+        rows = [
+            [src * (u * v) for src, v in zip(self.coeffs[ii + j][l:], wy)]
+            for ii, u in enumerate(_partial_weights(d, i, j))
+        ]
         return BiForm(nd, ne, rows)
 
     def __add__(self, other: "BiForm") -> "BiForm":
@@ -434,28 +467,9 @@ class BiForm:
         binary forms.
         """
         d, e = self.deg_x, self.deg_y
-        (ax, bx), (cx, dx_) = ((_frac(v) for v in row) for row in mx)
-        (ay, by), (cy, dy_) = ((_frac(v) for v in row) for row in my)
-        xvecs = [
-            _convolve(_pow_linear(ax, bx, d - i), _pow_linear(cx, dx_, i)) for i in range(d + 1)
-        ]
-        yvecs = [
-            _convolve(_pow_linear(ay, by, e - j), _pow_linear(cy, dy_, j)) for j in range(e + 1)
-        ]
-        rows = [[Fraction(0)] * (e + 1) for _ in range(d + 1)]
-        for i, row in enumerate(self.coeffs):
-            for j, c in enumerate(row):
-                if c == 0:
-                    continue
-                xv, yv = xvecs[i], yvecs[j]
-                for r, u in enumerate(xv):
-                    if u == 0:
-                        continue
-                    cu = c * u
-                    for s, v in enumerate(yv):
-                        if v != 0:
-                            rows[r][s] += cu * v
-        return BiForm(d, e, rows)
+        rows = [BinaryForm(e, row).substitute_linear(my).coeffs for row in self.coeffs]
+        cols = [BinaryForm(d, col).substitute_linear(mx).coeffs for col in zip(*rows)]
+        return BiForm(d, e, zip(*cols))
 
     def projectively_equal(self, other: "BiForm") -> bool:
         return (self.deg_x, self.deg_y) == (other.deg_x, other.deg_y) and projectively_equal(

@@ -22,6 +22,14 @@ decides exactly: the GCD is nonconstant iff a common root exists over the
 algebraic closure, and the all-zero GCD means every diagonal point qualifies
 (the partials vanish along the whole diagonal).  The GCD is returned as a
 witness; its roots are the offending diagonal points.
+
+The restrictions are computed on integers.  The coefficients of f are
+cleared once to integer numerators over their common denominator D, and the
+diagonal restriction of each partial is accumulated straight from them, with
+no intermediate form.  Every restriction is then D times the true one, and
+one common positive scale does not move the witness: a GCD is unique up to a
+scalar, and the witness is normalized to be integer-primitive with positive
+first nonzero coefficient.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ import enum
 from dataclasses import dataclass
 
 from .correspondence import Correspondence
-from .forms import BinaryForm, binary_gcd
+from .forms import BinaryForm, _gcd_int_forms, _int_scale, _partial_weights
 
 
 class Verdict(enum.Enum):
@@ -57,14 +65,28 @@ def diagonal_multiplicity_at_least(f: Correspondence, m: int) -> tuple[bool, Bin
     n = d + e
     if not 1 <= m <= n:
         raise ValueError(f"multiplicity order must lie in 1..{n}")
-    restrictions = []
+    flat, _ = _int_scale(f.form.flat())
+    a = [flat[r : r + e + 1] for r in range(0, len(flat), e + 1)]
     order = m - 1
+    restrictions = []
+    # The partial d_{x0}^i d_{x1}^j d_{y0}^k d_{y1}^l has coefficients
+    # wx[ii] * wy[jj] * a[ii+j][jj+l]; its restriction sums them over ii + jj.
+    # Partials whose orders overflow a degree are zero and are skipped.
     for i in range(order + 1):
         for j in range(order - i + 1):
+            if i + j > d or order - i - j > e:
+                continue
+            wx = _partial_weights(d, i, j)
             for k in range(order - i - j + 1):
                 l = order - i - j - k
-                restrictions.append(f.form.mixed_partial((i, j, k, l)).diagonal_restriction())
-    witness = binary_gcd(restrictions)
+                wy = _partial_weights(e, k, l)
+                r = [0] * (len(wx) + len(wy) - 1)
+                for ii, u in enumerate(wx):
+                    row = a[ii + j]
+                    for jj, v in enumerate(wy):
+                        r[ii + jj] += u * v * row[jj + l]
+                restrictions.append((n - order, r))
+    witness = _gcd_int_forms(restrictions)
     return witness.is_zero() or witness.degree >= 1, witness
 
 

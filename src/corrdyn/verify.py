@@ -20,7 +20,7 @@ from .correspondence import (
     conjugate,
     moebius_graph,
 )
-from .forms import BiForm, BinaryForm, binary_gcd, _poly_gcd
+from .forms import BiForm, BinaryForm, _gcd_int, _int_scale, binary_gcd
 from .resultant import (
     covariant_resultant,
     homogeneous_resultant,
@@ -104,7 +104,7 @@ def rand_map_graph(rng: random.Random, d: int) -> Correspondence:
         q = [Fraction(rng.randint(-9, 9)) for _ in range(d)] + [Fraction(1)]
         if p[0] == 0:
             continue
-        if len(_poly_gcd(list(p), list(q))) > 1:
+        if len(_gcd_int(_int_scale(p)[0], _int_scale(q)[0])) > 1:
             continue
         f = Correspondence.from_matrix(d, 1, [[-p[i], q[i]] for i in range(d + 1)])
         try:
@@ -141,7 +141,7 @@ def rand_split_map_graph(rng: random.Random, d: int) -> Correspondence:
         p = [zq[k] - n_poly[k] for k in range(d + 1)]
         if zq[d + 1] != n_poly[d + 1]:
             continue
-        if p[0] == 0 or len(_poly_gcd(list(p), list(q))) > 1:
+        if p[0] == 0 or len(_gcd_int(_int_scale(p)[0], _int_scale(q)[0])) > 1:
             continue
         f = Correspondence.from_matrix(d, 1, [[-p[i], q[i]] for i in range(d + 1)])
         try:

@@ -1,9 +1,10 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from corrdyn.forms import BiForm, BinaryForm, binary_gcd, rational_roots
+from corrdyn.forms import BiForm, BinaryForm, _gcd_int, binary_gcd, rational_roots
 
 
 def rand_binary(rng, degree):
@@ -101,6 +102,61 @@ class TestMixedPartial:
             )
 
 
+def poly_gcd(p, q):
+    """Reference GCD: monic Euclid on ascending Fraction coefficient lists."""
+
+    def trim(a):
+        while a and a[-1] == 0:
+            a.pop()
+        return a
+
+    a, b = trim([F(c) for c in p]), trim([F(c) for c in q])
+    while b:
+        r = a[:]
+        while len(r) >= len(b):
+            c = r[-1] / b[-1]
+            shift = len(r) - len(b)
+            for i, v in enumerate(b):
+                r[shift + i] -= c * v
+            trim(r)
+        a, b = b, r
+    return [c / a[-1] for c in a] if a else a
+
+
+def fraction_binary_gcd(forms):
+    """Reference homogeneous GCD: split off z0/z1 powers, monic Euclid on the cores."""
+    nonzero = [f for f in forms if not f.is_zero()]
+    if not nonzero:
+        return BinaryForm.zero(0)
+    v1 = min(next(k for k, c in enumerate(f.coeffs) if c) for f in nonzero)
+    v0 = min(next(k for k, c in enumerate(reversed(f.coeffs)) if c) for f in nonzero)
+    acc = None
+    for f in nonzero:
+        ks = [k for k, c in enumerate(f.coeffs) if c != 0]
+        core = list(f.coeffs[ks[0] : ks[-1] + 1])
+        acc = core if acc is None else poly_gcd(acc, core)
+    return BinaryForm(v1 + len(acc) - 1 + v0, [0] * v1 + acc + [0] * v0).primitive_normalized()
+
+
+def rand_gcd_inputs(rng):
+    """Zero, constant and monomial forms, and multiples of one shared factor."""
+    n = rng.randint(0, 3)
+    shared = BinaryForm(n, [rand_coeff(rng) for _ in range(n)] + [F(rng.randint(1, 5))])
+    forms = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.randrange(5)
+        if kind == 0:
+            forms.append(BinaryForm.zero(rng.randint(0, 4)))
+        elif kind == 1:
+            forms.append(BinaryForm(0, [rand_coeff(rng) or F(-3, 7)]))
+        else:
+            k = rng.randint(0, 4)
+            cofactor = BinaryForm(k, [rand_coeff(rng) for _ in range(k + 1)])
+            a, b = rng.randint(0, 2), rng.randint(0, 2)
+            forms.append(BinaryForm.monomial(a + b, b) * shared * cofactor)
+    return forms
+
+
 class TestBinaryGcd:
     def test_monomial_gcd(self):
         a = BinaryForm(3, [0, 1, 0, 0])  # z0^2*z1
@@ -141,6 +197,41 @@ class TestBinaryGcd:
         # primitive with positive first nonzero coefficient
         f = BinaryForm(2, [F(-2, 3), 0, F(2, 3)])
         assert binary_gcd([f]) == BinaryForm(2, [1, 0, -1])
+
+    def test_matches_fraction_euclid(self):
+        rng = random.Random(13)
+        for _ in range(600):
+            forms = rand_gcd_inputs(rng)
+            assert binary_gcd(forms) == fraction_binary_gcd(forms), forms
+
+    def test_constant_stops_euclid_but_not_the_valuations(self):
+        # The cores of the first two, z0 + z1 and z0 + 2*z1, are coprime, so
+        # Euclid stops there; the last form, 7*z1, still drops the shared
+        # power of z0, and the GCD is z1.
+        forms = [BinaryForm(3, [0, 1, 1, 0]), BinaryForm(3, [0, 1, 2, 0]),
+                 BinaryForm(3, [0, 0, 5, 0]), BinaryForm(1, [0, 7])]
+        assert binary_gcd(forms) == fraction_binary_gcd(forms) == BinaryForm(1, [0, 1])
+
+    def test_integer_gcd_matches_monic_euclid(self):
+        rng = random.Random(14)
+        for _ in range(600):
+            shared = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
+            p, q = ([rng.randint(-20, 20) for _ in range(rng.randint(0, 5))] for _ in range(2))
+            if rng.random() < 0.7:
+                p, q = poly_mul(p, shared), poly_mul(q, shared)
+            if rng.random() < 0.2:
+                p = p + [0] * rng.randint(1, 2)  # zero top coefficients are ignored
+            got, want = _gcd_int(p, q), poly_gcd(p, q)
+            assert [F(c, got[-1]) for c in got] == want, (p, q)
+            assert not got or math.gcd(*got) == 1
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
 
 
 def fraction_horner(form, m):
@@ -213,6 +304,49 @@ class TestSubstituteLinear:
         form = BinaryForm(3, [1, F(1, 2), 0, F(-3, 10**30)])
         assert list(form.substitute_linear(m).coeffs) == fraction_horner(form, m)
         assert list(form.substitute_linear(((0, 0), (0, 0))).coeffs) == [0, 0, 0, 0]
+
+
+def loop_substitute_pair(form, mx, my):
+    """Reference substitute_pair: expand every monomial's image term by term in Fractions."""
+
+    def pow_linear(p, q, t):
+        return [math.comb(t, s) * p ** (t - s) * q**s for s in range(t + 1)]
+
+    def image(m, n, i):
+        (a, b), (c, d) = ((F(v) for v in row) for row in m)
+        u, v = pow_linear(a, b, n - i), pow_linear(c, d, i)
+        out = [F(0)] * (n + 1)
+        for r, x in enumerate(u):
+            for s, y in enumerate(v):
+                out[r + s] += x * y
+        return out
+
+    d, e = form.deg_x, form.deg_y
+    rows = [[F(0)] * (e + 1) for _ in range(d + 1)]
+    for i, row in enumerate(form.coeffs):
+        for j, c in enumerate(row):
+            xv, yv = image(mx, d, i), image(my, e, j)
+            for r, u in enumerate(xv):
+                for s, v in enumerate(yv):
+                    rows[r][s] += c * u * v
+    return [list(row) for row in rows]
+
+
+class TestSubstitutePair:
+    def test_matches_term_by_term_expansion(self):
+        rng = random.Random(15)
+        for trial in range(300):
+            d, e = rng.randint(0, 4), rng.randint(0, 4)
+            form = BiForm(d, e, [[rand_coeff(rng) for _ in range(e + 1)] for _ in range(d + 1)])
+            ms = []
+            for kind in (trial % 3, trial // 3 % 3):
+                if kind == 0:  # singular: second row a multiple of the first
+                    a, b, k = rand_coeff(rng), rand_coeff(rng), rand_coeff(rng)
+                    ms.append(((a, b), (k * a, k * b)))
+                else:
+                    ms.append(tuple(tuple(rand_coeff(rng) for _ in range(2)) for _ in range(2)))
+            got = form.substitute_pair(*ms)
+            assert [list(row) for row in got.coeffs] == loop_substitute_pair(form, *ms)
 
 
 class TestRationalRoots:

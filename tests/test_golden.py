@@ -2,11 +2,15 @@
 
 Each kernel's outputs on the corpus are printed canonically (str of every
 Fraction, the type and message of every exception) and hashed; the pinned
-sha256 values were recorded before the kernels moved to integer inner loops.
+sha256 values were recorded before the kernels moved to integer inner loops
+(the stability, GCD and substitute_pair digests before those three moved).
 One digest per function, so a mismatch names the function whose output
 changed.  The corpus mixes zero, integer, half-integer and large-denominator
 coefficients, degree-0 and zero forms, singular and half-integer matrices and
-degenerate compositions.
+degenerate compositions; the stability corpus adds planted diagonal
+multiplicities, bidegrees with d = 0 or e = 0 (so high derivative orders
+clamp) and forms divisible by x0*y1 - x1*y0, whose diagonal restriction is
+zero.
 
 To re-record after a deliberate change of output, print `_digest(name)` for
 every name in GOLDEN.
@@ -19,9 +23,10 @@ from fractions import Fraction as F
 import pytest
 
 from corrdyn.correspondence import Correspondence, compose
-from corrdyn.forms import BiForm, BinaryForm
+from corrdyn.forms import BiForm, BinaryForm, binary_gcd
 from corrdyn.multiplier import diagonal_derivative_forms, multiplier_form, woods_hole_resultant
 from corrdyn.resultant import covariant_resultant
+from corrdyn.stability import classify_stability, diagonal_multiplicity_at_least
 
 GOLDEN = {
     "substitute_linear": "1fb2c00de86be73448f34185d602d9b76f867d693deb5e9ca3e63f48bee3f6f3",
@@ -30,6 +35,10 @@ GOLDEN = {
     "covariant_resultant": "5a49c9286d094793e338144ebcc85b5bb2f62798fb02a50c1441cd85b52d50e4",
     "multiplier_form": "c1536876b571097bfa2164e3ef5588abeb216e6f8379a6fdfd7e5b12cbc8fd0a",
     "woods_hole_resultant": "44fb39ffae1f66c3c30d19e1894a15a9f0894c2a33003547e504e217eb88785f",
+    "classify_stability": "d9cb91861de4aa41626ed10ffb6d70025ccc646f0e9990586faebf12077693f3",
+    "diagonal_multiplicity_at_least": "7f51c1ccfdb534e3117b8d637168fc579dfd8e8666a728541ab80e002247f5aa",
+    "binary_gcd": "9d2ea35443a5de21e205ebad68a1456daf8d56a60aa62f02694c4fc1bcc81513",
+    "substitute_pair": "c6c4520e45ffc25acca0f38c05926dfc23257c7eeac2ac7f5c74cb21b2d94f9a",
 }
 
 
@@ -44,6 +53,13 @@ def _coeff(rng):
     if kind == 3:
         return F(rng.randint(-(10**20), 10**20), rng.randint(1, 10**20))
     return F(rng.randint(-30, 30), rng.randint(1, 12))
+
+
+def _coeff15(rng):
+    """Like _coeff, but a third of the time a fraction with a denominator near 10**15."""
+    if rng.random() < 0.33:
+        return F(rng.randint(-(10**15), 10**15), rng.randint(10**14, 10**15))
+    return _coeff(rng)
 
 
 def _binary(rng, n):
@@ -166,6 +182,84 @@ def _case_woods_hole_resultant(rng):
     return out if isinstance(out, str) else ",".join(str(c) for c in out)
 
 
+def _stability_corr(rng):
+    """A correspondence with a planted diagonal point, a diagonal factor, or none."""
+    d, e = rng.randint(0, 4), rng.randint(0, 4)
+    if d + e == 0:
+        e = 1
+    kind = rng.randrange(5)
+    if kind == 0:  # plant [p0:p1] with multiplicity alpha + beta by vertical/horizontal lines
+        p0, p1 = rng.choice([(1, 0), (0, 1), (1, 1), (2, -1), (3, 2), (5, F(1, 7))])
+        alpha, beta = rng.randint(0, d), rng.randint(0, e)
+        form = _corr(rng, d - alpha, e - beta).form
+        for _ in range(alpha):
+            form = form * BiForm(1, 0, [[p1], [-p0]])
+        for _ in range(beta):
+            form = form * BiForm(0, 1, [[p1, -p0]])
+        return Correspondence(form)
+    if kind == 1 and d >= 1 and e >= 1:  # divisible by the diagonal x0*y1 - x1*y0
+        form = _corr(rng, d - 1, e - 1).form * BiForm(1, 1, [[0, 1], [-1, 0]])
+        return Correspondence(form)
+    if kind == 2:  # a_ij = 0 for i + j < k: multiplicity >= k at ([1:0], [1:0])
+        k = rng.randint(1, d + e)
+        rows = [[0 if i + j < k else _coeff15(rng) for j in range(e + 1)] for i in range(d + 1)]
+        rows[d][e] = rows[d][e] or 1
+        return Correspondence.from_matrix(d, e, rows)
+    rows = [[_coeff15(rng) for _ in range(e + 1)] for _ in range(d + 1)]
+    if not any(c for row in rows for c in row):
+        rows[0][0] = 1
+    return Correspondence.from_matrix(d, e, rows)
+
+
+def _case_classify_stability(rng):
+    res = classify_stability(_stability_corr(rng))
+    return f"{res.verdict.value}:{res.max_multiplicity}:{_form(res.witness)}"
+
+
+def _case_diagonal_multiplicity_at_least(rng):
+    f = _stability_corr(rng)
+    out = []
+    for m in range(1, f.deg_x + f.deg_y + 1):
+        hit, witness = diagonal_multiplicity_at_least(f, m)
+        out.append(f"{int(hit)}:{_form(witness)}")
+    return "|".join(out)
+
+
+def _case_binary_gcd(rng):
+    count = rng.randint(0, 4) if rng.random() < 0.05 else rng.randint(1, 4)
+    common = _binary(rng, rng.randint(0, 3))
+    if common.is_zero():
+        common = BinaryForm(0, [1])
+    forms = []
+    for _ in range(count):
+        kind = rng.randrange(6)
+        if kind == 0:
+            forms.append(BinaryForm.zero(rng.randint(0, 4)))
+        elif kind == 1:  # a nonzero constant
+            forms.append(BinaryForm(0, [_coeff15(rng) or F(3, 7)]))
+        elif kind == 2:  # powers of z0 and z1 only
+            n = rng.randint(0, 5)
+            k = rng.randint(0, n)
+            forms.append(BinaryForm.monomial(n, k, _coeff15(rng) or -2))
+        else:  # a multiple of the common factor, with valuations at [1:0] and [0:1]
+            n = rng.randint(0, 4)
+            form = common * BinaryForm(n, [_coeff15(rng) for _ in range(n + 1)])
+            a, b = rng.randint(0, 2), rng.randint(0, 2)
+            forms.append(BinaryForm.monomial(a + b, b) * form)
+    out = _safe(binary_gcd, forms)
+    return out if isinstance(out, str) else _form(out)
+
+
+def _case_substitute_pair(rng):
+    d, e = rng.randint(0, 4), rng.randint(0, 4)
+    if rng.random() < 0.1:
+        form = BiForm.zero(d, e)
+    else:
+        form = BiForm(d, e, [[_coeff15(rng) for _ in range(e + 1)] for _ in range(d + 1)])
+    out = form.substitute_pair(_matrix(rng), _matrix(rng))
+    return ";".join(",".join(str(c) for c in row) for row in out.coeffs)
+
+
 CASES = {
     "substitute_linear": (_case_substitute_linear, 300),
     "diagonal_derivative_forms": (_case_diagonal_derivative_forms, 200),
@@ -173,6 +267,10 @@ CASES = {
     "covariant_resultant": (_case_covariant_resultant, 200),
     "multiplier_form": (_case_multiplier_form, 120),
     "woods_hole_resultant": (_case_woods_hole_resultant, 80),
+    "classify_stability": (_case_classify_stability, 150),
+    "diagonal_multiplicity_at_least": (_case_diagonal_multiplicity_at_least, 120),
+    "binary_gcd": (_case_binary_gcd, 400),
+    "substitute_pair": (_case_substitute_pair, 250),
 }
 
 

@@ -12,6 +12,7 @@ from corrdyn.stability import (
     diagonal_multiplicity_at_least,
     max_diagonal_multiplicity,
 )
+from test_forms import fraction_binary_gcd, rand_coeff
 
 SQUARE = Correspondence.from_matrix(2, 1, [[0, -1], [0, 0], [1, 0]])
 DIAGONAL = Correspondence.from_matrix(1, 1, [[0, 1], [-1, 0]])
@@ -118,6 +119,42 @@ class TestMultiplicity:
             flags = [diagonal_multiplicity_at_least(f, m)[0] for m in range(1, n + 1)]
             for earlier, later in zip(flags, flags[1:]):
                 assert earlier or not later
+
+
+def partial_route_multiplicity(f: Correspondence, m: int):
+    """Reference route: every order-(m-1) partial as a form, restricted, monic Fraction GCD."""
+    order = m - 1
+    restrictions = [
+        f.form.mixed_partial((i, j, k, order - i - j - k)).diagonal_restriction()
+        for i in range(order + 1)
+        for j in range(order - i + 1)
+        for k in range(order - i - j + 1)
+    ]
+    witness = fraction_binary_gcd(restrictions)
+    return witness.is_zero() or witness.degree >= 1, witness
+
+
+class TestIntegerRestrictions:
+    def test_matches_partial_route_at_every_order(self):
+        rng = random.Random(64)
+        for trial in range(120):
+            d, e = rng.randint(0, 5), rng.randint(0, 5)
+            if d + e == 0:
+                d = 1
+            rows = [[rand_coeff(rng) for _ in range(e + 1)] for _ in range(d + 1)]
+            if trial % 3 == 0:  # multiplicity >= k at ([1:0], [1:0])
+                k = rng.randint(1, d + e)
+                rows = [[c if i + j >= k else 0 for j, c in enumerate(row)]
+                        for i, row in enumerate(rows)]
+            rows[d][e] = rows[d][e] or 1
+            form = BiForm(d, e, rows)
+            if trial % 5 == 0 and d >= 1 and e >= 1:  # diagonal restriction zero
+                cofactor = [row[:-1] for row in rows[:-1]]
+                cofactor[0][0] = cofactor[0][0] or 1
+                form = BiForm(d - 1, e - 1, cofactor) * DIAGONAL.form
+            f = Correspondence(form)
+            for m in range(1, d + e + 1):
+                assert diagonal_multiplicity_at_least(f, m) == partial_route_multiplicity(f, m)
 
 
 class TestMaxMultiplicity:
