@@ -8,10 +8,11 @@ Collecting the powers m = 0..min(d, e) is a linear bijection between the
 the decomposition V_d (x) V_e ~ V_{d+e} (+) V_{d+e-2} (+) ... of classical
 invariant theory, and it is inverted here exactly.
 
-The linear map is graded: component m at coefficient index t only sees the
-matrix entries a_ij with i + j = t + m, so both directions reduce to
-independent integer systems of size at most min(d, e) + 1 along the
-anti-diagonals of the coefficient matrix.
+Each power is computed from that definition: the signed binomial sum over k
+of the partials d_{x0}^k d_{x1}^(m-k) d_{y0}^(m-k) d_{y1}^k, restricted by
+the integer anti-diagonal kernel of ``forms``.  The map is graded: component
+m at index t only sees the a_ij with i + j = t + m, so the inverse splits into
+integer systems of size at most min(d, e) + 1, one per anti-diagonal.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .forms import BiForm, BinaryForm, _frac
+from .forms import BiForm, BinaryForm, _diagonal_sum, _frac, _int_rows, _partial_weights
 
 
 def _omega_weight(d: int, e: int, m: int, i: int, j: int) -> int:
@@ -39,30 +40,20 @@ def _omega_weight(d: int, e: int, m: int, i: int, j: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def _omega_table(d: int, e: int, m: int) -> tuple[tuple[int, int, int], ...]:
-    """(i, j, weight) triples with nonzero weight for the m-th Cayley power."""
-    out = []
-    for i in range(d + 1):
-        for j in range(e + 1):
-            w = _omega_weight(d, e, m, i, j)
-            if w:
-                out.append((i, j, w))
-    return tuple(out)
-
-
 def cayley_omega(f: BiForm, m: int) -> BinaryForm:
     """The m-th Cayley power of f restricted to the diagonal; degree d+e-2m."""
     d, e = f.deg_x, f.deg_y
     if m < 0 or m > min(d, e):
         raise ValueError(f"Cayley order must lie in 0..min(d, e) = {min(d, e)}")
-    deg = d + e - 2 * m
-    out = [Fraction(0)] * (deg + 1)
-    for i, j, w in _omega_table(d, e, m):
-        c = f.coeffs[i][j]
-        if c != 0:
-            out[i + j - m] += w * c
-    return BinaryForm(deg, out)
+    a, den = _int_rows(f)
+    out = [0] * (d + e - 2 * m + 1)
+    # (d_{x0} d_{y1} - d_{y0} d_{x1})^m is the signed binomial sum over k of
+    # d_{x0}^k d_{x1}^(m-k) d_{y0}^(m-k) d_{y1}^k.
+    for k in range(m + 1):
+        wx = [(-1) ** (m - k) * math.comb(m, k) * w for w in _partial_weights(d, k, m - k)]
+        r = _diagonal_sum(a, wx, _partial_weights(e, m - k, k), m - k, k)
+        out = [u + v for u, v in zip(out, r)]
+    return BinaryForm(d + e - 2 * m, [Fraction(v, den) for v in out])
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .forms import BiForm, BinaryForm, _frac, _int_scale, binary_gcd, rational_roots
+from .forms import BiForm, BinaryForm, _frac, _int_rows, binary_gcd, rational_roots
 from .resultant import bareiss_det_poly, sylvester_rows
 
 
@@ -155,10 +155,10 @@ def compose(f: Correspondence, g: Correspondence) -> Correspondence:
     """
     d, e = f.deg_x, f.deg_y
     dp, ep = g.deg_x, g.deg_y
-    fi, df = _int_scale(f.form.flat())
-    gi, dg = _int_scale(g.form.flat())
-    fz = [{(i, 0): fi[i * (e + 1) + j] for i in range(d + 1)} for j in range(e + 1)]
-    gz = [{(0, l): gi[k * (ep + 1) + l] for l in range(ep + 1)} for k in range(dp + 1)]
+    fa, df = _int_rows(f.form)
+    ga, dg = _int_rows(g.form)
+    fz = [{(i, 0): row[j] for i, row in enumerate(fa)} for j in range(e + 1)]
+    gz = [{(0, l): c for l, c in enumerate(row)} for row in ga]
     if e == dp == 0:
         # Neither form involves the middle pair: the Sylvester matrix is 0 x 0,
         # and its determinant 1 is the bidegree (0, 0) composite.

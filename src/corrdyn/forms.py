@@ -16,11 +16,11 @@ matrices are shaped by declared degrees.  Coefficients are
 value is immutable, so everything here is safe to share between threads.
 Inside, the hot loops run on integer numerators over one common denominator
 from ``_int_scale`` and make one ``Fraction`` per output coefficient at the
-end.  Here that is linear substitution (``substitute_linear``, which
-``BiForm.substitute_pair`` applies row by row and column by column) and the
-homogeneous GCD (a primitive remainder sequence, ``_gcd_int_forms``);
-elsewhere the resultant, composition, diagonal derivative and stability
-kernels.
+end: linear substitution (``substitute_linear``, which ``substitute_pair``
+applies to rows and columns), the homogeneous GCD (``_gcd_int_forms``) and
+``_diagonal_sum``, the weighted anti-diagonal sum of ``_int_rows`` that gives
+every diagonal restriction: of f, of the Cayley powers, of the multiplier's
+diagonal derivatives and of the stability partials.
 """
 
 from __future__ import annotations
@@ -59,6 +59,26 @@ def _partial_weights(n: int, i: int, j: int) -> list[int]:
     return [math.perm(n - k - j, i) * math.perm(k + j, j) for k in range(n - i - j + 1)]
 
 
+def _int_rows(f: "BiForm") -> tuple[list[list[int]], int]:
+    """f's coefficient matrix as integer rows over its common denominator, and that denominator."""
+    flat, den = _int_scale(f.flat())
+    return [flat[r : r + f.deg_y + 1] for r in range(0, len(flat), f.deg_y + 1)], den
+
+
+def _diagonal_sum(a, wx: Sequence[int], wy: Sequence[int], i0: int, j0: int) -> list[int]:
+    """Anti-diagonal sums r[ii + jj] of wx[ii] * wy[jj] * a[i0 + ii][j0 + jj].
+
+    Unit weights restrict the form with rows a to the diagonal; the _partial_weights
+    of orders (i, j) and (k, l), with offsets (j, l), restrict that mixed partial.
+    """
+    r = [0] * (len(wx) + len(wy) - 1)
+    for ii, u in enumerate(wx):
+        row = a[i0 + ii]
+        for jj, v in enumerate(wy):
+            r[ii + jj] += u * v * row[j0 + jj]
+    return r
+
+
 def projectively_equal(a: Sequence[Fraction], b: Sequence[Fraction]) -> bool:
     """True when one coefficient vector is a nonzero rational multiple of the other."""
     if len(a) != len(b):
@@ -92,6 +112,8 @@ class BinaryForm:
 
     @classmethod
     def monomial(cls, degree: int, k: int, coeff=1) -> "BinaryForm":
+        if not 0 <= k <= degree:
+            raise ValueError(f"monomial index {k} outside 0..{degree}")
         cs = [Fraction(0)] * (degree + 1)
         cs[k] = _frac(coeff)
         return cls(degree, cs)
@@ -332,7 +354,8 @@ def rational_roots(form: BinaryForm) -> list[tuple[tuple[int, int], int]]:
             poly = [Fraction(c) for c in core]
             while len(poly) > 1 and sum(c * r**k for k, c in enumerate(poly)) == 0:
                 poly, rem = _poly_divmod(poly, [-r, Fraction(1)])
-                assert not rem
+                if rem:
+                    raise ArithmeticError(f"root {r} left the remainder {rem}")
                 mult += 1
             if mult:
                 core = [c for c in poly]
@@ -361,6 +384,8 @@ class BiForm:
 
     @classmethod
     def monomial(cls, deg_x: int, deg_y: int, i: int, j: int, coeff=1) -> "BiForm":
+        if not (0 <= i <= deg_x and 0 <= j <= deg_y):
+            raise ValueError(f"monomial index ({i}, {j}) outside bidegree ({deg_x}, {deg_y})")
         rows = [[Fraction(0)] * (deg_y + 1) for _ in range(deg_x + 1)]
         rows[i][j] = _frac(coeff)
         return cls(deg_x, deg_y, rows)
@@ -400,12 +425,9 @@ class BiForm:
 
     def diagonal_restriction(self) -> BinaryForm:
         """The binary form f(z, z) of degree d + e cutting out the fixed points."""
-        out = [Fraction(0)] * (self.deg_x + self.deg_y + 1)
-        for i, row in enumerate(self.coeffs):
-            for j, c in enumerate(row):
-                if c != 0:
-                    out[i + j] += c
-        return BinaryForm(self.deg_x + self.deg_y, out)
+        a, den = _int_rows(self)
+        r = _diagonal_sum(a, [1] * (self.deg_x + 1), [1] * (self.deg_y + 1), 0, 0)
+        return BinaryForm(self.deg_x + self.deg_y, [Fraction(v, den) for v in r])
 
     def mixed_partial(self, orders) -> "BiForm":
         """d_{x0}^i d_{x1}^j d_{y0}^k d_{y1}^l applied to the form.

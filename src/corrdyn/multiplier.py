@@ -34,7 +34,7 @@ from typing import Sequence
 
 from .clebsch import cayley_omega, rho_embed
 from .correspondence import Correspondence, iterate
-from .forms import BinaryForm, _frac, _int_scale, projectively_equal, rational_roots
+from .forms import BinaryForm, _diagonal_sum, _frac, _int_rows, _int_scale, projectively_equal, rational_roots
 from .resultant import IntPoly, bareiss_det_poly, covariant_resultant, sylvester_rows
 
 
@@ -81,14 +81,9 @@ def diagonal_derivative_forms(f: Correspondence) -> DiagonalDerivatives:
     d, e = f.deg_x, f.deg_y
     n = d + e
     diag = f.form.diagonal_restriction()
-    ints, den = _int_scale(f.form.flat())
-    xk = [0] * (n + 1)
-    yk = [0] * (n + 1)
-    for i in range(d + 1):
-        for j, c in enumerate(ints[i * (e + 1) : (i + 1) * (e + 1)]):
-            if c:
-                xk[i + j] += (d - 2 * i) * c
-                yk[i + j] += (e - 2 * j) * c
+    a, den = _int_rows(f.form)
+    xk = _diagonal_sum(a, [d - 2 * i for i in range(d + 1)], [1] * (e + 1), 0, 0)
+    yk = _diagonal_sum(a, [1] * (d + 1), [e - 2 * j for j in range(e + 1)], 0, 0)
     return DiagonalDerivatives(
         diag,
         BinaryForm(n, [Fraction(x, den) for x in xk]),

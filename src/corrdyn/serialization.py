@@ -15,7 +15,7 @@ from .clebsch import CgComponents
 from .correspondence import Correspondence, MoebiusMap
 from .forms import BinaryForm
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")  # ASCII digits only, whole string
 
 
 class SchemaError(ValueError):
@@ -23,7 +23,7 @@ class SchemaError(ValueError):
 
 
 def parse_rational(text) -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise SchemaError(f"malformed rational {text!r}; expected 'p' or 'p/q'")
     try:
         return Fraction(text)

@@ -24,10 +24,10 @@ algebraic closure, and the all-zero GCD means every diagonal point qualifies
 witness; its roots are the offending diagonal points.
 
 The restrictions are computed on integers.  The coefficients of f are
-cleared once to integer numerators over their common denominator D, and the
-diagonal restriction of each partial is accumulated straight from them, with
-no intermediate form.  Every restriction is then D times the true one, and
-one common positive scale does not move the witness: a GCD is unique up to a
+cleared once to integer rows over their common denominator D, and the
+restriction of each partial is summed straight from them by the anti-diagonal
+kernel of ``forms``, with no intermediate form.  Every restriction is D times
+the true one, which does not move the witness: a GCD is unique up to a
 scalar, and the witness is normalized to be integer-primitive with positive
 first nonzero coefficient.
 """
@@ -38,7 +38,7 @@ import enum
 from dataclasses import dataclass
 
 from .correspondence import Correspondence
-from .forms import BinaryForm, _gcd_int_forms, _int_scale, _partial_weights
+from .forms import BinaryForm, _diagonal_sum, _gcd_int_forms, _int_rows, _partial_weights
 
 
 class Verdict(enum.Enum):
@@ -65,27 +65,18 @@ def diagonal_multiplicity_at_least(f: Correspondence, m: int) -> tuple[bool, Bin
     n = d + e
     if not 1 <= m <= n:
         raise ValueError(f"multiplicity order must lie in 1..{n}")
-    flat, _ = _int_scale(f.form.flat())
-    a = [flat[r : r + e + 1] for r in range(0, len(flat), e + 1)]
+    a, _ = _int_rows(f.form)
     order = m - 1
     restrictions = []
-    # The partial d_{x0}^i d_{x1}^j d_{y0}^k d_{y1}^l has coefficients
-    # wx[ii] * wy[jj] * a[ii+j][jj+l]; its restriction sums them over ii + jj.
-    # Partials whose orders overflow a degree are zero and are skipped.
-    for i in range(order + 1):
-        for j in range(order - i + 1):
-            if i + j > d or order - i - j > e:
-                continue
-            wx = _partial_weights(d, i, j)
-            for k in range(order - i - j + 1):
-                l = order - i - j - k
-                wy = _partial_weights(e, k, l)
-                r = [0] * (len(wx) + len(wy) - 1)
-                for ii, u in enumerate(wx):
-                    row = a[ii + j]
-                    for jj, v in enumerate(wy):
-                        r[ii + jj] += u * v * row[jj + l]
-                restrictions.append((n - order, r))
+    # One restriction per partial d_{x0}^i d_{x1}^j d_{y0}^k d_{y1}^l of total
+    # order m-1, grouped by sx = i + j so that the y weights are made once per
+    # (k, l); the range of sx leaves out the partials that overflow a degree.
+    for sx in range(max(order - e, 0), min(order, d) + 1):
+        wys = [_partial_weights(e, order - sx - l, l) for l in range(order - sx + 1)]
+        for j in range(sx + 1):
+            wx = _partial_weights(d, sx - j, j)
+            for l, wy in enumerate(wys):
+                restrictions.append((n - order, _diagonal_sum(a, wx, wy, j, l)))
     witness = _gcd_int_forms(restrictions)
     return witness.is_zero() or witness.degree >= 1, witness
 

@@ -14,16 +14,21 @@ from corrdyn.clebsch import (
 )
 from corrdyn.correspondence import Correspondence, MoebiusMap, conjugate
 from corrdyn.forms import BiForm, BinaryForm
+from test_forms import fraction_diagonal_restriction, rand_coeff
 
 
 def omega_by_definition(f, m):
-    """Oracle: expand (d_x0 d_y1 - d_y0 d_x1)^m through mixed partials, then restrict."""
+    """Oracle: expand (d_x0 d_y1 - d_y0 d_x1)^m through mixed partials, then restrict.
+
+    The restriction is the Fraction anti-diagonal sum of the test suite, so
+    the oracle shares no restriction code with cayley_omega.
+    """
     d, e = f.deg_x, f.deg_y
     acc = BiForm.zero(max(d - m, 0), max(e - m, 0))
     for k in range(m + 1):
         term = f.mixed_partial((k, m - k, m - k, k)).scale((-1) ** (m - k) * math.comb(m, k))
         acc = acc + term
-    return acc.diagonal_restriction()
+    return fraction_diagonal_restriction(acc)
 
 
 def rand_biform(rng, d, e):
@@ -50,9 +55,12 @@ class TestCayleyOmega:
 
     def test_matches_operator_expansion(self):
         rng = random.Random(42)
-        for _ in range(25):
-            d, e = rng.randint(1, 4), rng.randint(1, 4)
-            f = rand_biform(rng, d, e)
+        for trial in range(60):
+            d, e = rng.randint(0, 5), rng.randint(0, 5)
+            if trial % 2:  # zero, small and large-denominator Fraction entries
+                f = BiForm(d, e, [[rand_coeff(rng) for _ in range(e + 1)] for _ in range(d + 1)])
+            else:
+                f = rand_biform(rng, d, e)
             for m in range(min(d, e) + 1):
                 assert cayley_omega(f, m) == omega_by_definition(f, m)
 

@@ -219,6 +219,20 @@ class TestSubprocess:
         assert proc.stderr.startswith("SchemaError")
         assert "Traceback" not in proc.stderr
 
+    def test_non_ascii_digits_are_a_schema_error(self, tmp_path):
+        # Arabic-Indic digits: \d and Fraction() accept them, the format does not.
+        path = write(tmp_path, "a.json", {"d": 1, "e": 1, "coeffs": [
+            ["\u0661/\u0662", "0"], ["0", "1"]]})
+        proc = subprocess.run(
+            [sys.executable, "-m", "corrdyn", "iterate", "--input", path, "--n", "2"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("SchemaError")
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("command", ["stability", "multipliers"])
     def test_bidegree_zero_zero_is_a_schema_error(self, tmp_path, command):
         path = write(tmp_path, "c.json", {"d": 0, "e": 0, "coeffs": [["1"]]})

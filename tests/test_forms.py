@@ -27,6 +27,15 @@ def rand_biform(rng, d, e):
     return BiForm(d, e, [[rng.randint(-9, 9) for _ in range(e + 1)] for _ in range(d + 1)])
 
 
+def fraction_diagonal_restriction(f):
+    """Reference route for f(z, z): the anti-diagonal sums of the matrix, in Fraction."""
+    out = [F(0)] * (f.deg_x + f.deg_y + 1)
+    for i, row in enumerate(f.coeffs):
+        for j, c in enumerate(row):
+            out[i + j] += c
+    return BinaryForm(f.deg_x + f.deg_y, out)
+
+
 class TestEvaluate:
     def test_monomial_at_unit_point(self):
         f = BiForm.monomial(1, 1, 0, 0)  # x0*y0
@@ -72,6 +81,13 @@ class TestDiagonalRestriction:
             f = rand_biform(rng, rng.randint(0, 3), rng.randint(0, 3))
             z0, z1 = F(rng.randint(-5, 5)), F(rng.randint(-5, 5))
             assert f.diagonal_restriction().evaluate(z0, z1) == f.evaluate((z0, z1, z0, z1))
+
+    def test_matches_fraction_route(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            d, e = rng.randint(0, 6), rng.randint(0, 6)
+            f = BiForm(d, e, [[rand_coeff(rng) for _ in range(e + 1)] for _ in range(d + 1)])
+            assert f.diagonal_restriction() == fraction_diagonal_restriction(f)
 
 
 class TestMixedPartial:
@@ -379,6 +395,16 @@ class TestDeclaredDegrees:
             BinaryForm(2, [1, 2])
         with pytest.raises(ValueError):
             BiForm(1, 1, [[1, 2, 3], [0, 0, 0]])
+
+    def test_monomial_index_out_of_range(self):
+        assert BinaryForm.monomial(3, 3) == BinaryForm(3, [0, 0, 0, 1])
+        assert BiForm.monomial(1, 2, 1, 2) == BiForm(1, 2, [[0, 0, 0], [0, 0, 1]])
+        for k in (-1, 4):
+            with pytest.raises(ValueError):
+                BinaryForm.monomial(3, k)
+        for i, j in ((-1, 0), (0, -1), (2, 0), (0, 3)):
+            with pytest.raises(ValueError):
+                BiForm.monomial(1, 2, i, j)
 
     def test_float_rejected(self):
         with pytest.raises(TypeError):

@@ -3,14 +3,17 @@
 Each kernel's outputs on the corpus are printed canonically (str of every
 Fraction, the type and message of every exception) and hashed; the pinned
 sha256 values were recorded before the kernels moved to integer inner loops
-(the stability, GCD and substitute_pair digests before those three moved).
+(the stability, GCD and substitute_pair digests before those three moved; the
+diagonal_restriction, cg_decompose and rho_embed digests before the diagonal
+restrictions and Cayley powers moved onto one integer kernel).
 One digest per function, so a mismatch names the function whose output
 changed.  The corpus mixes zero, integer, half-integer and large-denominator
 coefficients, degree-0 and zero forms, singular and half-integer matrices and
-degenerate compositions; the stability corpus adds planted diagonal
-multiplicities, bidegrees with d = 0 or e = 0 (so high derivative orders
-clamp) and forms divisible by x0*y1 - x1*y0, whose diagonal restriction is
-zero.
+degenerate compositions.  The Cayley corpus has bidegrees with d = 0 or
+e = 0, where the projection rho_embed(Omega^0, Omega^1) has no first power
+and fails.  The stability corpus adds planted diagonal multiplicities,
+bidegrees with d = 0 or e = 0 (so high derivative orders clamp) and forms
+divisible by x0*y1 - x1*y0, whose diagonal restriction is zero.
 
 To re-record after a deliberate change of output, print `_digest(name)` for
 every name in GOLDEN.
@@ -22,6 +25,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from corrdyn.clebsch import cayley_omega, cg_decompose, rho_embed
 from corrdyn.correspondence import Correspondence, compose
 from corrdyn.forms import BiForm, BinaryForm, binary_gcd
 from corrdyn.multiplier import diagonal_derivative_forms, multiplier_form, woods_hole_resultant
@@ -39,6 +43,9 @@ GOLDEN = {
     "diagonal_multiplicity_at_least": "7f51c1ccfdb534e3117b8d637168fc579dfd8e8666a728541ab80e002247f5aa",
     "binary_gcd": "9d2ea35443a5de21e205ebad68a1456daf8d56a60aa62f02694c4fc1bcc81513",
     "substitute_pair": "c6c4520e45ffc25acca0f38c05926dfc23257c7eeac2ac7f5c74cb21b2d94f9a",
+    "diagonal_restriction": "2312fad87e2f0cf4d22d4839c0f70f16f9dbafd3d8ed54456993ecd26e5fb9d0",
+    "cg_decompose": "e5d44df94e90de447df1b7425ad60df585ffc702dc878f64b1ca8df10aee7ec4",
+    "rho_embed": "727ed68121ebbe2b503551db0f9eb0c49be464dce929ddc7e3638ac0383d098d",
 }
 
 
@@ -108,6 +115,30 @@ def _safe(fn, *args):
 def _case_substitute_linear(rng):
     form = _binary(rng, rng.randint(0, 7))
     return _form(form.substitute_linear(_matrix(rng)))
+
+
+def _biform(rng, d, e):
+    if rng.random() < 0.1:
+        return BiForm.zero(d, e)
+    return BiForm(d, e, [[_coeff(rng) for _ in range(e + 1)] for _ in range(d + 1)])
+
+
+def _case_diagonal_restriction(rng):
+    return _form(_biform(rng, rng.randint(0, 5), rng.randint(0, 5)).diagonal_restriction())
+
+
+def _case_cg_decompose(rng):
+    comp = cg_decompose(_biform(rng, rng.randint(0, 5), rng.randint(0, 5)))
+    return "|".join(_form(part) for part in comp.parts)
+
+
+def _case_rho_embed(rng):
+    # The projection to a degree d+e-1 system: the first two Cayley powers of
+    # f embedded in bidegree (1, d+e-1); d = 0 or e = 0 has no first power.
+    f = _biform(rng, rng.randint(0, 5), rng.randint(0, 5))
+    d, e = f.deg_x, f.deg_y
+    out = _safe(lambda: rho_embed(cayley_omega(f, 0), cayley_omega(f, 1), 1, d + e - 1))
+    return out if isinstance(out, str) else ";".join(",".join(map(str, r)) for r in out.coeffs)
 
 
 def _case_diagonal_derivative_forms(rng):
@@ -261,6 +292,9 @@ def _case_substitute_pair(rng):
 
 
 CASES = {
+    "diagonal_restriction": (_case_diagonal_restriction, 250),
+    "cg_decompose": (_case_cg_decompose, 250),
+    "rho_embed": (_case_rho_embed, 250),
     "substitute_linear": (_case_substitute_linear, 300),
     "diagonal_derivative_forms": (_case_diagonal_derivative_forms, 200),
     "compose": (_case_compose, 120),

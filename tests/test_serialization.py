@@ -28,7 +28,8 @@ class TestRationals:
         assert parse_rational("-10/4") == F(-5, 2)
 
     def test_malformed(self):
-        for bad in ("1.5", "2e3", "a", "", "1/-2", "--3", "1/0", 3, None, "1 / 2"):
+        for bad in ("1.5", "2e3", "a", "", "1/-2", "--3", "1/0", 3, None, "1 / 2",
+                    "1\n", "\u0661/\u0662", "3/\u0662"):
             with pytest.raises(SchemaError):
                 parse_rational(bad)
 

@@ -12,7 +12,7 @@ from corrdyn.stability import (
     diagonal_multiplicity_at_least,
     max_diagonal_multiplicity,
 )
-from test_forms import fraction_binary_gcd, rand_coeff
+from test_forms import fraction_binary_gcd, fraction_diagonal_restriction, rand_coeff
 
 SQUARE = Correspondence.from_matrix(2, 1, [[0, -1], [0, 0], [1, 0]])
 DIAGONAL = Correspondence.from_matrix(1, 1, [[0, 1], [-1, 0]])
@@ -122,10 +122,14 @@ class TestMultiplicity:
 
 
 def partial_route_multiplicity(f: Correspondence, m: int):
-    """Reference route: every order-(m-1) partial as a form, restricted, monic Fraction GCD."""
+    """Reference route: every order-(m-1) partial as a form, restricted, monic Fraction GCD.
+
+    Restriction and GCD are the Fraction routes of the test suite, so nothing
+    here shares the integer kernels of diagonal_multiplicity_at_least.
+    """
     order = m - 1
     restrictions = [
-        f.form.mixed_partial((i, j, k, order - i - j - k)).diagonal_restriction()
+        fraction_diagonal_restriction(f.form.mixed_partial((i, j, k, order - i - j - k)))
         for i in range(order + 1)
         for j in range(order - i + 1)
         for k in range(order - i - j + 1)
