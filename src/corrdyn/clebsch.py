@@ -12,7 +12,8 @@ Each power is computed from that definition: the signed binomial sum over k
 of the partials d_{x0}^k d_{x1}^(m-k) d_{y0}^(m-k) d_{y1}^k, restricted by
 the integer anti-diagonal kernel of ``forms``.  The map is graded: component
 m at index t only sees the a_ij with i + j = t + m, so the inverse splits into
-integer systems of size at most min(d, e) + 1, one per anti-diagonal.
+integer systems of size at most min(d, e) + 1, one per anti-diagonal, whose
+weights are read off the same partials.
 """
 
 from __future__ import annotations
@@ -25,19 +26,17 @@ from functools import lru_cache
 from .forms import BiForm, BinaryForm, _diagonal_sum, _frac, _int_rows, _partial_weights
 
 
-def _omega_weight(d: int, e: int, m: int, i: int, j: int) -> int:
-    """Integer weight of a_ij in the m-th Cayley power (binomial expansion)."""
-    total = 0
-    for k in range(m + 1):
-        total += (
-            (-1) ** (m - k)
-            * math.comb(m, k)
-            * math.perm(d - i, k)
-            * math.perm(i, m - k)
-            * math.perm(e - j, m - k)
-            * math.perm(j, k)
-        )
-    return total
+def _omega_terms(d: int, e: int, m: int) -> list[tuple[list[int], list[int], int, int]]:
+    """The m-th Cayley power as _diagonal_sum arguments (wx, wy, i0, j0), one per term.
+
+    (d_{x0} d_{y1} - d_{y0} d_{x1})^m is the signed binomial sum over k of
+    d_{x0}^k d_{x1}^(m-k) d_{y0}^(m-k) d_{y1}^k.
+    """
+    return [
+        ([(-1) ** (m - k) * math.comb(m, k) * w for w in _partial_weights(d, k, m - k)],
+         _partial_weights(e, m - k, k), m - k, k)
+        for k in range(m + 1)
+    ]
 
 
 def cayley_omega(f: BiForm, m: int) -> BinaryForm:
@@ -47,12 +46,8 @@ def cayley_omega(f: BiForm, m: int) -> BinaryForm:
         raise ValueError(f"Cayley order must lie in 0..min(d, e) = {min(d, e)}")
     a, den = _int_rows(f)
     out = [0] * (d + e - 2 * m + 1)
-    # (d_{x0} d_{y1} - d_{y0} d_{x1})^m is the signed binomial sum over k of
-    # d_{x0}^k d_{x1}^(m-k) d_{y0}^(m-k) d_{y1}^k.
-    for k in range(m + 1):
-        wx = [(-1) ** (m - k) * math.comb(m, k) * w for w in _partial_weights(d, k, m - k)]
-        r = _diagonal_sum(a, wx, _partial_weights(e, m - k, k), m - k, k)
-        out = [u + v for u, v in zip(out, r)]
+    for term in _omega_terms(d, e, m):
+        out = [u + v for u, v in zip(out, _diagonal_sum(a, *term))]
     return BinaryForm(d + e - 2 * m, [Fraction(v, den) for v in out])
 
 
@@ -96,8 +91,13 @@ def _block_inverse(d: int, e: int, s: int):
     if len(pairs) != len(orders):
         raise AssertionError("anti-diagonal blocks must be square")
     size = len(pairs)
+    # The weight of a_ij in component m: the terms of cayley_omega read at (i, j).
+    terms = {m: _omega_terms(d, e, m) for m in orders}
     block = [
-        [Fraction(_omega_weight(d, e, m, i, j)) for (i, j) in pairs] for m in orders
+        [Fraction(sum(wx[i - i0] * wy[j - j0] for wx, wy, i0, j0 in terms[m]
+                      if 0 <= i - i0 < len(wx) and 0 <= j - j0 < len(wy)))
+         for (i, j) in pairs]
+        for m in orders
     ]
     aug = [row[:] + [Fraction(int(r == c)) for c in range(size)] for r, row in enumerate(block)]
     for col in range(size):

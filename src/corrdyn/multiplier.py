@@ -80,12 +80,13 @@ def diagonal_derivative_forms(f: Correspondence) -> DiagonalDerivatives:
     """All five diagonal derivative forms of a correspondence."""
     d, e = f.deg_x, f.deg_y
     n = d + e
-    diag = f.form.diagonal_restriction()
     a, den = _int_rows(f.form)
-    xk = _diagonal_sum(a, [d - 2 * i for i in range(d + 1)], [1] * (e + 1), 0, 0)
-    yk = _diagonal_sum(a, [1] * (d + 1), [e - 2 * j for j in range(e + 1)], 0, 0)
+    ones_x, ones_y = [1] * (d + 1), [1] * (e + 1)
+    diag = _diagonal_sum(a, ones_x, ones_y, 0, 0)
+    xk = _diagonal_sum(a, [d - 2 * i for i in range(d + 1)], ones_y, 0, 0)
+    yk = _diagonal_sum(a, ones_x, [e - 2 * j for j in range(e + 1)], 0, 0)
     return DiagonalDerivatives(
-        diag,
+        BinaryForm(n, [Fraction(c, den) for c in diag]),
         BinaryForm(n, [Fraction(x, den) for x in xk]),
         BinaryForm(n, [Fraction(y, den) for y in yk]),
         BinaryForm(n, [Fraction(x + y, den) for x, y in zip(xk, yk)]),

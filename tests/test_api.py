@@ -1,5 +1,8 @@
 """The public API: exactly these names, each one importable from the package."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 import corrdyn
@@ -70,3 +73,13 @@ def test_every_public_name_resolves():
 @pytest.mark.parametrize("name", ["CovariantForm", "Rational", "WeightVector", "torus_weights"])
 def test_retired_names_are_gone(module, name):
     assert not hasattr(module, name)
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements, so no check in the library may be one.
+    found = []
+    for path in sorted(Path(corrdyn.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found
