@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction as F
@@ -6,6 +7,7 @@ import pytest
 
 from corrdyn.clebsch import (
     CgComponents,
+    _block_inverse,
     cayley_omega,
     cg_decompose,
     cg_reconstruct,
@@ -29,6 +31,59 @@ def omega_by_definition(f, m):
         term = f.mixed_partial((k, m - k, m - k, k)).scale((-1) ** (m - k) * math.comb(m, k))
         acc = acc + term
     return fraction_diagonal_restriction(acc)
+
+
+def monomial_weight(d, e, i, j, m):
+    """The weight of a_ij in Cayley power m: the operator applied to one monomial.
+
+    d_x0^k d_x1^(m-k) d_y0^(m-k) d_y1^k of x0^(d-i) x1^i y0^(e-j) y1^j is the
+    product of four falling factorials; the binomial expansion sums them.
+    """
+    return sum(
+        (-1) ** (m - k) * math.comb(m, k) * math.perm(d - i, k) * math.perm(i, m - k)
+        * math.perm(e - j, m - k) * math.perm(j, k)
+        for k in range(m + 1)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def fraction_block_inverse(d, e, s):
+    """Oracle: the anti-diagonal s block and its inverse by Fraction Gauss-Jordan.
+
+    The block weights come from monomial_weight, so the oracle shares neither
+    the Cayley terms nor the elimination with the library.
+    Returns (orders, pairs, inverse rows as Fractions).
+    """
+    pairs = [(i, s - i) for i in range(max(0, s - e), min(d, s) + 1)]
+    orders = [m for m in range(min(d, e) + 1) if 0 <= s - m <= d + e - 2 * m]
+    size = len(pairs)
+    aug = [
+        [F(monomial_weight(d, e, i, j, m)) for (i, j) in pairs]
+        + [F(int(r == c)) for c in range(size)]
+        for r, m in enumerate(orders)
+    ]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [v / pv for v in aug[col]]
+        for r in range(size):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
+    return orders, pairs, [row[size:] for row in aug]
+
+
+def fraction_cg_reconstruct(components):
+    """Oracle: solve every anti-diagonal block with fraction_block_inverse, in Fraction."""
+    d, e = components.deg_x, components.deg_y
+    rows = [[F(0)] * (e + 1) for _ in range(d + 1)]
+    for s in range(d + e + 1):
+        orders, pairs, inv = fraction_block_inverse(d, e, s)
+        rhs = [components.parts[m].coeffs[s - m] for m in orders]
+        for inv_row, (i, j) in zip(inv, pairs):
+            rows[i][j] = sum(n * v for n, v in zip(inv_row, rhs))
+    return BiForm(d, e, rows)
 
 
 def rand_biform(rng, d, e):
@@ -106,6 +161,18 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             CgComponents(1, 1, (BinaryForm.zero(2), BinaryForm.zero(1)))
 
+    def test_parts_stored_as_tuple(self):
+        w0, w1 = BinaryForm(2, [1, 2, 3]), BinaryForm(0, [4])
+        comp = CgComponents(1, 1, [w0, w1])
+        assert comp.parts == (w0, w1)
+        assert hash(comp) == hash(CgComponents(1, 1, (w0, w1)))
+
+    def test_non_form_part_rejected(self):
+        with pytest.raises(TypeError):
+            CgComponents(1, 1, (1, 2))
+        with pytest.raises(TypeError):
+            CgComponents(1, 1, (BinaryForm.zero(2), [F(1)]))
+
 
 class TestReconstruction:
     def test_inverse_of_decompose_examples(self):
@@ -126,6 +193,32 @@ class TestReconstruction:
             )
             comp = CgComponents(d, e, parts)
             assert cg_decompose(cg_reconstruct(comp)) == comp
+
+
+class TestFractionFreeInverse:
+    BIDEGREES = [(d, e) for d in range(9) for e in range(9)] + [(12, 12), (3, 11)]
+
+    def test_block_inverse_matches_fraction_oracle(self):
+        for d, e in self.BIDEGREES:
+            for s in range(d + e + 1):
+                orders, pairs, rows = _block_inverse(d, e, s)
+                want_orders, want_pairs, want = fraction_block_inverse(d, e, s)
+                assert (list(orders), list(pairs)) == (want_orders, want_pairs)
+                assert [[F(n, den) for n in nums] for nums, den in rows] == want, (d, e, s)
+                for nums, den in rows:  # lowest terms, positive denominator
+                    assert den > 0 and math.gcd(den, *nums) == 1
+
+    def test_reconstruct_matches_fraction_oracle(self):
+        rng = random.Random(52)
+        for trial in range(200):
+            d, e = (9, 4) if trial % 20 == 0 else (rng.randint(0, 6), rng.randint(0, 6))
+            parts = tuple(
+                BinaryForm.zero(d + e - 2 * m) if rng.random() < 0.15 else
+                BinaryForm(d + e - 2 * m, [rand_coeff(rng) for _ in range(d + e - 2 * m + 1)])
+                for m in range(min(d, e) + 1)
+            )
+            comp = CgComponents(d, e, parts)
+            assert cg_reconstruct(comp) == fraction_cg_reconstruct(comp)
 
 
 class TestRhoEmbed:

@@ -11,7 +11,11 @@ changed.  The corpus mixes zero, integer, half-integer and large-denominator
 coefficients, degree-0 and zero forms, singular and half-integer matrices and
 degenerate compositions.  The Cayley corpus has bidegrees with d = 0 or
 e = 0, where the projection rho_embed(Omega^0, Omega^1) has no first power
-and fails.  The stability corpus adds planted diagonal multiplicities,
+and fails.  The cg_reconstruct corpus takes arbitrary component lists, not only
+images of cg_decompose: zero parts, all-zero lists, d = 0 or e = 0 and the
+asymmetric bidegrees (9, 4) and (4, 9); rho_embed_scaled embeds arbitrary
+component pairs with non-unit scale pairs such as (2/3, -5).  Both were
+recorded before the Clebsch-Gordan layer moved onto integers.  The stability corpus adds planted diagonal multiplicities,
 bidegrees with d = 0 or e = 0 (so high derivative orders clamp) and forms
 divisible by x0*y1 - x1*y0, whose diagonal restriction is zero.
 
@@ -25,7 +29,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from corrdyn.clebsch import cayley_omega, cg_decompose, rho_embed
+from corrdyn.clebsch import CgComponents, cayley_omega, cg_decompose, cg_reconstruct, rho_embed
 from corrdyn.correspondence import Correspondence, compose
 from corrdyn.forms import BiForm, BinaryForm, binary_gcd
 from corrdyn.multiplier import diagonal_derivative_forms, multiplier_form, woods_hole_resultant
@@ -46,6 +50,8 @@ GOLDEN = {
     "diagonal_restriction": "2312fad87e2f0cf4d22d4839c0f70f16f9dbafd3d8ed54456993ecd26e5fb9d0",
     "cg_decompose": "e5d44df94e90de447df1b7425ad60df585ffc702dc878f64b1ca8df10aee7ec4",
     "rho_embed": "727ed68121ebbe2b503551db0f9eb0c49be464dce929ddc7e3638ac0383d098d",
+    "cg_reconstruct": "efef913183d7479bcb90f257dff8268325556a66be791dbdd5818c7c20d75ec5",
+    "rho_embed_scaled": "3daa806cc566b0b85eb85b3642b18af40be62ec0147c143eaa43b66f5a1d265f",
 }
 
 
@@ -139,6 +145,33 @@ def _case_rho_embed(rng):
     d, e = f.deg_x, f.deg_y
     out = _safe(lambda: rho_embed(cayley_omega(f, 0), cayley_omega(f, 1), 1, d + e - 1))
     return out if isinstance(out, str) else ";".join(",".join(map(str, r)) for r in out.coeffs)
+
+
+def _cg_bidegree(rng, low):
+    if rng.random() < 0.1:
+        return rng.choice([(9, 4), (4, 9)])
+    return rng.randint(low, 5), rng.randint(low, 5)
+
+
+def _rows_text(f):
+    return ";".join(",".join(map(str, r)) for r in f.coeffs)
+
+
+def _case_cg_reconstruct(rng):
+    # Arbitrary component lists, most of them not images of an integer form.
+    d, e = _cg_bidegree(rng, 0)
+    zero = rng.random() < 0.1
+    parts = tuple(BinaryForm.zero(d + e - 2 * m) if zero else _binary(rng, d + e - 2 * m)
+                  for m in range(min(d, e) + 1))
+    return _rows_text(cg_reconstruct(CgComponents(d, e, parts)))
+
+
+def _case_rho_embed_scaled(rng):
+    d, e = _cg_bidegree(rng, 1)
+    n = d + e
+    scale = rng.choice([(F(2, 3), -5), (-5, F(2, 3)), (F(-7, 10**20 + 1), 3),
+                        (_coeff(rng) or F(1, 2), _coeff(rng) or -1)])
+    return _rows_text(rho_embed(_binary(rng, n), _binary(rng, n - 2), d, e, scale))
 
 
 def _case_diagonal_derivative_forms(rng):
@@ -295,6 +328,8 @@ CASES = {
     "diagonal_restriction": (_case_diagonal_restriction, 250),
     "cg_decompose": (_case_cg_decompose, 250),
     "rho_embed": (_case_rho_embed, 250),
+    "cg_reconstruct": (_case_cg_reconstruct, 250),
+    "rho_embed_scaled": (_case_rho_embed_scaled, 200),
     "substitute_linear": (_case_substitute_linear, 300),
     "diagonal_derivative_forms": (_case_diagonal_derivative_forms, 200),
     "compose": (_case_compose, 120),
