@@ -15,7 +15,11 @@ and fails.  The cg_reconstruct corpus takes arbitrary component lists, not only
 images of cg_decompose: zero parts, all-zero lists, d = 0 or e = 0 and the
 asymmetric bidegrees (9, 4) and (4, 9); rho_embed_scaled embeds arbitrary
 component pairs with non-unit scale pairs such as (2/3, -5).  Both were
-recorded before the Clebsch-Gordan layer moved onto integers.  The stability corpus adds planted diagonal multiplicities,
+recorded before the Clebsch-Gordan layer moved onto integers.  The rational_roots
+corpus (splits with multiplicities up to 3, roots at [1:0] and [0:1], scales
+with 10**20 denominators, irreducible quadratic and cubic cofactors, constants
+and zero forms) was recorded while roots were still found by trial division,
+so its root heights stay at most 10**6.  The stability corpus adds planted diagonal multiplicities,
 bidegrees with d = 0 or e = 0 (so high derivative orders clamp) and forms
 divisible by x0*y1 - x1*y0, whose diagonal restriction is zero.
 
@@ -31,7 +35,7 @@ import pytest
 
 from corrdyn.clebsch import CgComponents, cayley_omega, cg_decompose, cg_reconstruct, rho_embed
 from corrdyn.correspondence import Correspondence, compose
-from corrdyn.forms import BiForm, BinaryForm, binary_gcd
+from corrdyn.forms import BiForm, BinaryForm, binary_gcd, rational_roots
 from corrdyn.multiplier import diagonal_derivative_forms, multiplier_form, woods_hole_resultant
 from corrdyn.resultant import covariant_resultant
 from corrdyn.stability import classify_stability, diagonal_multiplicity_at_least
@@ -52,6 +56,7 @@ GOLDEN = {
     "rho_embed": "727ed68121ebbe2b503551db0f9eb0c49be464dce929ddc7e3638ac0383d098d",
     "cg_reconstruct": "efef913183d7479bcb90f257dff8268325556a66be791dbdd5818c7c20d75ec5",
     "rho_embed_scaled": "3daa806cc566b0b85eb85b3642b18af40be62ec0147c143eaa43b66f5a1d265f",
+    "rational_roots": "4368dc2ff44b1d6eb60aae1597e232ae2a420d3c16318bf3497a8a8a833e62fa",
 }
 
 
@@ -314,6 +319,54 @@ def _case_binary_gcd(rng):
     return out if isinstance(out, str) else _form(out)
 
 
+def _case_rational_roots(rng):
+    kind = rng.randrange(12)
+    if kind == 0:  # the zero form, or a nonzero constant
+        n = rng.randint(0, 4)
+        form = BinaryForm.zero(n) if rng.random() < 0.5 else BinaryForm(0, [_coeff(rng) or 5])
+        out = _safe(rational_roots, form)
+        return out if isinstance(out, str) else repr(out)
+    if kind == 1:  # small random coefficients, mostly irreducible
+        n = rng.randint(1, 6)
+        form = BinaryForm(n, [rng.randint(-9, 9) for _ in range(n + 1)])
+        if form.is_zero():
+            form = BinaryForm(n, [1] + [0] * n)
+        return repr(rational_roots(form))
+    # A split part, an optional irreducible quadratic or cubic cofactor,
+    # powers of z0 and z1, and a scale with a large denominator.  The split
+    # part is one tall root (height up to 10**6, or up to 10**3 with
+    # multiplicity up to 3) or up to five small linear factors with
+    # multiplicities up to 3.
+    if rng.random() < 0.5:
+        scale = F(rng.choice([-1, 1]) * rng.randint(1, 10**20), rng.randint(1, 10**20))
+    else:
+        scale = _coeff(rng) or F(-7, 10**20 + 3)
+    form = BinaryForm(0, [scale])
+    if kind == 2:
+        mult = rng.randint(1, 3)
+        top = 10**6 if mult == 1 else 10**3
+        p0, p1 = rng.randint(1, top), rng.choice([-1, 1]) * rng.randint(1, top)
+        factors = [(p0, p1)] * mult
+    else:
+        factors = []
+        while len(factors) < rng.randint(0, 5):
+            p0, p1 = rng.randint(1, 9), rng.randint(-9, 9)
+            factors += [(p0, p1)] * rng.choice([1, 1, 2, 3])
+    for p0, p1 in factors[:5]:
+        form = form * BinaryForm(1, [p1, -p0])
+    cof = rng.randrange(4)
+    if cof == 1:  # a*z1^2 + b*z0^2 with a, b > 0 has no real root
+        form = form * BinaryForm(2, [rng.randint(1, 9), 0, rng.randint(1, 9)])
+    elif cof == 2:  # z1^3 - k*z0^3 with k not a cube
+        form = form * BinaryForm(3, [-rng.choice([2, 3, 5, 7, 10]), 0, 0, 1])
+    elif cof == 3:  # a random quadratic or cubic, reducible or not
+        n = rng.randint(2, 3)
+        form = form * BinaryForm(n, [rng.randint(-6, 6) for _ in range(n)] + [rng.randint(1, 6)])
+    a, b = rng.choice([0, 0, 1, 2, 3]), rng.choice([0, 0, 1, 2, 3])
+    form = BinaryForm.monomial(a + b, a) * form  # a roots at [1:0], b at [0:1]
+    return repr(rational_roots(form))
+
+
 def _case_substitute_pair(rng):
     d, e = rng.randint(0, 4), rng.randint(0, 4)
     if rng.random() < 0.1:
@@ -340,6 +393,7 @@ CASES = {
     "diagonal_multiplicity_at_least": (_case_diagonal_multiplicity_at_least, 120),
     "binary_gcd": (_case_binary_gcd, 400),
     "substitute_pair": (_case_substitute_pair, 250),
+    "rational_roots": (_case_rational_roots, 400),
 }
 
 
