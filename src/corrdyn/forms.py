@@ -20,7 +20,10 @@ end: linear substitution (``substitute_linear``, which ``substitute_pair``
 applies to rows and columns), the homogeneous GCD (``_gcd_int_forms``) and
 ``_diagonal_sum``, the weighted anti-diagonal sum of ``_int_rows`` that gives
 every diagonal restriction: of f, of the Cayley powers, of the multiplier's
-diagonal derivatives and of the stability partials.
+diagonal derivatives and of the stability partials.  ``rational_roots`` finds
+the roots of an integer core by p-adic lifting and rational reconstruction
+(Loos 1983), in time polynomial in the coefficients' bit size, and keeps a
+root only when an exact integer division confirms it.
 """
 
 from __future__ import annotations
@@ -307,17 +310,66 @@ def binary_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
     return _gcd_int_forms((f.degree, _int_scale(f.coeffs)[0]) for f in forms)
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
+def _divide_int(num: Sequence[int], den: Sequence[int]) -> list[int] | None:
+    """Quotient of ascending integer lists num / den, or None unless it is exact over the integers.
+
+    den's top coefficient must be nonzero; a num shorter than den gives None.
+    """
+    r, lead = list(num), den[-1]
+    q = []
+    for k in range(len(num) - len(den), -1, -1):
+        c, rem = divmod(r[k + len(den) - 1], lead)
+        if rem:
+            return None
+        q.append(c)
+        for i, v in enumerate(den):
+            r[k + i] -= c * v
+    return q[::-1] if q and not any(r) else None
+
+
+def _eval_mod(p: Sequence[int], x: int, m: int) -> int:
+    """p(x) mod m for an ascending integer list p."""
+    acc = 0
+    for c in reversed(p):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _lifted_root_candidates(core: Sequence[int]) -> list[tuple[int, int]]:
+    """Pairs (a, b), b > 0, among which are all rational roots a/b of core.
+
+    core is an ascending primitive integer list of degree >= 2 with nonzero
+    ends.  Its square-free part s has the same rational roots, each a/b with
+    a | s(0) and b | lc(s).  At the smallest odd prime p not dividing lc(s)
+    at which every root of s mod p is simple, each root mod p is Newton-lifted
+    to a root mod M > 2 |s(0)| |lc(s)|, the bound under which the half
+    extended Euclid of (M, root) returns the one a/b with |a| <= |s(0)| and
+    0 < b <= |lc(s)| that can reduce to it.  Roots mod p that come from no
+    rational root give spurious pairs, which the caller's exact division drops.
+    """
+    s = _divide_int(core, _gcd_int(core, [k * c for k, c in enumerate(core)][1:]))
+    ds = [k * c for k, c in enumerate(s)][1:]
+    p = 1
+    while True:
+        p += 2
+        if s[-1] % p == 0 or any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
+            continue
+        residues = [x for x in range(p) if _eval_mod(s, x, p) == 0]
+        if all(_eval_mod(ds, x, p) for x in residues):
+            break
+    height, bound = abs(s[0]), 2 * abs(s[0]) * abs(s[-1])
     out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
+    for x in residues:
+        m = p
+        while m <= bound:
+            m *= m
+            x = (x - _eval_mod(s, x, m) * pow(_eval_mod(ds, x, m), -1, m)) % m
+        r0, r1, t0, t1 = m, x, 0, 1
+        while r1 > height:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        out.append((r1, t1) if t1 > 0 else (-r1, -t1))
+    return out
 
 
 def rational_roots(form: BinaryForm) -> list[tuple[tuple[int, int], int]]:
@@ -325,9 +377,14 @@ def rational_roots(form: BinaryForm) -> list[tuple[tuple[int, int], int]]:
 
     Points are returned as coprime integer pairs (p0, p1) with p0 > 0, or
     (0, 1) for the point at infinity of the z1/z0 chart; the list is sorted.
-    Roots at [1:0] and [0:1] are read off the z1- and z0-valuations; a linear
-    remainder gives its root directly, and a longer one goes through the
-    rational root theorem on the primitive integer part.
+    Roots at [1:0] and [0:1] are read off the z1- and z0-valuations and a
+    linear remainder gives its root directly.  A longer remainder, the
+    primitive integer core, goes through p-adic lifting (Loos, "Computing
+    rational zeros of integral polynomials by p-adic expansion", SIAM J.
+    Comput. 12, 1983; see _lifted_root_candidates), which is polynomial in
+    the bit size of the coefficients.  A candidate a/b is a root when
+    b*z - a divides the core exactly over the integers, and its multiplicity
+    is the number of such exact divisions.
     """
     if form.is_zero():
         raise ValueError("the zero form vanishes everywhere")
@@ -344,22 +401,12 @@ def rational_roots(form: BinaryForm) -> list[tuple[tuple[int, int], int]]:
         r = Fraction(-core[0], core[1])
         roots.append(((r.denominator, r.numerator), 1))
     elif len(core) > 2:
-        cands = set()
-        for p in _divisors(core[0]):
-            for q in _divisors(core[-1]):
-                cands.add(Fraction(p, q))
-                cands.add(Fraction(-p, q))
-        for r in sorted(cands):
+        for a, b in _lifted_root_candidates(core):
             mult = 0
-            poly = [Fraction(c) for c in core]
-            while len(poly) > 1 and sum(c * r**k for k, c in enumerate(poly)) == 0:
-                poly, rem = _poly_divmod(poly, [-r, Fraction(1)])
-                if rem:
-                    raise ArithmeticError(f"root {r} left the remainder {rem}")
-                mult += 1
+            while (q := _divide_int(core, [-a, b])) is not None:
+                core, mult = q, mult + 1
             if mult:
-                core = [c for c in poly]
-                roots.append(((r.denominator, r.numerator), mult))
+                roots.append(((b, a), mult))
     return sorted(roots)
 
 

@@ -278,6 +278,27 @@ class TestSubprocess:
         assert proc.stderr.startswith("DegenerateComposition")
         assert "Traceback" not in proc.stderr
 
+    def test_compose_with_a_tall_shared_quadratic_factor_ends(self, tmp_path):
+        # f = (2x0 + 3x1) Q(y) and g = Q(x) (5y0 + 7y1) share the middle
+        # factor Q = (E*z0 - z1)(2*z0 - z1), whose roots must be found without
+        # trial division over the divisors of 2E.
+        big = 10**30
+        q = [2 * big, -(big + 2), 1]
+        left = write(tmp_path, "l.json", {"d": 1, "e": 2, "coeffs": [
+            [str(2 * c) for c in q], [str(3 * c) for c in q]]})
+        right = write(tmp_path, "r.json", {"d": 2, "e": 1, "coeffs": [
+            [str(5 * c), str(7 * c)] for c in q]})
+        proc = subprocess.run(
+            [sys.executable, "-m", "corrdyn", "compose", "--left", left, "--right", right],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("DegenerateComposition")
+        assert "2*y0 - 1*y1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_verify_reports_are_byte_identical(self):
         cmd = [sys.executable, "-m", "corrdyn", "verify", "--seed", "7", "--degree-cap", "2",
                "--only", "resultant-equivariance"]

@@ -365,7 +365,80 @@ class TestSubstitutePair:
             assert [list(row) for row in got.coeffs] == loop_substitute_pair(form, *ms)
 
 
+def trial_division_roots(form):
+    """rational_roots by the rational root theorem: every divisor pair of the
+    core's constant and leading coefficients is tried as a root, with its
+    multiplicity counted by repeated Fraction synthetic division.  Exponential in the
+    coefficients' bit size, so only for small heights."""
+    prim = form.primitive_normalized()
+    ks = [k for k, c in enumerate(prim.coeffs) if c != 0]
+    lo, hi = ks[0], ks[-1]
+    roots = []
+    if lo > 0:
+        roots.append(((1, 0), lo))
+    if hi < prim.degree:
+        roots.append(((0, 1), prim.degree - hi))
+    poly = list(prim.coeffs[lo : hi + 1])
+
+    def divisors(n):
+        n = abs(int(n))
+        small = [k for k in range(1, math.isqrt(n) + 1) if n % k == 0]
+        return small + [n // k for k in small]
+
+    cands = {F(sign * p, q) for p in divisors(poly[0]) for q in divisors(poly[-1])
+             for sign in (1, -1)}
+    for r in sorted(cands):
+        mult = 0
+        while len(poly) > 1:
+            quotient, carry = [], F(0)  # synthetic division by z - r; carry ends as poly(r)
+            for c in reversed(poly):
+                carry = carry * r + c
+                quotient.append(carry)
+            if quotient.pop():
+                break
+            poly = quotient[::-1]
+            mult += 1
+        if mult:
+            roots.append(((r.denominator, r.numerator), mult))
+    return sorted(roots)
+
+
+def small_height_form(rng):
+    """A product of at most six linear factors of small height, with
+    multiplicities up to 3, a random small cofactor, powers of z0 and z1 and
+    a rational scale."""
+    form = BinaryForm(0, [rand_coeff(rng) or F(3, 7)])
+    for _ in range(rng.randint(0, 4)):
+        lin = BinaryForm(1, [rng.randint(-5, 5), -rng.randint(1, 5)])
+        for _ in range(min(rng.choice([1, 1, 2, 3]), 6 - form.degree)):
+            form = form * lin
+    n = rng.randint(0, 3)
+    cofactor = BinaryForm(n, [rng.randint(-5, 5) for _ in range(n)] + [rng.randint(1, 5)])
+    a, b = rng.randint(0, 2), rng.randint(0, 2)
+    return BinaryForm.monomial(a + b, a) * form * cofactor
+
+
 class TestRationalRoots:
+    def test_matches_trial_division(self):
+        rng = random.Random(1983)
+        for _ in range(500):
+            form = small_height_form(rng)
+            assert rational_roots(form) == trial_division_roots(form), form
+
+    def test_random_coefficients_match_trial_division(self):
+        rng = random.Random(1984)
+        for _ in range(300):
+            form = rand_binary(rng, rng.randint(1, 7))
+            if not form.is_zero():
+                assert rational_roots(form) == trial_division_roots(form), form
+
+    def test_tall_roots_end(self):
+        # (10^30 z - 1)(z - 2): trial division would try every divisor of 2*10^30.
+        f = BinaryForm(1, [-1, 10**30]) * BinaryForm(1, [-2, 1])
+        assert rational_roots(f) == [((1, 2), 1), ((10**30, 1), 1)]
+        g = f * f * BinaryForm(1, [-(10**40 + 1), 3 * 10**40])
+        assert rational_roots(g) == [((1, 2), 2), ((10**30, 1), 2), ((3 * 10**40, 10**40 + 1), 1)]
+
     def test_split_form(self):
         # z0*z1*(z0 - z1) has roots [1:0], [0:1], [1:1]
         f = BinaryForm(3, [0, 1, -1, 0])

@@ -1,4 +1,5 @@
-"""The polynomial-entry resultants against sympy.resultant as an outside oracle.
+"""The polynomial-entry resultants against sympy.resultant, and rational_roots
+against sympy's ground_roots, as outside oracles.
 
 The package's Sylvester layout is ascending, sympy's descending, so each pair
 must agree up to the sign (-1)^(d*e) of the two declared degrees.
@@ -10,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from corrdyn.correspondence import Correspondence, compose
-from corrdyn.forms import BinaryForm
+from corrdyn.forms import BinaryForm, rational_roots
 from corrdyn.multiplier import woods_hole_resultant
 from corrdyn.resultant import covariant_resultant
 
@@ -85,3 +86,29 @@ def test_woods_hole_resultant_matches_sympy():
         # Declared degrees df and df - 1: the sign (-1)^(df*(df-1)) is always +1.
         want = sympy.expand(sympy.resultant(fx, sympy.diff(fx, x) + t * gx, x))
         assert list(got) == [coeff_of(want, [(t, k)]) for k in range(df + 1)]
+
+
+def test_tall_rational_roots_match_sympy():
+    # Roots of height 10^20 to 10^40, some repeated, times an irreducible
+    # cofactor, powers of z0 and z1 and a rational scale: out of reach of
+    # trial division, which would enumerate the divisors of the ends.
+    rng = random.Random(34)
+    for trial in range(40):
+        form = BinaryForm(0, [F(rng.randint(1, 10**20), rng.randint(1, 10**20))])
+        for _ in range(rng.randint(1, 3)):
+            height = 10 ** rng.randint(20, 40)
+            p0, p1 = rng.randint(1, height), rng.choice([-1, 1]) * rng.randint(1, height)
+            for _ in range(rng.choice([1, 1, 2, 3])):
+                form = form * BinaryForm(1, [p1, -p0])
+        if trial % 2:  # z1^2 - k*z0^2 or z1^3 - k*z0^3 with k a large non-square prime
+            n = 2 + trial % 4 // 2
+            form = form * BinaryForm(n, [-sympy.nextprime(10**25 + trial)] + [0] * (n - 1) + [1])
+        a, b = rng.randint(0, 2), rng.randint(0, 2)
+        form = BinaryForm.monomial(a + b, a) * form
+        # Dehomogenized at z0 = 1: [p0:p1] is the root t = p1/p0, [1:0] is
+        # t = 0, and [0:1] is the drop of the degree below the declared one.
+        poly = sympy.Poly([rat(c) for c in reversed(form.coeffs)], t, domain="QQ")
+        want = {(int(r.q), int(r.p)): m for r, m in poly.ground_roots().items()}
+        if poly.degree() < form.degree:
+            want[(0, 1)] = form.degree - poly.degree()
+        assert rational_roots(form) == sorted(want.items()), form
