@@ -361,9 +361,10 @@ def _lifted_root_candidates(core: Sequence[int]) -> list[tuple[int, int]]:
     out = []
     for x in residues:
         m = p
-        while m <= bound:
+        while m <= bound:  # Newton: a simple root mod m lifts to one mod m^2
             m *= m
             x = (x - _eval_mod(s, x, m) * pow(_eval_mod(ds, x, m), -1, m)) % m
+        # Half extended Euclid on (m, x): the first remainder <= |s(0)| and its cofactor.
         r0, r1, t0, t1 = m, x, 0, 1
         while r1 > height:
             q = r0 // r1
@@ -381,10 +382,12 @@ def rational_roots(form: BinaryForm) -> list[tuple[tuple[int, int], int]]:
     linear remainder gives its root directly.  A longer remainder, the
     primitive integer core, goes through p-adic lifting (Loos, "Computing
     rational zeros of integral polynomials by p-adic expansion", SIAM J.
-    Comput. 12, 1983; see _lifted_root_candidates), which is polynomial in
-    the bit size of the coefficients.  A candidate a/b is a root when
-    b*z - a divides the core exactly over the integers, and its multiplicity
-    is the number of such exact divisions.
+    Comput. 12, 1983; see _lifted_root_candidates): the roots mod a small
+    prime of its square-free part s are lifted past 2 |s(0)| |lc(s)| and
+    reconstructed as fractions, in time polynomial in the bit size of the
+    coefficients.  A candidate a/b is a root when b*z - a divides the core
+    exactly over the integers, and its multiplicity is the number of such
+    exact divisions.
     """
     if form.is_zero():
         raise ValueError("the zero form vanishes everywhere")

@@ -420,15 +420,11 @@ def small_height_form(rng):
 
 class TestRationalRoots:
     def test_matches_trial_division(self):
+        # 500 planted forms, then 300 forms with random small coefficients.
         rng = random.Random(1983)
-        for _ in range(500):
-            form = small_height_form(rng)
-            assert rational_roots(form) == trial_division_roots(form), form
-
-    def test_random_coefficients_match_trial_division(self):
-        rng = random.Random(1984)
-        for _ in range(300):
-            form = rand_binary(rng, rng.randint(1, 7))
+        forms = [small_height_form(rng) for _ in range(500)]
+        forms += [rand_binary(rng, rng.randint(1, 7)) for _ in range(300)]
+        for form in forms:
             if not form.is_zero():
                 assert rational_roots(form) == trial_division_roots(form), form
 
