@@ -2,8 +2,11 @@
 
 Exit codes: 0 success, 1 verification failure, 2 precondition error
 (BadPosition, DegenerateComposition, IndeterminateMultiplier, named on
-stderr), 3 schema or input error, 4 internal error (any other exception,
-reported as one ``InternalError: <type>: <message>`` line on stderr).
+stderr), 3 schema, input or usage error (a usage error is reported as one
+``UsageError: <message>`` line on stderr), 4 internal error (any other
+exception, reported as one ``InternalError: <type>: <message>`` line on
+stderr).  ``--help`` and ``--version`` exit 0.  An option value may start
+with a minus sign in either form: ``--c0 -1/2`` or ``--c0=-1/2``.
 
 The multiplier form is printed in the (dx, dy) monomials: entry k of
 ``dx_dy`` multiplies dx^k * dy^(n-k).
@@ -12,6 +15,7 @@ The multiplier form is printed in the (dx, dy) monomials: entry k of
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import __version__
@@ -168,8 +172,28 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+class _UsageError(Exception):
+    """A command line that argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that raises _UsageError instead of exiting 2.
+
+    Any argument of the form -<digit> is a value, not an option, so negative
+    entries such as ``--moebius -1,0,0,1`` parse; no option name starts with
+    a digit.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="corrdyn",
         description="Exact dynamics of correspondences on the projective line.",
     )
@@ -233,12 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "n", 1) < 1:
-        print("error: --n must be positive", file=sys.stderr)
-        return 3
     try:
+        args = parser.parse_args(argv)
+        if getattr(args, "n", 1) < 1:
+            raise _UsageError("--n must be positive")
         return args.func(args)
+    except _UsageError as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"UsageError: {message}", file=sys.stderr)
+        return 3
     except SchemaError as exc:
         print(f"SchemaError: {exc}", file=sys.stderr)
         return 3

@@ -17,13 +17,20 @@ value is immutable, so everything here is safe to share between threads.
 Inside, the hot loops run on integer numerators over one common denominator
 from ``_int_scale`` and make one ``Fraction`` per output coefficient at the
 end: linear substitution (``substitute_linear``, which ``substitute_pair``
-applies to rows and columns), the homogeneous GCD (``_gcd_int_forms``) and
-``_diagonal_sum``, the weighted anti-diagonal sum of ``_int_rows`` that gives
-every diagonal restriction: of f, of the Cayley powers, of the multiplier's
-diagonal derivatives and of the stability partials.  ``rational_roots`` finds
-the roots of an integer core by p-adic lifting and rational reconstruction
-(Loos 1983), in time polynomial in the coefficients' bit size, and keeps a
-root only when an exact integer division confirms it.
+applies to rows and columns), the homogeneous GCD (``_gcd_int_forms``),
+exact division (``divide_exact``) and ``_diagonal_sum``, the weighted
+anti-diagonal sum of ``_int_rows`` that gives every diagonal restriction: of
+f, of the Cayley powers, of the multiplier's diagonal derivatives and of the
+stability partials.  ``rational_roots`` finds the roots of an integer core by
+p-adic lifting and rational reconstruction (Loos 1983), in time polynomial in
+the coefficients' bit size, and keeps a root only when an exact integer
+division confirms it.
+
+Each univariate kernel on ascending coefficient lists exists once: the
+pseudo-remainder ``_prem``, which both the primitive remainder sequence of
+``_gcd_int`` and the subresultant sequence of ``resultant._resultant_prs``
+take; the exact integer division ``_divide_int``; and the convolution
+``_convolve``, which also multiplies bihomogeneous forms row pair by row pair.
 """
 
 from __future__ import annotations
@@ -178,9 +185,12 @@ class BinaryForm:
     def divide_exact(self, divisor: "BinaryForm") -> "BinaryForm":
         """Quotient Q with self == divisor * Q; raises ValueError when not divisible.
 
-        Divisibility is decided on the dehomogenizations; declared degrees are
-        bookkept so that powers of z0 split correctly.  A zero dividend yields
-        the zero form of degree max(self.degree - divisor.degree, 0).
+        Both forms are cleared to integers and the divisor's core made
+        primitive; its vanishing top coefficients are a power of z0 that must
+        divide self, and the rest is one exact integer division, which by
+        Gauss's lemma succeeds exactly when the division does over the
+        rationals.  A zero dividend yields the zero form of degree
+        max(self.degree - divisor.degree, 0).
         """
         if divisor.is_zero():
             raise ValueError("division by the zero form")
@@ -188,12 +198,17 @@ class BinaryForm:
             return BinaryForm.zero(max(self.degree - divisor.degree, 0))
         if self.degree < divisor.degree:
             raise ValueError("declared degree of dividend below divisor")
-        q, r = _poly_divmod(list(self.coeffs), list(divisor.coeffs))
-        if any(c != 0 for c in r):
+        den, dscale = _int_scale(divisor.coeffs)
+        content = math.gcd(*den)
+        den = [c // content for c in den]
+        while not den[-1]:
+            den.pop()
+        num, nscale = _int_scale(self.coeffs)
+        top = len(num) - (divisor.degree + 1 - len(den))
+        q = None if any(num[top:]) else _divide_int(num[:top], den)
+        if q is None:
             raise ValueError("not exactly divisible")
-        qdeg = self.degree - divisor.degree
-        q += [Fraction(0)] * (qdeg + 1 - len(q))
-        return BinaryForm(qdeg, q[: qdeg + 1])
+        return BinaryForm(len(q) - 1, [Fraction(c * dscale, nscale * content) for c in q])
 
     def primitive_normalized(self) -> "BinaryForm":
         """Integer-primitive representative with positive first nonzero coefficient."""
@@ -209,34 +224,34 @@ class BinaryForm:
         return self.degree == other.degree and projectively_equal(self.coeffs, other.coeffs)
 
 
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """Pseudo-remainder of ascending integer vectors with lc(b) != 0 and len(a) >= len(b).
 
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    """Long division of ascending coefficient lists; returns (quotient, remainder)."""
-    num = _trim(list(num))
-    den = _trim(list(den))
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(num) < len(den):
-        return [], num
-    q = [Fraction(0)] * (len(num) - len(den) + 1)
-    r = num[:]
-    dlead = den[-1]
-    for k in range(len(num) - len(den), -1, -1):
-        if len(r) < len(den) + k:
+    Returns r with lc(b)^(deg a - deg b + 1) * a = b*q + r, trailing zeros
+    stripped, so the zero remainder is [].  deg a is the declared len(a) - 1:
+    a vanishing top coefficient of a still costs a factor lc(b), which the
+    subresultant sequence needs; those factors are applied once, at the end.
+    """
+    m = len(b) - 1
+    lead = b[-1]
+    r = list(a)
+    skipped = 0
+    while len(r) > m:
+        # r <- lead * r - c * x^shift * b for the popped top coefficient c, in place
+        c = r.pop()
+        if not c:
+            skipped += 1
             continue
-        c = r[len(den) + k - 1] / dlead
-        if c == 0:
-            continue
-        q[k] = c
-        for i, dc in enumerate(den):
-            r[k + i] -= c * dc
-        _trim(r)
-    return q, _trim(r)
+        shift = len(r) - m
+        for k in range(shift):
+            r[k] *= lead
+        for t in range(m):
+            r[shift + t] = lead * r[shift + t] - c * b[t]
+    while r and not r[-1]:
+        r.pop()
+    if skipped:
+        r = [lead**skipped * x for x in r]
+    return r
 
 
 def _gcd_int(p: Sequence[int], q: Sequence[int]) -> list[int]:
@@ -254,17 +269,7 @@ def _gcd_int(p: Sequence[int], q: Sequence[int]) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
     while b:
-        n, lead = len(b) - 1, b[-1]
-        r = a
-        while len(r) > n:
-            c = r.pop()
-            if c:
-                shift = len(r) - n
-                r = [lead * v for v in r]
-                for t in range(n):
-                    r[shift + t] -= c * b[t]
-        while r and not r[-1]:
-            r.pop()
+        r = _prem(a, b)
         a, b = b, (_primitive(r) if r else r)
     return _primitive(a) if a else a
 
@@ -522,13 +527,8 @@ class BiForm:
         d, e = self.deg_x + other.deg_x, self.deg_y + other.deg_y
         rows = [[Fraction(0)] * (e + 1) for _ in range(d + 1)]
         for i1, r1 in enumerate(self.coeffs):
-            for j1, a in enumerate(r1):
-                if a == 0:
-                    continue
-                for i2, r2 in enumerate(other.coeffs):
-                    for j2, b in enumerate(r2):
-                        if b != 0:
-                            rows[i1 + i2][j1 + j2] += a * b
+            for i2, r2 in enumerate(other.coeffs):
+                rows[i1 + i2] = [u + v for u, v in zip(rows[i1 + i2], _convolve(r1, r2))]
         return BiForm(d, e, rows)
 
     def substitute_pair(self, mx, my) -> "BiForm":

@@ -45,7 +45,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .forms import BinaryForm, _int_scale
+from .forms import BinaryForm, _int_scale, _prem
 
 # Sparse polynomial with integer coefficients: exponent tuple -> coefficient.
 # Inputs may store zero coefficients; results never do, so the zero result is
@@ -201,24 +201,6 @@ def homogeneous_resultant(f: BinaryForm, g: BinaryForm) -> Fraction:
     return resultant_univariate(f.coeffs, g.coeffs, f.degree, g.degree)
 
 
-def _prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of ascending integer vectors with lc(b) != 0 and len(a) >= len(b).
-
-    Returns r with lc(b)^(deg a - deg b + 1) * a = b*q + r, trailing zeros
-    stripped, so the zero remainder is [].
-    """
-    m = len(b) - 1
-    lead = b[-1]
-    r = list(a)
-    for top in range(len(a) - 1, m - 1, -1):
-        # r <- lead * r - r[top] * x^(top - m) * b, which clears r[top]
-        c, shift = r[top], top - m
-        r = [lead * x for x in r[:shift]] + [lead * x - c * y for x, y in zip(r[shift:top], b)]
-    while r and not r[-1]:
-        r.pop()
-    return r
-
-
 def _resultant_prs(f: Sequence[int], g: Sequence[int]) -> int:
     """bareiss_det_int(sylvester_rows(f, g, 0)) by a subresultant PRS.
 
@@ -295,24 +277,3 @@ def covariant_resultant(f: BinaryForm, p: BinaryForm, q: BinaryForm) -> BinaryFo
     values = [_resultant_prs(fi, [t * a + b for a, b in zip(pi, qi)]) for t in range(n + 1)]
     scale = df**n * den**n
     return BinaryForm(n, [Fraction(c, scale) for c in _interpolate_line(values)])
-
-
-def resultant_shift_invariance(f: Sequence, g: Sequence, d: int, e: int, a) -> tuple[Fraction, Fraction]:
-    """The pair (res(f, g), res(f, g + a*f)); the two are equal by row reduction.
-
-    Requires e >= d so that g + a*f keeps its declared degree.
-    """
-    if e < d:
-        raise ValueError("shift needs declared degree of g at least that of f")
-    a = Fraction(a)
-    fc = [Fraction(c) for c in f]
-    gc = [Fraction(c) for c in g]
-    if len(fc) != d + 1 or len(gc) != e + 1:
-        raise ValueError("coefficient vector length must match the declared degree")
-    shifted = list(gc)
-    for k, c in enumerate(fc):
-        shifted[k] += a * c
-    return (
-        resultant_univariate(fc, gc, d, e),
-        resultant_univariate(fc, shifted, d, e),
-    )

@@ -20,12 +20,8 @@ from .correspondence import (
     conjugate,
     moebius_graph,
 )
-from .forms import BiForm, BinaryForm, _gcd_int, _int_scale, binary_gcd
-from .resultant import (
-    covariant_resultant,
-    homogeneous_resultant,
-    resultant_shift_invariance,
-)
+from .forms import BiForm, BinaryForm, _convolve, _gcd_int, _int_scale, binary_gcd
+from .resultant import covariant_resultant, homogeneous_resultant, resultant_univariate
 
 # ---------------------------------------------------------------------------
 # corpus generators (shared with the test-suite)
@@ -131,9 +127,7 @@ def rand_split_map_graph(rng: random.Random, d: int) -> Correspondence:
         # monic product prod (z - pt), ascending
         n_poly = [Fraction(1)]
         for pt in pts:
-            n_poly = [Fraction(0)] + n_poly
-            for k in range(len(n_poly) - 1):
-                n_poly[k] = n_poly[k] - pt * n_poly[k + 1]
+            n_poly = _convolve(n_poly, [-pt, Fraction(1)])
         q = [Fraction(rng.randint(-6, 6)) for _ in range(d)] + [Fraction(1)]
         if any(sum(c * pt**k for k, c in enumerate(q)) == 0 for pt in pts):
             continue
@@ -332,8 +326,10 @@ def _check_shift_invariance(rng, cap, c: _Check):
         f = [rand_fraction(rng) for _ in range(d + 1)]
         g = [rand_fraction(rng) for _ in range(e + 1)]
         a = rand_fraction(rng)
-        lhs, rhs = resultant_shift_invariance(f, g, d, e, a)
-        c.record(lhs == rhs, lambda: f"f={f} g={g} a={a}")
+        # Row reduction: g + a*f keeps g's declared degree e >= d.
+        shifted = [v + a * u for u, v in zip(f + [0] * (e - d), g)]
+        same = resultant_univariate(f, g, d, e) == resultant_univariate(f, shifted, d, e)
+        c.record(same, lambda: f"f={f} g={g} a={a}")
 
 
 def _check_covariant_specialization(rng, cap, c: _Check):

@@ -1,6 +1,8 @@
 import json
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -152,8 +154,8 @@ class TestVerifyCommand:
         assert "PASS torus-weight-scaling" in out
 
     def test_unknown_identity_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["verify", "--only", "no-such-check"])
+        code, _, err = run_main(capsys, ["verify", "--only", "no-such-check"])
+        assert code == 3 and err.startswith("UsageError: argument --only")
 
     def test_cap_validation(self, capsys):
         code, _, err = run_main(capsys, ["verify", "--degree-cap", "1"])
@@ -306,3 +308,146 @@ class TestSubprocess:
         second = subprocess.run(cmd, capture_output=True)
         assert first.returncode == 0
         assert first.stdout == second.stdout
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["no-such-command"],
+        ["compose", "--left", "f.json"],
+        ["iterate", "--input", "f.json", "--n", "two"],
+        ["iterate", "--input", "f.json", "--n", "0"],
+        ["stability", "--input", "f.json", "--bogus"],
+    ])
+    def test_exit_3_with_one_line(self, capsys, argv):
+        code, out, err = run_main(capsys, argv)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("UsageError: ")
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+
+    def test_negative_values_in_the_separate_form(self, tmp_path, capsys):
+        path = write(tmp_path, "f.json", SQUARE_DOC)
+        for argvs in (
+            (["conjugate", "--input", path, "--moebius", "-1,0,0,1"],
+             ["conjugate", "--input", path, "--moebius=-1,0,0,1"]),
+            (["project", "--input", path, "--c0", "-1/2", "--c1", "-3"],
+             ["project", "--input", path, "--c0=-1/2", "--c1=-3"]),
+        ):
+            separate, joined = (run_main(capsys, argv) for argv in argvs)
+            assert separate[0] == 0 and separate == joined
+
+
+def fuzz_entry(rng):
+    """A coefficient string: zero with probability 0.35, else a small rational."""
+    if rng.random() < 0.35:
+        return "0"
+    num = rng.choice([-1, 1]) * rng.randint(1, 12)
+    return str(num) if rng.random() < 0.7 else f"{num}/{rng.randint(2, 7)}"
+
+
+def fuzz_doc(rng):
+    d, e = rng.randint(0, 3), rng.randint(0, 3)
+    rows = [[fuzz_entry(rng) for _ in range(e + 1)] for _ in range(d + 1)]
+    return {"d": d, "e": e, "coeffs": rows}
+
+
+FUZZ_JUNK = [None, True, 1.5, 3, -1, "", "abc", "1.5", "1/0", "--1", "0x10", [], ["1"], {}]
+
+
+def mutate(rng, doc):
+    """doc with one random defect: a bad degree, a missing or extra key, a bad row or entry."""
+    doc = json.loads(json.dumps(doc))
+    rows = doc.get("coeffs") or doc.get("parts")
+    kind = rng.randrange(6)
+    if kind == 0:
+        doc[rng.choice(["d", "e"])] = rng.choice(FUZZ_JUNK + [rng.randint(-2, 6)])
+    elif kind == 1:
+        doc.pop(rng.choice(list(doc)))
+    elif kind == 2:
+        doc[rng.choice(["x", "coeffs", "parts"])] = rng.choice(FUZZ_JUNK)
+    elif kind == 3 and rows:
+        rows.pop(rng.randrange(len(rows)))
+    elif kind == 4 and rows:
+        rows.append(rng.choice(FUZZ_JUNK))
+    else:
+        row = rng.choice(rows) if rows else None
+        if isinstance(row, list) and row:
+            row[rng.randrange(len(row))] = rng.choice(FUZZ_JUNK)
+        elif isinstance(row, dict) and row.get("coeffs"):
+            row["coeffs"][rng.randrange(len(row["coeffs"]))] = rng.choice(FUZZ_JUNK)
+    return doc
+
+
+def fuzz_text(rng, doc):
+    """JSON text for doc, sometimes mutated, sometimes truncated or not JSON at all."""
+    kind = rng.randrange(10)
+    if kind < 7:
+        return json.dumps(doc)
+    if kind < 9:
+        return json.dumps(mutate(rng, doc))
+    text = json.dumps(doc)
+    return rng.choice([text[: rng.randrange(len(text))], "[1, 2", "", "nan", "\x00{}"])
+
+
+def fuzz_rational(rng):
+    return fuzz_entry(rng) if rng.random() < 0.9 else rng.choice(["x", "1/0", ""])
+
+
+class TestFuzz:
+    """Seeded random and malformed input across the commands, in process.
+
+    Every run must exit 0, 2 or 3, print valid JSON on success and exactly
+    one stderr line otherwise, and never a traceback.  The fixed case count
+    keeps the test near 2 s.
+    """
+
+    COMMANDS = [
+        ["compose", "--left", "{a}", "--right", "{b}"],
+        ["iterate", "--input", "{a}", "--n", "{n}"],
+        ["conjugate", "--input", "{a}", "--moebius", "{m}"],
+        ["decompose", "--input", "{a}"],
+        ["reconstruct", "--input", "{parts}"],
+        ["project", "--input", "{a}", "--c0", "{r}", "--c1", "{s}"],
+        ["stability", "--input", "{a}"],
+        ["multipliers", "--input", "{a}"],
+        ["multipliers", "--input", "{a}", "--n", "2"],
+    ]
+
+    def test_seeded_fuzz(self, tmp_path, capsys):
+        from corrdyn.clebsch import cg_decompose
+        from corrdyn.serialization import SchemaError, components_to_doc, correspondence_from_doc
+
+        rng = random.Random(20261018)
+        codes = set()
+        for case in range(550):
+            a, b = fuzz_doc(rng), fuzz_doc(rng)
+            try:
+                parts = components_to_doc(cg_decompose(correspondence_from_doc(a).form))
+            except SchemaError:  # the zero form
+                parts = {"d": a["d"], "e": a["e"], "parts": []}
+            files = {}
+            for name, doc in (("a", a), ("b", b), ("parts", parts)):
+                path = tmp_path / f"{name}.json"
+                path.write_text(fuzz_text(rng, doc))
+                files[name] = str(path)
+            entries = [fuzz_entry(rng) for _ in range(4)]
+            if rng.random() < 0.1:
+                entries = entries[: rng.randrange(4)] + ["y"]
+            fields = dict(files, n=str(rng.randint(1, 2)), m=",".join(entries),
+                          r=fuzz_rational(rng), s=fuzz_rational(rng))
+            argv = [arg.format(**fields) for arg in rng.choice(self.COMMANDS)]
+            code, out, err = run_main(capsys, argv)
+            context = (case, argv, [Path(p).read_text() for p in files.values()], err)
+            assert code in (0, 2, 3), context
+            assert "Traceback" not in err, context
+            if code == 0:
+                json.loads(out)
+            else:
+                assert len(err.splitlines()) == 1 and out == "", context
+            codes.add(code)
+        assert codes == {0, 2, 3}

@@ -58,6 +58,8 @@ class TestEvaluate:
             t = F(rng.randint(1, 7), rng.randint(1, 5))
             p = tuple(F(rng.randint(-6, 6)) for _ in range(4))
             assert f.evaluate((t * p[0], t * p[1], p[2], p[3])) == t**d * f.evaluate(p)
+            g = rand_biform(rng, rng.randint(0, 3), rng.randint(0, 3))
+            assert (f * g).evaluate(p) == f.evaluate(p) * g.evaluate(p)
             assert f.evaluate((p[0], p[1], t * p[2], t * p[3])) == t**e * f.evaluate(p)
 
 
@@ -452,6 +454,97 @@ class TestRationalRoots:
     def test_irrational_part_ignored(self):
         f = BinaryForm(2, [-2, 0, 1])  # z1^2 - 2 z0^2, no rational roots
         assert rational_roots(f) == []
+
+
+def fraction_divmod(num, den):
+    """Reference division: long division of ascending Fraction lists, as (quotient, remainder)."""
+
+    def trim(p):
+        while p and p[-1] == 0:
+            p.pop()
+        return p
+
+    num, den = trim(list(num)), trim(list(den))
+    if len(num) < len(den):
+        return [], num
+    q = [F(0)] * (len(num) - len(den) + 1)
+    r = num[:]
+    for k in range(len(num) - len(den), -1, -1):
+        if len(r) < len(den) + k:
+            continue
+        c = r[len(den) + k - 1] / den[-1]
+        if c == 0:
+            continue
+        q[k] = c
+        for i, dc in enumerate(den):
+            r[k + i] -= c * dc
+        trim(r)
+    return q, trim(r)
+
+
+def fraction_divide_exact(f, g):
+    """f / g by fraction_divmod of the dehomogenizations, or None unless exact.
+
+    The quotient must also fit the declared degree f.degree - g.degree; a
+    zero f gives the zero form of degree max(f.degree - g.degree, 0).
+    """
+    qdeg = f.degree - g.degree
+    if f.is_zero():
+        return BinaryForm.zero(max(qdeg, 0))
+    q, r = fraction_divmod(f.coeffs, g.coeffs)
+    if qdeg < 0 or r or len(q) > qdeg + 1:
+        return None
+    return BinaryForm(qdeg, q + [F(0)] * (qdeg + 1 - len(q)))
+
+
+def rand_division_pair(rng):
+    """(f, g) with g = z0^a z1^b core: multiples of g, some perturbed, and forms with too few z0."""
+    a, b, n = rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 3)
+    core = BinaryForm(n, [rand_coeff(rng) for _ in range(n)] + [rand_coeff(rng) or F(2, 3)])
+    g = BinaryForm.monomial(a + b, b) * core
+    k = rng.randint(0, 3)
+    kind = rng.randrange(4)
+    if kind == 3:  # every factor of g but z0^a: g divides f only over the dehomogenizations
+        top = rand_coeff(rng) or F(-5)
+        cofactor = BinaryForm(a + k, [rand_coeff(rng) for _ in range(a + k)] + [top])
+        return BinaryForm.monomial(b, b) * core * cofactor, g
+    f = g * BinaryForm(k, [rand_coeff(rng) for _ in range(k + 1)])
+    if kind == 1 and not f.is_zero():  # perturb one coefficient
+        cs = list(f.coeffs)
+        cs[rng.randrange(len(cs))] += rand_coeff(rng) or 1
+        f = BinaryForm(f.degree, cs)
+    elif kind == 2 and g.degree + k:  # unrelated, sometimes of lower degree than g
+        n = g.degree + k - 1
+        f = BinaryForm(n, [rand_coeff(rng) for _ in range(n + 1)])
+    return f, g
+
+
+class TestDivideExact:
+    def test_quotient_above_the_declared_degree_raises(self):
+        # z1^2 / z0 and z1 (z0 + z1) / z0 divide only after dehomogenizing.
+        for f in (BinaryForm(2, [0, 0, 1]), BinaryForm(2, [0, 1, 1])):
+            with pytest.raises(ValueError):
+                f.divide_exact(BinaryForm(1, [1, 0]))
+
+    def test_zero_divisor_and_dividend(self):
+        with pytest.raises(ValueError):
+            BinaryForm(1, [1, 2]).divide_exact(BinaryForm.zero(1))
+        assert BinaryForm.zero(1).divide_exact(BinaryForm(3, [1, 0, 0, 1])) == BinaryForm.zero(0)
+
+    def test_matches_fraction_divmod(self):
+        rng = random.Random(16)
+        outcomes = set()
+        for _ in range(600):
+            f, g = rand_division_pair(rng)
+            want = fraction_divide_exact(f, g)
+            if want is None:
+                with pytest.raises(ValueError):
+                    f.divide_exact(g)
+            else:
+                assert f.divide_exact(g) == want, (f, g)
+                assert f.is_zero() or want * g == f
+            outcomes.add((want is None, g.coeffs[0] == 0, g.coeffs[-1] == 0))
+        assert len(outcomes) == 8
 
 
 class TestDeclaredDegrees:

@@ -1,5 +1,6 @@
-"""The polynomial-entry resultants against sympy.resultant, and rational_roots
-against sympy's ground_roots, as outside oracles.
+"""The polynomial-entry resultants against sympy.resultant, rational_roots
+against sympy's ground_roots and the pseudo-remainder against sympy.prem, as
+outside oracles.
 
 The package's Sylvester layout is ascending, sympy's descending, so each pair
 must agree up to the sign (-1)^(d*e) of the two declared degrees.
@@ -11,7 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 from corrdyn.correspondence import Correspondence, compose
-from corrdyn.forms import BinaryForm, rational_roots
+from corrdyn.forms import BinaryForm, _prem, rational_roots
 from corrdyn.multiplier import woods_hole_resultant
 from corrdyn.resultant import covariant_resultant
 
@@ -112,3 +113,23 @@ def test_tall_rational_roots_match_sympy():
         if poly.degree() < form.degree:
             want[(0, 1)] = form.degree - poly.degree()
         assert rational_roots(form) == sorted(want.items()), form
+
+
+def test_prem_matches_sympy():
+    # _prem scales by lc(b)^(len(a) - len(b) + 1), from a's declared length;
+    # sympy.prem by lc(b)^(deg a - deg b + 1) from a's actual degree, or not
+    # at all when deg a < deg b.  Zero top coefficients of a make them differ.
+    rng = random.Random(35)
+    for trial in range(300):
+        b = [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))] + [rng.choice([-3, -1, 1, 2, 7])]
+        a = [rng.randint(-30, 30) for _ in range(rng.randint(len(b), 8))]
+        if trial % 3 == 0:
+            k = rng.randint(1, len(a))
+            a[-k:] = [0] * k
+        got = _prem(a, b)
+        pa, pb = sympy.Poly(list(reversed(a)), x), sympy.Poly(list(reversed(b)), x)
+        actual = pa.degree() if any(a) else -1
+        power = (len(a) - len(b) + 1) - max(actual - (len(b) - 1) + 1, 0)
+        want = b[-1] ** power * (sympy.prem(pa, pb) if actual >= len(b) - 1 else pa)
+        want_coeffs = [int(c) for c in reversed(want.all_coeffs())] if not want.is_zero else []
+        assert got == want_coeffs, (a, b)
