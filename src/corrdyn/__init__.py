@@ -18,7 +18,6 @@ from .clebsch import (
     cg_decompose,
     cg_reconstruct,
     rho_embed,
-    torus_weight,
 )
 from .correspondence import (
     Correspondence,
@@ -38,20 +37,16 @@ from .multiplier import (
     diagonal_derivative_forms,
     dz_coordinates,
     dz_to_covariant,
-    hyperplane_residual,
     index_residual,
     multiplier_form,
-    nth_multiplier_form,
     rational_fixed_point_oracle,
     rho_compatibility_check,
     sigma_spectrum,
-    woods_hole_residual,
     woods_hole_resultant,
 )
 from .resultant import (
     covariant_resultant,
     homogeneous_resultant,
-    resultant_univariate,
 )
 from .serialization import SchemaError, parse_correspondence, serialize_correspondence
 from .stability import (
@@ -90,23 +85,18 @@ __all__ = [
     "dz_coordinates",
     "dz_to_covariant",
     "homogeneous_resultant",
-    "hyperplane_residual",
     "index_residual",
     "iterate",
     "max_diagonal_multiplicity",
     "moebius_graph",
     "multiplier_form",
-    "nth_multiplier_form",
     "parse_correspondence",
     "rational_fixed_point_oracle",
     "rational_roots",
-    "resultant_univariate",
     "rho_compatibility_check",
     "rho_embed",
     "run_verify_suite",
     "serialize_correspondence",
     "sigma_spectrum",
-    "torus_weight",
-    "woods_hole_residual",
     "woods_hole_resultant",
 ]

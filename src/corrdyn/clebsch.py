@@ -188,9 +188,3 @@ def rho_embed(
     parts += [BinaryForm.zero(n - 2 * m) for m in range(2, min(d, e) + 1)]
     return cg_reconstruct(CgComponents(d, e, tuple(parts)))
 
-
-def torus_weight(d: int, e: int, i: int, j: int) -> int:
-    """Exponent by which diag(t, 1/t) conjugation scales the (i, j) coefficient."""
-    if not (0 <= i <= d and 0 <= j <= e):
-        raise ValueError("coefficient index out of range")
-    return (d + e) - 2 * (i + j)

@@ -28,12 +28,12 @@ dz0^(d+e-1)*dz1] = 0 lives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .clebsch import cayley_omega, rho_embed
-from .correspondence import Correspondence, iterate
+from .correspondence import Correspondence
 from .forms import BinaryForm, _diagonal_sum, _frac, _int_rows, _int_scale, projectively_equal, rational_roots
 from .resultant import IntPoly, bareiss_det_poly, covariant_resultant, sylvester_rows
 
@@ -69,7 +69,6 @@ class MultiplierSpectrum:
 
     n: int
     sigma: tuple[Fraction, ...]
-    defined_at: str = field(default="resultant/dy-leading", compare=False)
 
     def __post_init__(self):
         if len(self.sigma) != self.n + 1 or self.sigma[0] != 1:
@@ -121,11 +120,6 @@ def multiplier_form(f: Correspondence) -> BinaryForm:
     return r
 
 
-def nth_multiplier_form(f: Correspondence, n: int) -> BinaryForm:
-    """Multiplier form of the n-th iterate; degree d^n + e^n in the covariables."""
-    return multiplier_form(iterate(f, n))
-
-
 def sigma_spectrum(r: BinaryForm) -> MultiplierSpectrum:
     """Normalized spectrum sigma[i] = (-1)^i * r[dx^i dy^(n-i)] / r[dy^n]."""
     lead = r.coeffs[0]
@@ -166,7 +160,7 @@ def rational_fixed_point_oracle(f: Correspondence) -> MultiplierSpectrum:
             m * sigma[-1]
         ]
         sigma[0] = Fraction(1)
-    return MultiplierSpectrum(n, tuple(sigma), defined_at="rational-fixed-points")
+    return MultiplierSpectrum(n, tuple(sigma))
 
 
 def dz_coordinates(r: BinaryForm, deg_x: int, deg_y: int) -> tuple[Fraction, ...]:
@@ -195,11 +189,6 @@ def dz_to_covariant(coords: Sequence, deg_x: int, deg_y: int) -> BinaryForm:
     return BinaryForm(n, coords).substitute_linear(m)
 
 
-def hyperplane_residual(f: Correspondence) -> Fraction:
-    """Coefficient of dz0^(d+e-1) * dz1 of the multiplier form; always zero."""
-    return dz_coordinates(multiplier_form(f), f.deg_x, f.deg_y)[1]
-
-
 def index_residual(spectrum: MultiplierSpectrum) -> Fraction:
     """sum (-1)^i (d - i) sigma_i over i = 0..d+1, for the map degree d = n - 1.
 
@@ -215,12 +204,13 @@ def index_residual(spectrum: MultiplierSpectrum) -> Fraction:
 def woods_hole_resultant(f: Sequence, g: Sequence) -> tuple[Fraction, ...]:
     """res_x(f, f' + t*g) as an ascending polynomial in t.
 
-    f and g are ascending univariate coefficient vectors; requires the actual
-    degree of f to be its declared degree, deg f >= 3 and deg f >= deg g + 2.
-    The second argument carries declared degree deg f - 1.
+    f and g are ascending univariate coefficient vectors of ints or Fractions
+    (anything else raises TypeError); requires the actual degree of f to be
+    its declared degree, deg f >= 3 and deg f >= deg g + 2.  The second
+    argument carries declared degree deg f - 1.
     """
-    fc = [Fraction(c) for c in f]
-    gc = [Fraction(c) for c in g]
+    fc = [_frac(c) for c in f]
+    gc = [_frac(c) for c in g]
     df = len(fc) - 1
     if df < 3 or fc[-1] == 0:
         raise ValueError("f must have actual degree >= 3")
@@ -242,11 +232,6 @@ def woods_hole_resultant(f: Sequence, g: Sequence) -> tuple[Fraction, ...]:
     det = bareiss_det_poly(sylvester_rows(rows_f, rows_g, {}))
     scale = den_f ** (df - 1) * den_g**df
     return tuple(Fraction(det.get((k,), 0), scale) for k in range(df + 1))
-
-
-def woods_hole_residual(f: Sequence, g: Sequence) -> Fraction:
-    """The t-linear coefficient of res_x(f, f' + t*g); always zero."""
-    return woods_hole_resultant(f, g)[1]
 
 
 def rho_compatibility_check(f: Correspondence, scale=(1, 1)) -> bool:

@@ -20,13 +20,14 @@ f alone swaps the arguments with the sign (-1)^(d*e), and g of actual degree
 k < e contributes lc(f)^(e-k).
 
 Every other determinant is evaluated by fraction-free Bareiss elimination on
-plain Python integers: the univariate Sylvester resultant, kept as the
-independent route the covariant resultant is checked against; composition,
-whose entries are polynomials in two variables; and the Woods Hole resultant,
-a pencil too, but one that only feeds a verification identity, which is better
-served by a route the multiplier form does not take.  Rows are scaled to
-integer entries first and the known scale factor is divided back out at the
-end, and every division the recurrence performs is exact.  A matrix with
+plain Python integers: homogeneous_resultant, the resultant of two binary
+forms, kept as the independent route the covariant resultant is checked
+against; composition, whose entries are polynomials in two variables; and
+the Woods Hole resultant, a pencil too, but one that only feeds a
+verification identity, which is better served by a route the multiplier form
+does not take.  Rows are scaled to integer entries first and the known scale
+factor is divided back out at the end, and every division the recurrence
+performs is exact.  A matrix with
 integer-polynomial entries goes through the same integer kernel
 (evaluation/interpolation, as in Collins' resultant method): its determinant
 has degree at most D_v in each variable v, where D_v sums over the rows the
@@ -174,31 +175,19 @@ def sylvester_rows(f: Sequence, g: Sequence, zero):
     return rows
 
 
-def resultant_univariate(f: Sequence, g: Sequence, d: int, e: int) -> Fraction:
-    """Resultant of two univariate polynomials with declared degrees (d, e).
-
-    The inputs are ascending coefficient vectors of lengths d+1 and e+1;
-    declared degrees are honored even when leading coefficients vanish.
-    """
-    fc = [Fraction(c) for c in f]
-    gc = [Fraction(c) for c in g]
-    if len(fc) != d + 1 or len(gc) != e + 1:
-        raise ValueError("coefficient vector length must match the declared degree")
-    if d < 0 or e < 0:
-        raise ValueError("degrees must be nonnegative")
-    fi, df = _int_scale(fc)
-    gi, dg = _int_scale(gc)
-    det = bareiss_det_int(sylvester_rows(fi, gi, 0))
-    return Fraction(det, df**e * dg**d)
-
-
 def homogeneous_resultant(f: BinaryForm, g: BinaryForm) -> Fraction:
     """Resultant of two binary forms at their declared degrees.
 
     Equals the univariate resultant of the dehomogenizations; the ascending
-    coefficient storage of BinaryForm is already the dehomogenized vector.
+    coefficient storage of BinaryForm is already the dehomogenized vector, so
+    vanishing leading coefficients are honored.  Evaluated by Bareiss
+    elimination on the integer-scaled Sylvester matrix, independently of the
+    subresultant kernel behind covariant_resultant.
     """
-    return resultant_univariate(f.coeffs, g.coeffs, f.degree, g.degree)
+    fi, df = _int_scale(f.coeffs)
+    gi, dg = _int_scale(g.coeffs)
+    det = bareiss_det_int(sylvester_rows(fi, gi, 0))
+    return Fraction(det, df**g.degree * dg**f.degree)
 
 
 def _resultant_prs(f: Sequence[int], g: Sequence[int]) -> int:

@@ -8,7 +8,7 @@ full run; reports are byte-identical across runs with the same arguments.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import clebsch, multiplier, serialization, stability
@@ -21,7 +21,7 @@ from .correspondence import (
     moebius_graph,
 )
 from .forms import BiForm, BinaryForm, _convolve, _gcd_int, _int_scale, binary_gcd
-from .resultant import covariant_resultant, homogeneous_resultant, resultant_univariate
+from .resultant import covariant_resultant, homogeneous_resultant
 
 # ---------------------------------------------------------------------------
 # corpus generators (shared with the test-suite)
@@ -159,13 +159,20 @@ def conjugated_square_map() -> Correspondence:
 
 @dataclass
 class CheckResult:
+    """The per-instance verdicts of one identity."""
+
     name: str
-    total: int
-    failures: list[str]
+    total: int = 0
+    failures: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
         return not self.failures
+
+    def record(self, ok: bool, describe):
+        self.total += 1
+        if not ok:
+            self.failures.append(f"instance {self.total}: {describe() if callable(describe) else describe}")
 
 
 @dataclass
@@ -195,24 +202,11 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
 
-class _Check:
-    """Collects per-instance verdicts for one identity."""
-
-    def __init__(self):
-        self.total = 0
-        self.failures: list[str] = []
-
-    def record(self, ok: bool, describe):
-        self.total += 1
-        if not ok:
-            self.failures.append(f"instance {self.total}: {describe() if callable(describe) else describe}")
-
-
 # ---------------------------------------------------------------------------
 # the identity checks
 
 
-def _check_biform_homogeneity(rng, cap, c: _Check):
+def _check_biform_homogeneity(rng, cap, c: CheckResult):
     for _ in range(12):
         d, e = rand_bidegree(rng, cap)
         f = rand_biform(rng, d, e)
@@ -224,7 +218,7 @@ def _check_biform_homogeneity(rng, cap, c: _Check):
         c.record(sx == t**d * base and sy == t**e * base, lambda: f"f={f!r} t={t} p={p}")
 
 
-def _check_diagonal_linearity(rng, cap, c: _Check):
+def _check_diagonal_linearity(rng, cap, c: CheckResult):
     for _ in range(12):
         d, e = rand_bidegree(rng, cap)
         f, g = rand_biform(rng, d, e), rand_biform(rng, d, e)
@@ -237,7 +231,7 @@ def _check_diagonal_linearity(rng, cap, c: _Check):
         c.record(lin and point, lambda: f"f={f!r} g={g!r}")
 
 
-def _check_mixed_partial_commutation(rng, cap, c: _Check):
+def _check_mixed_partial_commutation(rng, cap, c: CheckResult):
     for _ in range(12):
         d, e = rand_bidegree(rng, cap)
         f = rand_biform(rng, d, e)
@@ -248,7 +242,7 @@ def _check_mixed_partial_commutation(rng, cap, c: _Check):
         c.record(stepwise == direct and other == direct2, lambda: f"f={f!r}")
 
 
-def _check_gcd_divides(rng, cap, c: _Check):
+def _check_gcd_divides(rng, cap, c: CheckResult):
     for _ in range(12):
         shared = rand_binary_form(rng, rng.randint(1, cap))
         inputs = [rand_binary_form(rng, rng.randint(0, cap)) * shared for _ in range(3)]
@@ -270,7 +264,7 @@ def _check_gcd_divides(rng, cap, c: _Check):
         c.record(ok, lambda: f"inputs={inputs!r}")
 
 
-def _check_substitution_composition(rng, cap, c: _Check):
+def _check_substitution_composition(rng, cap, c: CheckResult):
     for _ in range(12):
         f = rand_binary_form(rng, rng.randint(1, cap + 1))
         m, n = rand_invertible_matrix(rng), rand_invertible_matrix(rng)
@@ -284,7 +278,7 @@ def _check_substitution_composition(rng, cap, c: _Check):
         )
 
 
-def _check_resultant_equivariance(rng, cap, c: _Check):
+def _check_resultant_equivariance(rng, cap, c: CheckResult):
     for _ in range(12):
         df, dg = rng.randint(1, cap + 1), rng.randint(1, cap + 1)
         f, g = rand_binary_form(rng, df), rand_binary_form(rng, dg)
@@ -295,7 +289,7 @@ def _check_resultant_equivariance(rng, cap, c: _Check):
         c.record(lhs == rhs, lambda: f"f={f!r} g={g!r} m={m}")
 
 
-def _check_resultant_multiplicativity(rng, cap, c: _Check):
+def _check_resultant_multiplicativity(rng, cap, c: CheckResult):
     for _ in range(12):
         f = rand_binary_form(rng, rng.randint(1, cap))
         g = rand_binary_form(rng, rng.randint(1, cap))
@@ -305,7 +299,7 @@ def _check_resultant_multiplicativity(rng, cap, c: _Check):
         c.record(lhs == rhs, lambda: f"f={f!r} g={g!r} h={h!r}")
 
 
-def _check_resultant_common_factor(rng, cap, c: _Check):
+def _check_resultant_common_factor(rng, cap, c: CheckResult):
     for k in range(14):
         if k % 2 == 0:
             shared = rand_binary_form(rng, rng.randint(1, cap))
@@ -319,7 +313,7 @@ def _check_resultant_common_factor(rng, cap, c: _Check):
         c.record(vanish == common, lambda: f"f={f!r} g={g!r}")
 
 
-def _check_shift_invariance(rng, cap, c: _Check):
+def _check_shift_invariance(rng, cap, c: CheckResult):
     for _ in range(12):
         d = rng.randint(0, cap)
         e = rng.randint(d, cap + 1)
@@ -328,11 +322,14 @@ def _check_shift_invariance(rng, cap, c: _Check):
         a = rand_fraction(rng)
         # Row reduction: g + a*f keeps g's declared degree e >= d.
         shifted = [v + a * u for u, v in zip(f + [0] * (e - d), g)]
-        same = resultant_univariate(f, g, d, e) == resultant_univariate(f, shifted, d, e)
+        fd = BinaryForm(d, f)
+        same = homogeneous_resultant(fd, BinaryForm(e, g)) == homogeneous_resultant(
+            fd, BinaryForm(e, shifted)
+        )
         c.record(same, lambda: f"f={f} g={g} a={a}")
 
 
-def _check_covariant_specialization(rng, cap, c: _Check):
+def _check_covariant_specialization(rng, cap, c: CheckResult):
     for _ in range(10):
         n = rng.randint(1, cap + 1)
         f = rand_binary_form(rng, n)
@@ -359,14 +356,14 @@ def _nondegenerate_pair(rng, cap):
             continue
 
 
-def _check_composition_bidegree(rng, cap, c: _Check):
+def _check_composition_bidegree(rng, cap, c: CheckResult):
     for _ in range(10):
         f, g, h = _nondegenerate_pair(rng, min(cap, 2))
         want = (f.deg_x * g.deg_x, f.deg_y * g.deg_y)
         c.record(h.bidegree == want, lambda: f"f={f!r} g={g!r}")
 
 
-def _check_composition_associativity(rng, cap, c: _Check):
+def _check_composition_associativity(rng, cap, c: CheckResult):
     for _ in range(8):
         while True:
             f = rand_correspondence(rng, *rand_bidegree(rng, 2))
@@ -381,7 +378,7 @@ def _check_composition_associativity(rng, cap, c: _Check):
         c.record(lhs.projectively_equal(rhs), lambda: f"f={f!r} g={g!r} h={h!r}")
 
 
-def _check_moebius_graph_composition(rng, cap, c: _Check):
+def _check_moebius_graph_composition(rng, cap, c: CheckResult):
     for _ in range(12):
         g, h = rand_moebius(rng), rand_moebius(rng)
         composite = compose(moebius_graph(g), moebius_graph(h))
@@ -391,7 +388,7 @@ def _check_moebius_graph_composition(rng, cap, c: _Check):
         )
 
 
-def _check_conjugation_action_law(rng, cap, c: _Check):
+def _check_conjugation_action_law(rng, cap, c: CheckResult):
     for _ in range(10):
         f = rand_correspondence(rng, *rand_bidegree(rng, cap))
         g, h = rand_moebius(rng), rand_moebius(rng)
@@ -400,7 +397,7 @@ def _check_conjugation_action_law(rng, cap, c: _Check):
         c.record(lhs.projectively_equal(rhs), lambda: f"f={f!r} g={g!r} h={h!r}")
 
 
-def _check_conjugation_diagonal(rng, cap, c: _Check):
+def _check_conjugation_diagonal(rng, cap, c: CheckResult):
     for _ in range(10):
         f = rand_correspondence(rng, *rand_bidegree(rng, cap))
         g = rand_moebius(rng)
@@ -409,7 +406,7 @@ def _check_conjugation_diagonal(rng, cap, c: _Check):
         c.record(lhs == rhs, lambda: f"f={f!r} g={g!r}")
 
 
-def _check_cayley_linearity(rng, cap, c: _Check):
+def _check_cayley_linearity(rng, cap, c: CheckResult):
     for _ in range(10):
         d, e = rand_bidegree(rng, cap)
         f, g = rand_biform(rng, d, e), rand_biform(rng, d, e)
@@ -420,7 +417,7 @@ def _check_cayley_linearity(rng, cap, c: _Check):
         c.record(lhs == rhs, lambda: f"f={f!r} g={g!r} m={m}")
 
 
-def _check_cayley_explicit(rng, cap, c: _Check):
+def _check_cayley_explicit(rng, cap, c: CheckResult):
     import math
 
     for d in range(1, min(cap, 5) + 1):
@@ -435,7 +432,7 @@ def _check_cayley_explicit(rng, cap, c: _Check):
                 c.record(got == want, lambda: f"(d,e,m)=({d},{e},{m})")
 
 
-def _check_cg_roundtrip(rng, cap, c: _Check):
+def _check_cg_roundtrip(rng, cap, c: CheckResult):
     for _ in range(12):
         d, e = rand_bidegree(rng, min(cap, 5))
         f = rand_biform(rng, d, e)
@@ -449,7 +446,7 @@ def _check_cg_roundtrip(rng, cap, c: _Check):
         c.record(ok, lambda: f"f={f!r}")
 
 
-def _check_omega0_equivariance(rng, cap, c: _Check):
+def _check_omega0_equivariance(rng, cap, c: CheckResult):
     for _ in range(10):
         d, e = rand_bidegree(rng, cap)
         f = rand_correspondence(rng, d, e)
@@ -459,7 +456,7 @@ def _check_omega0_equivariance(rng, cap, c: _Check):
         c.record(lhs == rhs, lambda: f"f={f!r} g={g!r}")
 
 
-def _check_torus_weight_scaling(rng, cap, c: _Check):
+def _check_torus_weight_scaling(rng, cap, c: CheckResult):
     for _ in range(8):
         d, e = rand_bidegree(rng, cap)
         f = rand_correspondence(rng, d, e)
@@ -467,14 +464,14 @@ def _check_torus_weight_scaling(rng, cap, c: _Check):
         g = MoebiusMap(1 / t, 0, 0, t)
         conj = conjugate(f, g).form
         ok = all(
-            conj.coeffs[i][j] == t ** clebsch.torus_weight(d, e, i, j) * f.form.coeffs[i][j]
+            conj.coeffs[i][j] == t ** (d + e - 2 * (i + j)) * f.form.coeffs[i][j]
             for i in range(d + 1)
             for j in range(e + 1)
         )
         c.record(ok, lambda: f"f={f!r} t={t}")
 
 
-def _check_stability_conjugation(rng, cap, c: _Check):
+def _check_stability_conjugation(rng, cap, c: CheckResult):
     for _ in range(10):
         f = rand_correspondence(rng, *rand_bidegree(rng, min(cap, 3)))
         g = rand_moebius(rng)
@@ -483,7 +480,7 @@ def _check_stability_conjugation(rng, cap, c: _Check):
         c.record(lhs == rhs, lambda: f"f={f!r} g={g!r}")
 
 
-def _check_stability_odd_parity(rng, cap, c: _Check):
+def _check_stability_odd_parity(rng, cap, c: CheckResult):
     for _ in range(12):
         while True:
             d, e = rand_bidegree(rng, min(cap, 3))
@@ -494,7 +491,7 @@ def _check_stability_odd_parity(rng, cap, c: _Check):
         c.record(verdict != stability.Verdict.STRICTLY_SEMISTABLE, lambda: f"f={f!r}")
 
 
-def _check_stability_matrix_crosscheck(rng, cap, c: _Check):
+def _check_stability_matrix_crosscheck(rng, cap, c: CheckResult):
     from .forms import rational_roots
 
     for k in range(10):
@@ -533,7 +530,7 @@ def _check_stability_matrix_crosscheck(rng, cap, c: _Check):
             c.record(ok, lambda: f"f={f!r} witness root {(p0, p1)}")
 
 
-def _check_multiplicity_monotonicity(rng, cap, c: _Check):
+def _check_multiplicity_monotonicity(rng, cap, c: CheckResult):
     for _ in range(8):
         d, e = rand_bidegree(rng, min(cap, 3))
         f = rand_correspondence(rng, d, e)
@@ -544,7 +541,7 @@ def _check_multiplicity_monotonicity(rng, cap, c: _Check):
         c.record(ok, lambda: f"f={f!r} flags={flags}")
 
 
-def _check_derivative_relations(rng, cap, c: _Check):
+def _check_derivative_relations(rng, cap, c: CheckResult):
     for _ in range(10):
         d, e = rand_bidegree(rng, cap)
         f = rand_correspondence(rng, d, e)
@@ -570,7 +567,7 @@ def _check_derivative_relations(rng, cap, c: _Check):
         c.record(ok, lambda: f"f={f!r}")
 
 
-def _check_spectrum_conjugation(rng, cap, c: _Check):
+def _check_spectrum_conjugation(rng, cap, c: CheckResult):
     for _ in range(8):
         # An infinite multiplier stays infinite under every conjugation, so
         # such an f is redrawn rather than conjugated forever.
@@ -592,7 +589,7 @@ def _check_spectrum_conjugation(rng, cap, c: _Check):
         c.record(lhs == rhs, lambda: f"f={f!r} g={g!r}")
 
 
-def _check_oracle_agreement(rng, cap, c: _Check):
+def _check_oracle_agreement(rng, cap, c: CheckResult):
     instances = [conjugated_square_map()] + [
         rand_split_map_graph(rng, rng.randint(1, min(cap, 3))) for _ in range(7)
     ]
@@ -602,7 +599,7 @@ def _check_oracle_agreement(rng, cap, c: _Check):
         c.record(got == want, lambda: f"f={f!r}")
 
 
-def _check_invariant_coefficients(rng, cap, c: _Check):
+def _check_invariant_coefficients(rng, cap, c: CheckResult):
     for _ in range(8):
         f = rand_good_position(rng, rng.randint(1, 2), rng.randint(1, 2))
         d, e = f.bidegree
@@ -621,29 +618,30 @@ def _check_invariant_coefficients(rng, cap, c: _Check):
         c.record(ok, lambda: f"f={f!r} g={g!r}")
 
 
-def _check_hyperplane(rng, cap, c: _Check):
+def _check_hyperplane(rng, cap, c: CheckResult):
     plan = [(1, 2), (2, 2)] + [rand_bidegree(rng, min(cap, 3)) for _ in range(4)]
     for d, e in plan:
         f = rand_good_position(rng, d, e)
-        c.record(multiplier.hyperplane_residual(f) == 0, lambda: f"f={f!r}")
+        residual = multiplier.dz_coordinates(multiplier.multiplier_form(f), d, e)[1]
+        c.record(residual == 0, lambda: f"f={f!r}")
 
 
-def _check_index(rng, cap, c: _Check):
+def _check_index(rng, cap, c: CheckResult):
     for _ in range(8):
         f = rand_map_graph(rng, rng.randint(1, min(cap + 1, 4)))
         spectrum = multiplier.sigma_spectrum(multiplier.multiplier_form(f))
         c.record(multiplier.index_residual(spectrum) == 0, lambda: f"f={f!r}")
 
 
-def _check_woods_hole(rng, cap, c: _Check):
+def _check_woods_hole(rng, cap, c: CheckResult):
     for _ in range(12):
         df = rng.randint(3, 6)
         f = [rand_fraction(rng) for _ in range(df)] + [rand_fraction(rng, nonzero=True)]
         g = [rand_fraction(rng) for _ in range(rng.randint(0, df - 2) + 1)]
-        c.record(multiplier.woods_hole_residual(f, g) == 0, lambda: f"f={f} g={g}")
+        c.record(multiplier.woods_hole_resultant(f, g)[1] == 0, lambda: f"f={f} g={g}")
 
 
-def _check_serialization_roundtrip(rng, cap, c: _Check):
+def _check_serialization_roundtrip(rng, cap, c: CheckResult):
     for _ in range(10):
         d, e = rand_bidegree(rng, cap)
         rows = [
@@ -708,7 +706,7 @@ def run_verify_suite(seed: int, degree_cap: int, only: str | None = None) -> Ver
         if only is not None and name != only:
             continue
         rng = random.Random(f"{seed}/{name}")
-        check = _Check()
+        check = CheckResult(name)
         runner(rng, degree_cap, check)
-        results.append(CheckResult(name, check.total, check.failures))
+        results.append(check)
     return VerifyReport(seed, degree_cap, results)

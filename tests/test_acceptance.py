@@ -20,13 +20,12 @@ from corrdyn.correspondence import (
 )
 from corrdyn.forms import BiForm, BinaryForm, rational_roots
 from corrdyn.multiplier import (
-    hyperplane_residual,
+    dz_coordinates,
     index_residual,
     multiplier_form,
     rational_fixed_point_oracle,
     rho_compatibility_check,
     sigma_spectrum,
-    woods_hole_residual,
     woods_hole_resultant,
 )
 from corrdyn.resultant import homogeneous_resultant
@@ -232,7 +231,7 @@ def test_criterion_09_hyperplane_theorem():
     for d, e in [(1, 2), (1, 3), (2, 2), (2, 3)]:
         for _ in range(50):
             f = rand_good_position(rng, d, e)
-            assert hyperplane_residual(f) == 0
+            assert dz_coordinates(multiplier_form(f), d, e)[1] == 0
     report(9, "hyperplane residual vanishes, 50 instances per bidegree in 4 bidegrees")
 
 
@@ -253,7 +252,7 @@ def test_criterion_11_woods_hole():
         df = rng.randint(3, 6)
         f = [F(rng.randint(-9, 9)) for _ in range(df)] + [F(rng.randint(1, 9))]
         g = [F(rng.randint(-9, 9)) for _ in range(rng.randint(0, df - 2) + 1)]
-        assert woods_hole_residual(f, g) == 0
+        assert woods_hole_resultant(f, g)[1] == 0
     report(11, "Woods Hole residual vanishes on 100 instances; cubic fixture gives t^3 + 27")
 
 

@@ -20,14 +20,11 @@ from corrdyn.multiplier import (
     diagonal_derivative_forms,
     dz_coordinates,
     dz_to_covariant,
-    hyperplane_residual,
     index_residual,
     multiplier_form,
-    nth_multiplier_form,
     rational_fixed_point_oracle,
     rho_compatibility_check,
     sigma_spectrum,
-    woods_hole_residual,
     woods_hole_resultant,
 )
 from corrdyn.verify import (
@@ -325,20 +322,20 @@ class TestOracle:
 class TestNthMultiplier:
     def test_base_case(self):
         f = conjugated_square_map()
-        assert nth_multiplier_form(f, 1) == multiplier_form(f)
+        assert multiplier_form(iterate(f, 1)) == multiplier_form(f)
 
     def test_moebius_square(self):
         # z -> (z + 2)/(z + 1) and its square both fix only the finite
         # nonzero points +-sqrt(2), so every multiplier form is defined
         g = MoebiusMap(1, 2, 1, 1)
-        lhs = nth_multiplier_form(moebius_graph(g), 2)
+        lhs = multiplier_form(iterate(moebius_graph(g), 2))
         rhs = multiplier_form(moebius_graph(g * g))
         assert lhs.projectively_equal(rhs)
 
     def test_degenerate_iterate_propagates(self):
         f = Correspondence.from_matrix(1, 1, [[1, 0], [0, 0]])
         with pytest.raises(DegenerateComposition):
-            nth_multiplier_form(f, 2)
+            multiplier_form(iterate(f, 2))
 
 
 class TestDzCoordinates:
@@ -372,20 +369,23 @@ class TestDzCoordinates:
 
 
 class TestHyperplane:
+    # The coefficient of dz0^(d+e-1) * dz1 of the multiplier form vanishes.
     def test_moebius_fixture(self):
-        assert hyperplane_residual(MOEBIUS_FIXTURE) == 0
+        assert dz_coordinates(multiplier_form(MOEBIUS_FIXTURE), 1, 1)[1] == 0
 
     def test_map_graphs(self):
         rng = random.Random(78)
         for d in (2, 3):
             for _ in range(5):
-                assert hyperplane_residual(rand_map_graph(rng, d)) == 0
+                f = rand_map_graph(rng, d)
+                assert dz_coordinates(multiplier_form(f), d, 1)[1] == 0
 
     def test_general_correspondences(self):
         rng = random.Random(79)
         for d, e in [(1, 2), (1, 3), (2, 2), (2, 3)]:
             for _ in range(3):
-                assert hyperplane_residual(rand_good_position(rng, d, e)) == 0
+                f = rand_good_position(rng, d, e)
+                assert dz_coordinates(multiplier_form(f), d, e)[1] == 0
 
 
 class TestIndexResidual:
@@ -414,12 +414,12 @@ class TestWoodsHole:
     def test_cubic_fixture(self):
         # product of (t + 3*w^2) over the cube roots of unity is t^3 + 27
         assert woods_hole_resultant([-1, 0, 0, 1], [1]) == (27, 0, 0, 1)
-        assert woods_hole_residual([-1, 0, 0, 1], [1]) == 0
+        assert woods_hole_resultant([-1, 0, 0, 1], [1])[1] == 0
 
     def test_common_root_collapses(self):
         out = woods_hole_resultant([0, 0, 0, 1], [0, 1])
         assert all(c == 0 for c in out)
-        assert woods_hole_residual([0, 0, 0, 1], [0, 1]) == 0
+        assert woods_hole_resultant([0, 0, 0, 1], [0, 1])[1] == 0
 
     def test_random_residuals_vanish(self):
         rng = random.Random(81)
@@ -427,13 +427,25 @@ class TestWoodsHole:
             df = rng.randint(3, 6)
             f = [F(rng.randint(-9, 9)) for _ in range(df)] + [F(rng.randint(1, 9))]
             g = [F(rng.randint(-9, 9)) for _ in range(rng.randint(0, df - 2) + 1)]
-            assert woods_hole_residual(f, g) == 0
+            assert woods_hole_resultant(f, g)[1] == 0
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
             woods_hole_resultant([1, 1, 1], [1])  # degree 2 < 3
         with pytest.raises(ValueError):
             woods_hole_resultant([1, 0, 0, 1], [0, 0, 1])  # deg g > deg f - 2
+
+    def test_rejects_float_and_string_coefficients(self):
+        # Fraction(0.1) would be a binary-float artefact and Fraction('1/3')
+        # a silent parse; coefficients must be ints or Fractions.
+        for f, g in [
+            ([0.1, 0, 0, 1], [1]),
+            ([-1, 0, 0, 1], [0.5]),
+            (["1/3", 0, 0, 1], [1]),
+            ([-1, 0, 0, 1], ["2"]),
+        ]:
+            with pytest.raises(TypeError):
+                woods_hole_resultant(f, g)
 
 
 class TestRhoCompatibility:

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -33,6 +34,25 @@ class TestSuite:
             run_verify_suite(seed=1, degree_cap=1)
         with pytest.raises(ValueError):
             run_verify_suite(seed=1, degree_cap=3, only="nonexistent")
+
+
+class TestTranscriptDigests:
+    # sha256 of the full report text, recorded before the verify-only
+    # wrappers (hyperplane_residual, woods_hole_residual, torus_weight,
+    # resultant_univariate) were folded into their checks.
+    DIGESTS = {
+        (1, 2): "5983e5285bf52a5b66360322901970f7490a11cd49a45cf1d7e2389776485606",
+        (1, 3): "34b324d899004ea5649afc4a61782c847d944b8c2ec247479627342b1eee38bd",
+        (2, 2): "9ff3f9cfacda137db22a9b442c0550dba955e03db22b79feabda9fe84c445cb6",
+        (2, 3): "19756cb8b55ae0b1fe745b15f52f0ef41d1b79eea758369c0652a5f187eeccb0",
+        (3, 2): "a77ffd8b11aba7e2b491d9c8b912faa7db99b9a64aaa3bb7d493a088058288db",
+        (3, 3): "af658d006b80587e496aaa62db20754bcefc275284bd44a72e25f3954c99292a",
+    }
+
+    @pytest.mark.parametrize("seed, cap", sorted(DIGESTS))
+    def test_report_text_is_pinned(self, seed, cap):
+        text = run_verify_suite(seed, cap).text()
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[seed, cap]
 
 
 class TestTermination:
