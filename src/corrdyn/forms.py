@@ -278,7 +278,9 @@ def _gcd_int_forms(forms: Iterable[tuple[int, Sequence[int]]]) -> BinaryForm:
     """binary_gcd of forms given as (degree, integer coefficients).
 
     Each form's coefficients may carry their own nonzero scale: the normalized
-    GCD does not see it.
+    GCD does not see it.  Reading stops once the GCD is 1, that is once the
+    core is constant and no power of z0 or z1 can remain, so a lazy iterable
+    is never read past that point.
     """
     v1 = v0 = 0
     acc: list[int] | None = None
@@ -289,10 +291,12 @@ def _gcd_int_forms(forms: Iterable[tuple[int, Sequence[int]]]) -> BinaryForm:
         lo, hi = ks[0], ks[-1]
         if acc is None:
             v1, v0, acc = lo, degree - hi, _primitive(cs[lo : hi + 1])
-            continue
-        v1, v0 = min(v1, lo), min(v0, degree - hi)
-        if len(acc) > 1:
-            acc = _gcd_int(acc, cs[lo : hi + 1])
+        else:
+            v1, v0 = min(v1, lo), min(v0, degree - hi)
+            if len(acc) > 1:
+                acc = _gcd_int(acc, cs[lo : hi + 1])
+        if len(acc) == 1 and v1 == v0 == 0:
+            break  # the GCD is 1: no later form can change it
     if acc is None:
         return BinaryForm.zero(0)
     if acc[0] < 0:
@@ -305,10 +309,12 @@ def binary_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
 
     Monomial factors z0^a and z1^b are split off first so that roots at [1:0]
     and [0:1] survive dehomogenization; the remaining parts go through a
-    primitive integer remainder sequence on their numerators, which stops
-    once the running GCD is constant.  Zero entries are absorbed, the gcd of
-    an all-zero list is the zero form, and the result is normalized to be
-    integer-primitive with positive first nonzero coefficient.
+    primitive integer remainder sequence on their numerators.  The forms are
+    read, and cleared, one by one, and reading stops once the GCD is 1: the
+    core is constant and no power of z0 or z1 can remain.  Zero entries are
+    absorbed, the gcd of an all-zero list is the zero form, and the result is
+    normalized to be integer-primitive with positive first nonzero
+    coefficient.
     """
     if not forms:
         raise ValueError("binary_gcd needs at least one form")

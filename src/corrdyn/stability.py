@@ -23,6 +23,16 @@ algebraic closure, and the all-zero GCD means every diagonal point qualifies
 (the partials vanish along the whole diagonal).  The GCD is returned as a
 witness; its roots are the offending diagonal points.
 
+The largest multiplicity is found by bisection over the orders 0..d+e
+rather than by trying m = 1, 2, ... in turn, so at most ceil(log2(d+e+1))
+orders are tested.  This is exact: the test at each order stands alone (the
+Euler argument above), and "some diagonal point has multiplicity >= m" is
+monotone in m, which the ``multiplicity-monotonicity`` identity of
+``corrdyn verify`` checks.  The last order that holds is therefore the m a
+linear scan finds, with the same GCD witness.  The restrictions of one order
+are produced lazily and the GCD stops reading them once it is 1, so an order
+that misses usually costs only its first few partials.
+
 The restrictions are computed on integers.  The coefficients of f are
 cleared once to integer rows over their common denominator D, and the
 restriction of each partial is summed straight from them by the anti-diagonal
@@ -67,32 +77,36 @@ def diagonal_multiplicity_at_least(f: Correspondence, m: int) -> tuple[bool, Bin
         raise ValueError(f"multiplicity order must lie in 1..{n}")
     a, _ = _int_rows(f.form)
     order = m - 1
-    restrictions = []
-    # One restriction per partial d_{x0}^i d_{x1}^j d_{y0}^k d_{y1}^l of total
-    # order m-1, grouped by sx = i + j so that the y weights are made once per
-    # (k, l); the range of sx leaves out the partials that overflow a degree.
-    for sx in range(max(order - e, 0), min(order, d) + 1):
-        wys = [_partial_weights(e, order - sx - l, l) for l in range(order - sx + 1)]
-        for j in range(sx + 1):
-            wx = _partial_weights(d, sx - j, j)
-            for l, wy in enumerate(wys):
-                restrictions.append((n - order, _diagonal_sum(a, wx, wy, j, l)))
-    witness = _gcd_int_forms(restrictions)
+
+    def restrictions():
+        # One restriction per partial d_{x0}^i d_{x1}^j d_{y0}^k d_{y1}^l of
+        # total order m-1, grouped by sx = i + j so that the y weights are made
+        # once per (k, l); the range of sx leaves out the partials that
+        # overflow a degree.  Lazily, so the GCD can stop reading at 1.
+        for sx in range(max(order - e, 0), min(order, d) + 1):
+            wys = [_partial_weights(e, order - sx - l, l) for l in range(order - sx + 1)]
+            for j in range(sx + 1):
+                wx = _partial_weights(d, sx - j, j)
+                for l, wy in enumerate(wys):
+                    yield n - order, _diagonal_sum(a, wx, wy, j, l)
+
+    witness = _gcd_int_forms(restrictions())
     return witness.is_zero() or witness.degree >= 1, witness
 
 
 def max_diagonal_multiplicity(f: Correspondence) -> tuple[int, BinaryForm]:
     """Largest multiplicity attained on the diagonal, with the witness at that order."""
-    n = f.deg_x + f.deg_y
-    if n == 0:
-        return 0, BinaryForm(0, [1])
-    best, best_witness = 0, BinaryForm(0, [1])
-    for m in range(1, n + 1):
+    # Bisection over 0..n: the test is monotone in m and each order stands alone.
+    lo, hi = 0, f.deg_x + f.deg_y
+    best_witness = BinaryForm(0, [1])
+    while lo < hi:
+        m = (lo + hi + 1) // 2
         hit, witness = diagonal_multiplicity_at_least(f, m)
-        if not hit:
-            break
-        best, best_witness = m, witness
-    return best, best_witness
+        if hit:
+            lo, best_witness = m, witness
+        else:
+            hi = m - 1
+    return lo, best_witness
 
 
 def classify_stability(f: Correspondence) -> StabilityVerdict:

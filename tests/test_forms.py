@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from corrdyn.forms import BiForm, BinaryForm, _gcd_int, binary_gcd, rational_roots
+from corrdyn.forms import BiForm, BinaryForm, _gcd_int, _gcd_int_forms, binary_gcd, rational_roots
 
 
 def rand_binary(rng, degree):
@@ -229,6 +229,24 @@ class TestBinaryGcd:
         forms = [BinaryForm(3, [0, 1, 1, 0]), BinaryForm(3, [0, 1, 2, 0]),
                  BinaryForm(3, [0, 0, 5, 0]), BinaryForm(1, [0, 7])]
         assert binary_gcd(forms) == fraction_binary_gcd(forms) == BinaryForm(1, [0, 1])
+
+    def test_stops_reading_once_the_gcd_is_1(self):
+        # (z0 + z1)(z0 - z1), (z0 + z1)^2, z0 - z1: the core is constant and
+        # no power of z0 or z1 is pending after the third form, so the fourth
+        # is never read.
+        def forms(head):
+            yield from head
+            raise AssertionError("read past the point where the GCD is 1")
+
+        head = [(2, [1, 0, -1]), (2, [1, 2, 1]), (1, [1, -1])]
+        assert _gcd_int_forms(forms(head)) == BinaryForm(0, [1])
+        assert _gcd_int_forms(forms([(0, [0]), (0, [-5])])) == BinaryForm(0, [1])
+
+    def test_pending_monomial_factor_does_not_stop(self):
+        # z1's core is constant, but the power of z1 is still pending
+        z0, z1 = BinaryForm(1, [1, 0]), BinaryForm(1, [0, 1])
+        assert binary_gcd([z1, z1 * z0]) == z1
+        assert binary_gcd([z1, z0]) == BinaryForm(0, [1])
 
     def test_integer_gcd_matches_monic_euclid(self):
         rng = random.Random(14)

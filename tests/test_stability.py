@@ -6,6 +6,7 @@ import pytest
 
 from corrdyn.correspondence import Correspondence, MoebiusMap, conjugate
 from corrdyn.forms import BiForm, BinaryForm, rational_roots
+import corrdyn.stability
 from corrdyn.stability import (
     Verdict,
     classify_stability,
@@ -159,6 +160,85 @@ class TestIntegerRestrictions:
             f = Correspondence(form)
             for m in range(1, d + e + 1):
                 assert diagonal_multiplicity_at_least(f, m) == partial_route_multiplicity(f, m)
+
+
+def linear_scan_multiplicity(f: Correspondence):
+    """Oracle: try the orders m = 1, 2, ... in turn and keep the last hit with its witness."""
+    best, best_witness = 0, BinaryForm(0, [1])
+    for m in range(1, f.deg_x + f.deg_y + 1):
+        hit, witness = diagonal_multiplicity_at_least(f, m)
+        if not hit:
+            break
+        best, best_witness = m, witness
+    return best, best_witness
+
+
+def planted_corner(rng, d, e, k):
+    """Random (d, e) form with a_ij = 0 for i + j < k: multiplicity >= k at ([1:0], [1:0])."""
+    rows = [[0 if i + j < k else rng.randint(-9, 9) for j in range(e + 1)] for i in range(d + 1)]
+    i = rng.randint(max(0, k - e), min(d, k))
+    rows[i][k - i] = rng.choice([-2, -1, 1, 3])
+    return Correspondence.from_matrix(d, e, rows)
+
+
+class TestBisection:
+    def test_planted_orders_match_linear_scan(self):
+        rng = random.Random(69)
+        for d in range(8):
+            for e in range(8):
+                if d + e == 0:
+                    continue
+                for k in range(d + e + 1):
+                    f = planted_corner(rng, d, e, k)
+                    if k % 2:  # move the planted point off [1:0]
+                        f = conjugate(f, rand_moebius(rng))
+                    assert max_diagonal_multiplicity(f) == linear_scan_multiplicity(f), (d, e, k)
+
+    def test_multiples_of_the_diagonal_match_linear_scan(self):
+        # A power of the diagonal has every diagonal point at multiplicity j,
+        # so its witness is zero; a nonconstant cofactor adds points of
+        # higher multiplicity where it meets the diagonal.
+        power = BiForm(0, 0, [[1]])
+        for j in range(1, 8):
+            power = power * DIAGONAL.form
+            f = Correspondence(power)
+            expected = (j, BinaryForm.zero(0))
+            assert max_diagonal_multiplicity(f) == linear_scan_multiplicity(f) == expected
+        rng = random.Random(70)
+        for d in range(7):
+            for e in range(7):
+                if d + e == 0:
+                    continue
+                k = rng.randint(0, d + e)
+                f = Correspondence(planted_corner(rng, d, e, k).form * DIAGONAL.form)
+                assert max_diagonal_multiplicity(f) == linear_scan_multiplicity(f), (d, e, k)
+
+    def test_full_corners_match_linear_scan(self):
+        for d in range(8):
+            for e in range(8):
+                if d + e == 0:
+                    continue
+                f = Correspondence(BiForm.monomial(d, e, 0, 0))  # x0^d * y0^e
+                got = max_diagonal_multiplicity(f)
+                assert got == linear_scan_multiplicity(f)
+                assert got[0] == d + e
+
+    def test_tries_logarithmically_many_orders(self, monkeypatch):
+        calls = []
+        inner = corrdyn.stability.diagonal_multiplicity_at_least
+
+        def counted(f, m):
+            calls.append(m)
+            return inner(f, m)
+
+        monkeypatch.setattr(corrdyn.stability, "diagonal_multiplicity_at_least", counted)
+        rng = random.Random(71)
+        n = 24
+        for k in (0, 1, 5, 12, 13, 23, 24):
+            calls.clear()
+            f = planted_corner(rng, 12, 12, k)
+            assert max_diagonal_multiplicity(f)[0] >= k
+            assert len(calls) <= math.ceil(math.log2(n + 1)), (k, calls)
 
 
 class TestMaxMultiplicity:
