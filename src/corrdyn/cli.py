@@ -3,10 +3,15 @@
 Exit codes: 0 success, 1 verification failure, 2 precondition error
 (BadPosition, DegenerateComposition, IndeterminateMultiplier, named on
 stderr), 3 schema, input or usage error (a usage error is reported as one
-``UsageError: <message>`` line on stderr), 4 internal error (any other
-exception, reported as one ``InternalError: <type>: <message>`` line on
-stderr).  ``--help`` and ``--version`` exit 0.  An option value may start
-with a minus sign in either form: ``--c0 -1/2`` or ``--c0=-1/2``.
+``UsageError: <message>`` line on stderr, an unreadable input or unwritable
+``--out`` as a SchemaError), 4 internal error (any other exception, reported
+as one ``InternalError: <type>: <message>`` line on stderr).  ``--help`` and
+``--version`` exit 0.  An option value may start with a minus sign in either
+form: ``--c0 -1/2`` or ``--c0=-1/2``.
+
+Handlers compute and return their JSON document; ``main`` writes it to stdout
+or ``--out``, the one write site.  ``verify`` prints its text report and has
+no ``--out``.
 
 The multiplier form is printed in the (dx, dy) monomials: entry k of
 ``dx_dy`` multiplies dx^k * dy^(n-k).
@@ -45,100 +50,70 @@ from .stability import classify_stability
 from .verify import CHECK_NAMES, run_verify_suite
 
 
-def _read_json(path: str):
+def _load(path: str, from_doc=correspondence_from_doc):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    return _loads(text)
+    return from_doc(_loads(text))
 
 
-def _write(text: str, out: str | None):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def _cmd_compose(args):
+    return correspondence_to_doc(compose(_load(args.left), _load(args.right)))
 
 
-def _load_correspondence(path: str) -> Correspondence:
-    return correspondence_from_doc(_read_json(path))
+def _cmd_iterate(args):
+    return correspondence_to_doc(iterate(_load(args.input), args.n))
 
 
-def _cmd_compose(args) -> int:
-    left = _load_correspondence(args.left)
-    right = _load_correspondence(args.right)
-    _write(_dumps(correspondence_to_doc(compose(left, right))), args.out)
-    return 0
+def _cmd_conjugate(args):
+    return correspondence_to_doc(conjugate(_load(args.input), parse_moebius(args.moebius)))
 
 
-def _cmd_iterate(args) -> int:
-    f = _load_correspondence(args.input)
-    _write(_dumps(correspondence_to_doc(iterate(f, args.n))), args.out)
-    return 0
+def _cmd_graph(args):
+    return correspondence_to_doc(moebius_graph(parse_moebius(args.moebius)))
 
 
-def _cmd_conjugate(args) -> int:
-    f = _load_correspondence(args.input)
-    g = parse_moebius(args.moebius)
-    _write(_dumps(correspondence_to_doc(conjugate(f, g))), args.out)
-    return 0
+def _cmd_decompose(args):
+    return components_to_doc(cg_decompose(_load(args.input).form))
 
 
-def _cmd_graph(args) -> int:
-    g = parse_moebius(args.moebius)
-    _write(_dumps(correspondence_to_doc(moebius_graph(g))), args.out)
-    return 0
-
-
-def _cmd_decompose(args) -> int:
-    f = _load_correspondence(args.input)
-    _write(_dumps(components_to_doc(cg_decompose(f.form))), args.out)
-    return 0
-
-
-def _cmd_reconstruct(args) -> int:
-    components = components_from_doc(_read_json(args.input))
-    form = cg_reconstruct(components)
+def _cmd_reconstruct(args):
+    form = cg_reconstruct(_load(args.input, components_from_doc))
     if form.is_zero():
         raise SchemaError("components reconstruct to the zero form")
-    _write(_dumps(correspondence_to_doc(Correspondence(form))), args.out)
-    return 0
+    return correspondence_to_doc(Correspondence(form))
 
 
-def _cmd_project(args) -> int:
-    f = _load_correspondence(args.input)
+def _cmd_project(args):
+    f = _load(args.input)
     if min(f.deg_x, f.deg_y) < 1:
         raise SchemaError("projection needs bidegree at least (1, 1)")
-    c0 = parse_rational(args.c0)
-    c1 = parse_rational(args.c1)
+    c0, c1 = parse_rational(args.c0), parse_rational(args.c1)
     if c0 == 0 or c1 == 0:
         raise SchemaError("scale pair must be nonzero")
     n = f.deg_x + f.deg_y
     image = rho_embed(cayley_omega(f.form, 0), cayley_omega(f.form, 1), 1, n - 1, (c0, c1))
     if image.is_zero():
         raise SchemaError("projected form is zero (both leading components vanish)")
-    _write(_dumps(correspondence_to_doc(Correspondence(image))), args.out)
-    return 0
+    return correspondence_to_doc(Correspondence(image))
 
 
-def _cmd_stability(args) -> int:
-    f = _load_correspondence(args.input)
+def _cmd_stability(args):
+    f = _load(args.input)
     if f.deg_x + f.deg_y < 1:
         raise SchemaError("stability needs total degree d + e at least 1")
     result = classify_stability(f)
-    doc = {
+    return {
         "verdict": result.verdict.value,
         "max_multiplicity": result.max_multiplicity,
         "witness": binary_form_to_doc(result.witness),
     }
-    _write(_dumps(doc), args.out)
-    return 0
 
 
-def _cmd_multipliers(args) -> int:
-    f = _load_correspondence(args.input)
+def _cmd_multipliers(args):
+    f = _load(args.input)
     if f.deg_x + f.deg_y < 1:
         raise SchemaError("the multiplier form needs total degree d + e at least 1")
     iterated = iterate(f, args.n)
@@ -146,7 +121,7 @@ def _cmd_multipliers(args) -> int:
     r = multiplier_form(iterated)
     spectrum = sigma_spectrum(r)
     norm = iterated.form.coeffs[0][0] * iterated.form.coeffs[d][e]
-    doc = {
+    return {
         "d": f.deg_x,
         "e": f.deg_y,
         "n": args.n,
@@ -159,8 +134,6 @@ def _cmd_multipliers(args) -> int:
         },
         "sigma": [format_rational(s) for s in spectrum.sigma],
     }
-    _write(_dumps(doc), args.out)
-    return 0
 
 
 def _cmd_verify(args) -> int:
@@ -200,54 +173,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"corrdyn {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_):
+    def add(name, func, help_, *paths, **options):
         p = sub.add_parser(name, help=help_)
         p.set_defaults(func=func)
-        return p
+        for path in paths:
+            p.add_argument(f"--{path}", required=True)
+        for option, kwargs in options.items():
+            p.add_argument(f"--{option}", **kwargs)
+        p.add_argument("--out")  # last: the help text lists it after the command's own options
 
-    p = add("compose", _cmd_compose, "compose two correspondences")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--out")
+    moebius = dict(required=True, metavar="a,b,c,d")
+    add("compose", _cmd_compose, "compose two correspondences", "left", "right")
+    add("iterate", _cmd_iterate, "iterate a correspondence", "input",
+        n=dict(type=int, required=True))
+    add("conjugate", _cmd_conjugate, "conjugate by a Moebius map", "input", moebius=moebius)
+    add("graph", _cmd_graph, "graph of a Moebius map", moebius=moebius)
+    add("decompose", _cmd_decompose, "Clebsch-Gordan components", "input")
+    add("reconstruct", _cmd_reconstruct, "rebuild a correspondence from components", "input")
+    add("project", _cmd_project, "project onto bidegree (1, d+e-1)", "input",
+        c0=dict(default="1"), c1=dict(default="1"))
+    add("stability", _cmd_stability, "stability verdict with witness", "input")
+    add("multipliers", _cmd_multipliers, "multiplier form, dz coordinates and spectrum", "input",
+        n=dict(type=int, default=1))
 
-    p = add("iterate", _cmd_iterate, "iterate a correspondence")
-    p.add_argument("--input", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out")
-
-    p = add("conjugate", _cmd_conjugate, "conjugate by a Moebius map")
-    p.add_argument("--input", required=True)
-    p.add_argument("--moebius", required=True, metavar="a,b,c,d")
-    p.add_argument("--out")
-
-    p = add("graph", _cmd_graph, "graph of a Moebius map")
-    p.add_argument("--moebius", required=True, metavar="a,b,c,d")
-    p.add_argument("--out")
-
-    p = add("decompose", _cmd_decompose, "Clebsch-Gordan components")
-    p.add_argument("--input", required=True)
-    p.add_argument("--out")
-
-    p = add("reconstruct", _cmd_reconstruct, "rebuild a correspondence from components")
-    p.add_argument("--input", required=True)
-    p.add_argument("--out")
-
-    p = add("project", _cmd_project, "project onto bidegree (1, d+e-1)")
-    p.add_argument("--input", required=True)
-    p.add_argument("--c0", default="1")
-    p.add_argument("--c1", default="1")
-    p.add_argument("--out")
-
-    p = add("stability", _cmd_stability, "stability verdict with witness")
-    p.add_argument("--input", required=True)
-    p.add_argument("--out")
-
-    p = add("multipliers", _cmd_multipliers, "multiplier form, dz coordinates and spectrum")
-    p.add_argument("--input", required=True)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--out")
-
-    p = add("verify", _cmd_verify, "run the identity suite")
+    p = sub.add_parser("verify", help="run the identity suite")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--degree-cap", type=int, default=3)
     p.add_argument("--only", choices=CHECK_NAMES, metavar="IDENT")
@@ -261,7 +210,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "n", 1) < 1:
             raise _UsageError("--n must be positive")
-        return args.func(args)
+        if args.command == "verify":
+            return _cmd_verify(args)
+        text = _dumps(args.func(args))
+        if args.out is None:
+            sys.stdout.write(text)
+            return 0
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise SchemaError(f"cannot write {args.out}: {exc}") from exc
+        return 0
     except _UsageError as exc:
         message = " ".join(str(exc).splitlines())
         print(f"UsageError: {message}", file=sys.stderr)

@@ -74,11 +74,6 @@ class MoebiusMap:
         """The 2x2 matrix acting on homogeneous coordinate columns (v0, v1)."""
         return ((self.d, self.c), (self.b, self.a))
 
-    def apply(self, p0, p1) -> tuple[Fraction, Fraction]:
-        """Image of the projective point [p0 : p1]."""
-        p0, p1 = _frac(p0), _frac(p1)
-        return (self.d * p0 + self.c * p1, self.b * p0 + self.a * p1)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, MoebiusMap) and self.entries() == other.entries()
 

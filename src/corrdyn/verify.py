@@ -473,7 +473,7 @@ def _check_torus_weight_scaling(rng, cap, c: CheckResult):
 
 def _check_stability_conjugation(rng, cap, c: CheckResult):
     for _ in range(10):
-        f = rand_correspondence(rng, *rand_bidegree(rng, min(cap, 3)))
+        f = rand_correspondence(rng, *rand_bidegree(rng, cap))
         g = rand_moebius(rng)
         lhs = stability.classify_stability(f).verdict
         rhs = stability.classify_stability(conjugate(f, g)).verdict
@@ -483,7 +483,7 @@ def _check_stability_conjugation(rng, cap, c: CheckResult):
 def _check_stability_odd_parity(rng, cap, c: CheckResult):
     for _ in range(12):
         while True:
-            d, e = rand_bidegree(rng, min(cap, 3))
+            d, e = rand_bidegree(rng, cap)
             if (d + e) % 2 == 1:
                 break
         f = rand_correspondence(rng, d, e)
@@ -495,7 +495,7 @@ def _check_stability_matrix_crosscheck(rng, cap, c: CheckResult):
     from .forms import rational_roots
 
     for k in range(10):
-        d, e = rand_bidegree(rng, min(cap, 3))
+        d, e = rand_bidegree(rng, cap)
         n = d + e
         if k % 2 == 0:
             # plant b_ij = 0 for 2(i+j) <= d+e, expect Unstable
@@ -532,7 +532,7 @@ def _check_stability_matrix_crosscheck(rng, cap, c: CheckResult):
 
 def _check_multiplicity_monotonicity(rng, cap, c: CheckResult):
     for _ in range(8):
-        d, e = rand_bidegree(rng, min(cap, 3))
+        d, e = rand_bidegree(rng, cap)
         f = rand_correspondence(rng, d, e)
         flags = [
             stability.diagonal_multiplicity_at_least(f, m)[0] for m in range(1, d + e + 1)

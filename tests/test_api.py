@@ -95,6 +95,10 @@ def test_retired_verify_and_spectrum_members_are_gone():
     assert [f.name for f in dataclasses.fields(corrdyn.MultiplierSpectrum)] == ["n", "sigma"]
 
 
+def test_moebius_map_has_no_apply():
+    assert not hasattr(corrdyn.MoebiusMap, "apply")
+
+
 def test_library_has_no_assert_statements():
     # python -O strips assert statements, so no check in the library may be one.
     found = []

@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 import subprocess
@@ -6,10 +7,27 @@ from pathlib import Path
 
 import pytest
 
-from corrdyn.cli import main
+from corrdyn.clebsch import cg_decompose
+from corrdyn.cli import build_parser, main
+from corrdyn.serialization import components_to_doc, correspondence_from_doc
 
 SQUARE_DOC = {"d": 2, "e": 1, "coeffs": [["0", "-1"], ["0", "0"], ["1", "0"]]}
 MOEBIUS_DOC = {"d": 1, "e": 1, "coeffs": [["1", "0"], ["-2", "1"]]}
+
+
+# Arguments for each document subcommand, in the order of the parser; {f},
+# {g} and {parts} name input files.
+DOCUMENT_ARGS = {
+    "compose": ["--left", "{f}", "--right", "{f}"],
+    "iterate": ["--input", "{f}", "--n", "2"],
+    "conjugate": ["--input", "{f}", "--moebius", "2,1,0,1"],
+    "graph": ["--moebius", "2,0,0,1"],
+    "decompose": ["--input", "{g}"],
+    "reconstruct": ["--input", "{parts}"],
+    "project": ["--input", "{f}", "--c0", "2", "--c1", "3"],
+    "stability": ["--input", "{f}"],
+    "multipliers": ["--input", "{g}"],
+}
 
 
 def write(tmp_path, name, doc):
@@ -33,14 +51,18 @@ class TestCompose:
         assert (doc["d"], doc["e"]) == (4, 1)
         assert doc["coeffs"][4][0] != "0" and doc["coeffs"][0][1] != "0"
 
-    def test_out_file(self, tmp_path, capsys):
-        path = write(tmp_path, "f.json", SQUARE_DOC)
+    @pytest.mark.parametrize("command", list(DOCUMENT_ARGS))
+    def test_out_file(self, tmp_path, capsys, command):
+        parts = components_to_doc(cg_decompose(correspondence_from_doc(MOEBIUS_DOC).form))
+        files = {"f": write(tmp_path, "f.json", SQUARE_DOC),
+                 "g": write(tmp_path, "g.json", MOEBIUS_DOC),
+                 "parts": write(tmp_path, "parts.json", parts)}
+        argv = [command] + [arg.format(**files) for arg in DOCUMENT_ARGS[command]]
+        code, expected, _ = run_main(capsys, argv)
+        assert code == 0 and expected
         out_path = tmp_path / "h.json"
-        code, out, _ = run_main(
-            capsys, ["compose", "--left", path, "--right", path, "--out", str(out_path)]
-        )
-        assert code == 0 and out == ""
-        assert json.loads(out_path.read_text())["d"] == 4
+        assert run_main(capsys, argv + ["--out", str(out_path)]) == (0, "", "")
+        assert out_path.read_bytes() == expected.encode("utf-8")
 
     def test_degenerate_exit_code(self, tmp_path, capsys):
         left = write(tmp_path, "l.json", {"d": 1, "e": 1, "coeffs": [["1", "0"], ["0", "0"]]})
@@ -68,6 +90,14 @@ class TestSchemaErrors:
         path = write(tmp_path, "z.json", {"d": 0, "e": 0, "coeffs": [["1/0"]]})
         code, _, err = run_main(capsys, ["stability", "--input", path])
         assert code == 3 and "zero denominator" in err
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out(self, tmp_path, capsys, where):
+        out = tmp_path / "no-such-dir" / "h.json" if where == "missing-directory" else tmp_path
+        code, out_text, err = run_main(capsys, ["graph", "--moebius", "1,2,3,5", "--out", str(out)])
+        assert code == 3 and out_text == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith(f"SchemaError: cannot write {out}: ")
 
 
 class TestCommands:
@@ -308,6 +338,42 @@ class TestSubprocess:
         second = subprocess.run(cmd, capture_output=True)
         assert first.returncode == 0
         assert first.stdout == second.stdout
+
+
+# For each subcommand: (option strings, required, default, metavar) of every
+# option after --help, in the order of the help text.
+COMMAND_TABLE = {
+    "compose": [(("--left",), True, None, None), (("--right",), True, None, None),
+                (("--out",), False, None, None)],
+    "iterate": [(("--input",), True, None, None), (("--n",), True, None, None),
+                (("--out",), False, None, None)],
+    "conjugate": [(("--input",), True, None, None), (("--moebius",), True, None, "a,b,c,d"),
+                  (("--out",), False, None, None)],
+    "graph": [(("--moebius",), True, None, "a,b,c,d"), (("--out",), False, None, None)],
+    "decompose": [(("--input",), True, None, None), (("--out",), False, None, None)],
+    "reconstruct": [(("--input",), True, None, None), (("--out",), False, None, None)],
+    "project": [(("--input",), True, None, None), (("--c0",), False, "1", None),
+                (("--c1",), False, "1", None), (("--out",), False, None, None)],
+    "stability": [(("--input",), True, None, None), (("--out",), False, None, None)],
+    "multipliers": [(("--input",), True, None, None), (("--n",), False, 1, None),
+                    (("--out",), False, None, None)],
+    "verify": [(("--seed",), False, 1, None), (("--degree-cap",), False, 3, None),
+               (("--only",), False, None, "IDENT")],
+}
+
+
+def test_command_table():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    table = {
+        name: [(tuple(a.option_strings), a.required, a.default, a.metavar)
+               for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        for name, parser in sub.choices.items()
+    }
+    assert table == COMMAND_TABLE
+    assert list(table) == list(COMMAND_TABLE)
+    assert list(DOCUMENT_ARGS) == [name for name in table if name != "verify"]
+    assert all(opts[-1][0] == ("--out",) for name, opts in table.items() if name != "verify")
+    assert ("--out",) not in [opts for opts, *_ in table["verify"]]
 
 
 class TestUsageErrors:
