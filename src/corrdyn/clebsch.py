@@ -13,11 +13,12 @@ of the partials d_{x0}^k d_{x1}^(m-k) d_{y0}^(m-k) d_{y1}^k, restricted by
 the integer anti-diagonal kernel of ``forms``; ``cg_decompose`` clears f to
 integer rows once and takes every power from them.  The map is graded:
 component m at index t only sees the a_ij with i + j = t + m, so the inverse
-splits into integer blocks of size at most min(d, e) + 1, one per
-anti-diagonal, whose weights are read off the same partials.  Each block is
-inverted once, fraction-free, and cached as integer rows over one
-denominator; ``cg_reconstruct`` clears all components to one denominator and
-takes integer dot products with those rows, one ``Fraction`` per coefficient.
+splits into blocks of size at most min(d, e) + 1, one per anti-diagonal.
+Gordan's series (Grace and Young, The Algebra of Invariants, 1903) writes f
+back from its Cayley powers in closed form, so each block's weights are read
+off binomial coefficients and cached as integer rows over one denominator;
+``cg_reconstruct`` clears all components to one denominator and takes integer
+dot products with those rows, one ``Fraction`` per coefficient.
 """
 
 from __future__ import annotations
@@ -30,24 +31,17 @@ from functools import lru_cache
 from .forms import BiForm, BinaryForm, _diagonal_sum, _frac, _int_rows, _int_scale, _partial_weights
 
 
-def _omega_terms(d: int, e: int, m: int) -> list[tuple[list[int], list[int], int, int]]:
-    """The m-th Cayley power as _diagonal_sum arguments (wx, wy, i0, j0), one per term.
+def _omega(a, den: int, d: int, e: int, m: int) -> BinaryForm:
+    """The m-th Cayley power of the bidegree (d, e) form with integer rows a over den.
 
     (d_{x0} d_{y1} - d_{y0} d_{x1})^m is the signed binomial sum over k of
     d_{x0}^k d_{x1}^(m-k) d_{y0}^(m-k) d_{y1}^k.
     """
-    return [
-        ([(-1) ** (m - k) * math.comb(m, k) * w for w in _partial_weights(d, k, m - k)],
-         _partial_weights(e, m - k, k), m - k, k)
-        for k in range(m + 1)
-    ]
-
-
-def _omega(a, den: int, d: int, e: int, m: int) -> BinaryForm:
-    """The m-th Cayley power of the bidegree (d, e) form with integer rows a over den."""
     out = [0] * (d + e - 2 * m + 1)
-    for term in _omega_terms(d, e, m):
-        out = [u + v for u, v in zip(out, _diagonal_sum(a, *term))]
+    for k in range(m + 1):
+        wx = [(-1) ** (m - k) * math.comb(m, k) * w for w in _partial_weights(d, k, m - k)]
+        term = _diagonal_sum(a, wx, _partial_weights(e, m - k, k), m - k, k)
+        out = [u + v for u, v in zip(out, term)]
     return BinaryForm(d + e - 2 * m, [Fraction(v, den) for v in out])
 
 
@@ -91,56 +85,33 @@ def cg_decompose(f: BiForm) -> CgComponents:
     return CgComponents(d, e, tuple(_omega(a, den, d, e, m) for m in range(min(d, e) + 1)))
 
 
-def _antidiagonal_pairs(d: int, e: int, s: int) -> list[tuple[int, int]]:
-    return [(i, s - i) for i in range(max(0, s - e), min(d, s) + 1)]
-
-
 @lru_cache(maxsize=None)
 def _block_inverse(d: int, e: int, s: int):
     """Exact inverse of the anti-diagonal s block, as integer rows over one denominator.
 
-    Rows of the block are indexed by the Cayley orders m contributing at
-    anti-diagonal s, columns by the pairs (i, j) with i + j = s.  Fraction-free
-    Gauss-Jordan on [B | I] (Bareiss: each update is divided exactly by the
-    previous pivot) leaves [p*I | p*B^-1], p the last pivot; each row is then
-    reduced by its gcd with p and given a positive denominator.
+    Columns are the Cayley orders m contributing at anti-diagonal s, rows the
+    pairs (i, j) with i + j = s.  Gordan's series gives each weight in closed
+    form: f = sum_m (x.y)^m P_m(Omega^m f) / (m!^2 C(n-m+1, m)), n = d + e,
+    where (x.y) = x0 y1 - x1 y0 and the polar P_m(g)[i][j] is
+    g[i+j] C(d-m, i) C(e-m, j) / C(n-2m, i+j).  Expanding
+    (x.y)^m = sum_k (-1)^k C(m, k) x0^(m-k) x1^k y0^k y1^(m-k) gives the
+    weight of component m, at index s - m, in a_ij.
     """
-    pairs = _antidiagonal_pairs(d, e, s)
-    orders = [m for m in range(min(d, e) + 1) if 0 <= s - m <= d + e - 2 * m]
-    if len(pairs) != len(orders):
-        raise AssertionError("anti-diagonal blocks must be square")
-    size = len(pairs)
-    # The weight of a_ij in component m: the terms of cayley_omega read at (i, j).
-    terms = {m: _omega_terms(d, e, m) for m in orders}
-    aug = [
-        [sum(wx[i - i0] * wy[j - j0] for wx, wy, i0, j0 in terms[m]
-             if 0 <= i - i0 < len(wx) and 0 <= j - j0 < len(wy))
-         for (i, j) in pairs] + [int(r == c) for c in range(size)]
-        for r, m in enumerate(orders)
-    ]
-    prev = 1
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise AssertionError("decomposition block is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        prow = aug[col]
-        pv = prow[col]
-        for r in range(size):
-            if r != col:
-                row, factor = aug[r], aug[r][col]
-                for c in range(2 * size):
-                    q, rem = divmod(pv * row[c] - factor * prow[c], prev)
-                    if rem:
-                        raise ArithmeticError("inexact Bareiss division in a decomposition block")
-                    row[c] = q
-        prev = pv
+    n = d + e
+    orders = [m for m in range(min(d, e) + 1) if 0 <= s - m <= n - 2 * m]
+    pairs = [(i, s - i) for i in range(max(0, s - e), min(d, s) + 1)]
     rows = []
-    for row in aug:
-        g = math.gcd(prev, *row[size:])
-        if prev < 0:
-            g = -g
-        rows.append((tuple(v // g for v in row[size:]), prev // g))
+    for i, j in pairs:
+        weights = [
+            Fraction(
+                sum((-1) ** k * math.comb(m, k) * math.comb(d - m, i - k)
+                    * math.comb(e - m, j - m + k) for k in range(max(0, m - j), min(m, i) + 1)),
+                math.factorial(m) ** 2 * math.comb(n - m + 1, m) * math.comb(n - 2 * m, s - m),
+            )
+            for m in orders
+        ]
+        nums, den = _int_scale(weights)
+        rows.append((tuple(nums), den))
     return tuple(orders), tuple(pairs), tuple(rows)
 
 

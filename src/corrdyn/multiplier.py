@@ -34,7 +34,16 @@ from typing import Sequence
 
 from .clebsch import cayley_omega, rho_embed
 from .correspondence import Correspondence
-from .forms import BinaryForm, _diagonal_sum, _frac, _int_rows, _int_scale, projectively_equal, rational_roots
+from .forms import (
+    BinaryForm,
+    _convolve,
+    _diagonal_sum,
+    _frac,
+    _int_rows,
+    _int_scale,
+    projectively_equal,
+    rational_roots,
+)
 from .resultant import IntPoly, bareiss_det_poly, covariant_resultant, sylvester_rows
 
 
@@ -154,12 +163,9 @@ def rational_fixed_point_oracle(f: Correspondence) -> MultiplierSpectrum:
         if dy == 0:
             raise ValueError(f"y-critical fixed point at [{p0}:{p1}]")
         multipliers.append(-dd.diag_x.evaluate(p0, p1) / dy)
-    sigma = [Fraction(1)]
+    sigma = [Fraction(1)]  # coefficients of prod (1 + m*t)
     for m in multipliers:
-        sigma = [Fraction(1)] + [sigma[k] + m * sigma[k - 1] for k in range(1, len(sigma))] + [
-            m * sigma[-1]
-        ]
-        sigma[0] = Fraction(1)
+        sigma = _convolve(sigma, [Fraction(1), m])
     return MultiplierSpectrum(n, tuple(sigma))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .clebsch import CgComponents
@@ -34,7 +35,12 @@ def parse_rational(text) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:  # more digits than str() converts; parse_rational could not read it back
+        limit = sys.get_int_max_str_digits()
+        raise SchemaError(f"a result has more digits than the {limit}-digit limit of int/str "
+                          "conversion") from None
 
 
 def _require_degree(doc, key) -> int:

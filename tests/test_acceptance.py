@@ -32,8 +32,11 @@ from corrdyn.resultant import homogeneous_resultant
 from corrdyn.stability import Verdict, classify_stability
 from corrdyn.verify import (
     conjugated_square_map,
+    rand_binary_form,
+    rand_correspondence,
     rand_good_position,
     rand_map_graph,
+    rand_moebius,
     rand_split_map_graph,
     run_verify_suite,
 )
@@ -45,27 +48,8 @@ def report(number, text):
     print(f"criterion {number:2d}: PASS — {text}")
 
 
-def rand_binary(rng, degree):
-    return BinaryForm(degree, [rng.randint(-9, 9) for _ in range(degree + 1)])
-
-
 def rand_biform(rng, d, e):
     return BiForm(d, e, [[rng.randint(-9, 9) for _ in range(e + 1)] for _ in range(d + 1)])
-
-
-def rand_corr(rng, d, e):
-    while True:
-        form = rand_biform(rng, d, e)
-        if not form.is_zero():
-            return Correspondence(form)
-
-
-def rand_moebius(rng):
-    while True:
-        try:
-            return MoebiusMap(*(rng.randint(-5, 5) for _ in range(4)))
-        except ValueError:
-            continue
 
 
 def test_criterion_01_cayley_explicit_value():
@@ -86,7 +70,7 @@ def test_criterion_02_clebsch_gordan_bijectivity():
                 f = rand_biform(rng, d, e)
                 assert cg_reconstruct(cg_decompose(f)) == f
             parts = tuple(
-                rand_binary(rng, d + e - 2 * m) for m in range(min(d, e) + 1)
+                rand_binary_form(rng, d + e - 2 * m, nonzero=False) for m in range(min(d, e) + 1)
             )
             comp = CgComponents(d, e, parts)
             assert cg_decompose(cg_reconstruct(comp)) == comp
@@ -98,7 +82,7 @@ def test_criterion_03_resultant_equivariance():
     done = 0
     while done < 100:
         df, dg = rng.randint(1, 4), rng.randint(1, 4)
-        f, g = rand_binary(rng, df), rand_binary(rng, dg)
+        f, g = rand_binary_form(rng, df, nonzero=False), rand_binary_form(rng, dg, nonzero=False)
         m = ((F(rng.randint(-5, 5)), F(rng.randint(-5, 5))),
              (F(rng.randint(-5, 5)), F(rng.randint(-5, 5))))
         det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
@@ -117,9 +101,9 @@ def test_criterion_04_composition():
     rng = random.Random(1004)
     done = 0
     while done < 50:
-        f = rand_corr(rng, rng.randint(1, 2), rng.randint(1, 2))
-        g = rand_corr(rng, rng.randint(1, 2), rng.randint(1, 2))
-        h = rand_corr(rng, rng.randint(1, 2), rng.randint(1, 2))
+        f = rand_correspondence(rng, rng.randint(1, 2), rng.randint(1, 2))
+        g = rand_correspondence(rng, rng.randint(1, 2), rng.randint(1, 2))
+        h = rand_correspondence(rng, rng.randint(1, 2), rng.randint(1, 2))
         try:
             lhs = compose(compose(f, g), h)
             rhs = compose(f, compose(g, h))
@@ -139,7 +123,7 @@ def test_criterion_04_composition():
 def test_criterion_05_conjugation_action_and_stability_invariance():
     rng = random.Random(1005)
     for _ in range(50):
-        f = rand_corr(rng, rng.randint(1, 3), rng.randint(1, 3))
+        f = rand_correspondence(rng, rng.randint(1, 3), rng.randint(1, 3))
         g, h = rand_moebius(rng), rand_moebius(rng)
         assert conjugate(f, g * h).projectively_equal(conjugate(conjugate(f, g), h))
         assert classify_stability(f).verdict == classify_stability(conjugate(f, g)).verdict
@@ -159,7 +143,7 @@ def test_criterion_06_stability_fixtures_and_corpus():
         d, e = rng.randint(1, 3), rng.randint(1, 3)
         n = d + e
         if rng.random() < 0.5:
-            f = rand_corr(rng, d, e)
+            f = rand_correspondence(rng, d, e)
         else:
             # bias the corpus toward planted instabilities at rational points
             p0, p1 = rng.choice([(1, 0), (0, 1), (1, 1), (2, 1), (1, -2)])

@@ -194,7 +194,7 @@ class TestReconstruction:
             assert cg_decompose(cg_reconstruct(comp)) == comp
 
 
-class TestFractionFreeInverse:
+class TestBlockInverse:
     BIDEGREES = [(d, e) for d in range(9) for e in range(9)] + [(12, 12), (3, 11)]
 
     def test_block_inverse_matches_fraction_oracle(self):

@@ -99,6 +99,19 @@ class TestSchemaErrors:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert err.startswith(f"SchemaError: cannot write {out}: ")
 
+    @pytest.mark.parametrize("command", ["compose", "iterate", "multipliers"])
+    def test_result_beyond_the_digit_limit(self, tmp_path, capsys, command):
+        # Every input coefficient parses (2,500 digits), but the results need
+        # more digits than str() converts, so they could not be read back.
+        big = "7" * 2500
+        f = write(tmp_path, "f.json", {"d": 1, "e": 1, "coeffs": [[big, big], ["2", "3"]]})
+        argv = [command] + [arg.format(f=f, g=f) for arg in DOCUMENT_ARGS[command]]
+        out = tmp_path / "h.json"
+        code, out_text, err = run_main(capsys, argv + ["--out", str(out)])
+        assert code == 3 and out_text == "" and not out.exists()
+        assert len(err.splitlines()) == 1
+        assert err.startswith("SchemaError: ") and "4300-digit limit" in err
+
 
 class TestCommands:
     def test_graph_and_iterate(self, tmp_path, capsys):

@@ -13,24 +13,10 @@ from corrdyn.correspondence import (
     moebius_graph,
 )
 from corrdyn.forms import BiForm
+from corrdyn.verify import rand_correspondence, rand_moebius
 
 
 SQUARE = Correspondence.from_matrix(2, 1, [[0, -1], [0, 0], [1, 0]])  # graph of z -> z^2
-
-
-def rand_corr(rng, d, e):
-    while True:
-        rows = [[rng.randint(-9, 9) for _ in range(e + 1)] for _ in range(d + 1)]
-        if any(v for row in rows for v in row):
-            return Correspondence.from_matrix(d, e, rows)
-
-
-def rand_moebius(rng):
-    while True:
-        try:
-            return MoebiusMap(*(rng.randint(-5, 5) for _ in range(4)))
-        except ValueError:
-            continue
 
 
 class TestMoebiusGraph:
@@ -60,7 +46,7 @@ class TestCompose:
         rng = random.Random(31)
         ident = moebius_graph(MoebiusMap.identity())
         for _ in range(10):
-            f = rand_corr(rng, rng.randint(1, 2), rng.randint(1, 2))
+            f = rand_correspondence(rng, rng.randint(1, 2), rng.randint(1, 2))
             assert compose(f, ident).projectively_equal(f)
             assert compose(ident, f).projectively_equal(f)
 
@@ -84,8 +70,8 @@ class TestCompose:
     def test_bidegree_law(self):
         rng = random.Random(32)
         for _ in range(10):
-            f = rand_corr(rng, rng.randint(1, 2), rng.randint(1, 2))
-            g = rand_corr(rng, rng.randint(1, 2), rng.randint(1, 2))
+            f = rand_correspondence(rng, rng.randint(1, 2), rng.randint(1, 2))
+            g = rand_correspondence(rng, rng.randint(1, 2), rng.randint(1, 2))
             try:
                 h = compose(f, g)
             except DegenerateComposition:
@@ -96,9 +82,9 @@ class TestCompose:
         rng = random.Random(33)
         done = 0
         while done < 12:
-            f = rand_corr(rng, rng.randint(1, 2), rng.randint(1, 2))
-            g = rand_corr(rng, rng.randint(1, 2), rng.randint(1, 2))
-            h = rand_corr(rng, rng.randint(1, 2), rng.randint(1, 2))
+            f = rand_correspondence(rng, rng.randint(1, 2), rng.randint(1, 2))
+            g = rand_correspondence(rng, rng.randint(1, 2), rng.randint(1, 2))
+            h = rand_correspondence(rng, rng.randint(1, 2), rng.randint(1, 2))
             try:
                 lhs = compose(compose(f, g), h)
                 rhs = compose(f, compose(g, h))
@@ -141,13 +127,13 @@ class TestIterate:
 class TestConjugate:
     def test_identity(self):
         rng = random.Random(35)
-        f = rand_corr(rng, 2, 2)
+        f = rand_correspondence(rng, 2, 2)
         assert conjugate(f, MoebiusMap.identity()).form == f.form
 
     def test_inverse_law(self):
         rng = random.Random(36)
         for _ in range(10):
-            f = rand_corr(rng, rng.randint(1, 2), rng.randint(1, 2))
+            f = rand_correspondence(rng, rng.randint(1, 2), rng.randint(1, 2))
             g = rand_moebius(rng)
             assert conjugate(conjugate(f, g), g.inverse()).projectively_equal(f)
 
@@ -156,7 +142,7 @@ class TestConjugate:
         # the left and the graph of its inverse on the right
         rng = random.Random(37)
         for _ in range(10):
-            f = rand_corr(rng, rng.randint(1, 2), rng.randint(1, 2))
+            f = rand_correspondence(rng, rng.randint(1, 2), rng.randint(1, 2))
             g = rand_moebius(rng)
             via_graphs = compose(compose(moebius_graph(g), f), moebius_graph(g.inverse()))
             assert conjugate(f, g).projectively_equal(via_graphs)
@@ -164,7 +150,7 @@ class TestConjugate:
     def test_right_action_law(self):
         rng = random.Random(38)
         for _ in range(12):
-            f = rand_corr(rng, rng.randint(1, 3), rng.randint(1, 3))
+            f = rand_correspondence(rng, rng.randint(1, 3), rng.randint(1, 3))
             g, h = rand_moebius(rng), rand_moebius(rng)
             lhs = conjugate(f, g * h)
             rhs = conjugate(conjugate(f, g), h)
@@ -173,7 +159,7 @@ class TestConjugate:
     def test_diagonal_equivariance(self):
         rng = random.Random(39)
         for _ in range(12):
-            f = rand_corr(rng, rng.randint(1, 3), rng.randint(1, 3))
+            f = rand_correspondence(rng, rng.randint(1, 3), rng.randint(1, 3))
             g = rand_moebius(rng)
             lhs = conjugate(f, g).form.diagonal_restriction()
             rhs = f.form.diagonal_restriction().substitute_linear(g.coordinate_matrix())

@@ -5,10 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from corrdyn.forms import BiForm, BinaryForm, _gcd_int, _gcd_int_forms, binary_gcd, rational_roots
-
-
-def rand_binary(rng, degree):
-    return BinaryForm(degree, [rng.randint(-9, 9) for _ in range(degree + 1)])
+from corrdyn.verify import rand_binary_form
 
 
 def rand_coeff(rng):
@@ -198,10 +195,12 @@ class TestBinaryGcd:
     def test_divides_inputs(self):
         rng = random.Random(10)
         for _ in range(25):
-            shared = rand_binary(rng, rng.randint(1, 3))
+            shared = rand_binary_form(rng, rng.randint(1, 3), nonzero=False)
             if shared.is_zero():
                 continue
-            inputs = [rand_binary(rng, rng.randint(0, 3)) * shared for _ in range(3)]
+            inputs = [
+                rand_binary_form(rng, rng.randint(0, 3), nonzero=False) * shared for _ in range(3)
+            ]
             g = binary_gcd(inputs)
             for h in inputs:
                 if h.is_zero():
@@ -307,7 +306,7 @@ class TestSubstituteLinear:
     def test_composition(self):
         rng = random.Random(11)
         for _ in range(20):
-            f = rand_binary(rng, rng.randint(1, 4))
+            f = rand_binary_form(rng, rng.randint(1, 4), nonzero=False)
             m = ((F(rng.randint(-4, 4)), F(rng.randint(-4, 4))),
                  (F(rng.randint(-4, 4)), F(rng.randint(-4, 4))))
             n = ((F(rng.randint(-4, 4)), F(rng.randint(-4, 4))),
@@ -443,7 +442,7 @@ class TestRationalRoots:
         # 500 planted forms, then 300 forms with random small coefficients.
         rng = random.Random(1983)
         forms = [small_height_form(rng) for _ in range(500)]
-        forms += [rand_binary(rng, rng.randint(1, 7)) for _ in range(300)]
+        forms += [rand_binary_form(rng, rng.randint(1, 7), nonzero=False) for _ in range(300)]
         for form in forms:
             if not form.is_zero():
                 assert rational_roots(form) == trial_division_roots(form), form

@@ -14,6 +14,7 @@ from corrdyn.resultant import (
     homogeneous_resultant,
     sylvester_rows,
 )
+from corrdyn.verify import rand_binary_form
 
 
 def minor_det(rows):
@@ -30,10 +31,6 @@ def minor_det(rows):
         sub = [r[:j] + r[j + 1 :] for r in rows[1:]]
         total += (-1) ** j * top * minor_det(sub)
     return total
-
-
-def rand_binary(rng, degree):
-    return BinaryForm(degree, [rng.randint(-9, 9) for _ in range(degree + 1)])
 
 
 def univariate(f, g, d, e):
@@ -87,7 +84,8 @@ class TestHomogeneous:
         rng = random.Random(21)
         for _ in range(30):
             df, dg = rng.randint(1, 4), rng.randint(1, 4)
-            f, g = rand_binary(rng, df), rand_binary(rng, dg)
+            f = rand_binary_form(rng, df, nonzero=False)
+            g = rand_binary_form(rng, dg, nonzero=False)
             m = ((F(rng.randint(-5, 5)), F(rng.randint(-5, 5))),
                  (F(rng.randint(-5, 5)), F(rng.randint(-5, 5))))
             det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
@@ -99,9 +97,9 @@ class TestHomogeneous:
     def test_multiplicativity(self):
         rng = random.Random(22)
         for _ in range(30):
-            f = rand_binary(rng, rng.randint(1, 3))
-            g = rand_binary(rng, rng.randint(1, 3))
-            h = rand_binary(rng, rng.randint(1, 3))
+            f = rand_binary_form(rng, rng.randint(1, 3), nonzero=False)
+            g = rand_binary_form(rng, rng.randint(1, 3), nonzero=False)
+            h = rand_binary_form(rng, rng.randint(1, 3), nonzero=False)
             assert homogeneous_resultant(f, g * h) == homogeneous_resultant(
                 f, g
             ) * homogeneous_resultant(f, h)
@@ -110,13 +108,14 @@ class TestHomogeneous:
         rng = random.Random(23)
         for k in range(40):
             if k % 2 == 0:
-                shared = rand_binary(rng, rng.randint(1, 2))
+                shared = rand_binary_form(rng, rng.randint(1, 2), nonzero=False)
                 if shared.is_zero():
                     continue
-                f = rand_binary(rng, rng.randint(0, 2)) * shared
-                g = rand_binary(rng, rng.randint(0, 2)) * shared
+                f = rand_binary_form(rng, rng.randint(0, 2), nonzero=False) * shared
+                g = rand_binary_form(rng, rng.randint(0, 2), nonzero=False) * shared
             else:
-                f, g = rand_binary(rng, rng.randint(1, 4)), rand_binary(rng, rng.randint(1, 4))
+                f = rand_binary_form(rng, rng.randint(1, 4), nonzero=False)
+                g = rand_binary_form(rng, rng.randint(1, 4), nonzero=False)
             if f.is_zero() or g.is_zero():
                 continue
             assert (homogeneous_resultant(f, g) == 0) == (binary_gcd([f, g]).degree >= 1)
@@ -196,10 +195,10 @@ class TestCovariant:
         rng = random.Random(25)
         for _ in range(25):
             n = rng.randint(1, 4)
-            f = rand_binary(rng, n)
+            f = rand_binary_form(rng, n, nonzero=False)
             if f.is_zero():
                 continue
-            p, q = rand_binary(rng, n), rand_binary(rng, n)
+            p, q = rand_binary_form(rng, n, nonzero=False), rand_binary_form(rng, n, nonzero=False)
             r = covariant_resultant(f, p, q)
             assert r.evaluate(1, 0) == homogeneous_resultant(f, q)
             assert r.evaluate(0, 1) == homogeneous_resultant(f, p)
@@ -211,7 +210,7 @@ class TestCovariant:
         rng = random.Random(26)
         for _ in range(25):
             n = rng.randint(1, 3)
-            f, p, q = (rand_binary(rng, n) for _ in range(3))
+            f, p, q = (rand_binary_form(rng, n, nonzero=False) for _ in range(3))
             if f.is_zero():
                 continue
             r = covariant_resultant(f, p, q)

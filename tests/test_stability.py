@@ -13,6 +13,7 @@ from corrdyn.stability import (
     diagonal_multiplicity_at_least,
     max_diagonal_multiplicity,
 )
+from corrdyn.verify import rand_correspondence, rand_moebius
 from test_forms import fraction_binary_gcd, fraction_diagonal_restriction, rand_coeff
 
 SQUARE = Correspondence.from_matrix(2, 1, [[0, -1], [0, 0], [1, 0]])
@@ -49,21 +50,6 @@ def affine_multiplicity(f: Correspondence, p0, p1) -> int:
     return min(orders) if orders else d + e + 1
 
 
-def rand_corr(rng, d, e):
-    while True:
-        rows = [[rng.randint(-9, 9) for _ in range(e + 1)] for _ in range(d + 1)]
-        if any(v for row in rows for v in row):
-            return Correspondence.from_matrix(d, e, rows)
-
-
-def rand_moebius(rng):
-    while True:
-        try:
-            return MoebiusMap(*(rng.randint(-5, 5) for _ in range(4)))
-        except ValueError:
-            continue
-
-
 class TestMultiplicity:
     def test_cusp_has_triple_point_at_infinity(self):
         # chart at ([0:1], [0:1]): the dehomogenization of x0^2*y0 is u^2*v
@@ -80,7 +66,7 @@ class TestMultiplicity:
     def test_order_one_always_holds(self):
         rng = random.Random(61)
         for _ in range(10):
-            f = rand_corr(rng, rng.randint(1, 3), rng.randint(1, 3))
+            f = rand_correspondence(rng, rng.randint(1, 3), rng.randint(1, 3))
             assert diagonal_multiplicity_at_least(f, 1)[0]
 
     def test_out_of_range(self):
@@ -98,7 +84,7 @@ class TestMultiplicity:
             alpha, beta = rng.randint(0, 2), rng.randint(1, 2)
             xline = BiForm(1, 0, [[p1], [-p0]])
             yline = BiForm(0, 1, [[p1, -p0]])
-            h = rand_corr(rng, 1, 1).form
+            h = rand_correspondence(rng, 1, 1).form
             if h.evaluate((p0, p1, p0, p1)) == 0:
                 continue
             form = h
@@ -115,7 +101,7 @@ class TestMultiplicity:
     def test_monotonicity(self):
         rng = random.Random(63)
         for _ in range(10):
-            f = rand_corr(rng, rng.randint(1, 3), rng.randint(1, 3))
+            f = rand_correspondence(rng, rng.randint(1, 3), rng.randint(1, 3))
             n = f.deg_x + f.deg_y
             flags = [diagonal_multiplicity_at_least(f, m)[0] for m in range(1, n + 1)]
             for earlier, later in zip(flags, flags[1:]):
@@ -259,7 +245,7 @@ class TestMaxMultiplicity:
     def test_agrees_with_chart_oracle_at_rational_points(self):
         rng = random.Random(64)
         for _ in range(15):
-            f = rand_corr(rng, rng.randint(1, 3), rng.randint(1, 3))
+            f = rand_correspondence(rng, rng.randint(1, 3), rng.randint(1, 3))
             best, witness = max_diagonal_multiplicity(f)
             # the chart expansion at any rational diagonal point bounds the max
             probes = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2)]
@@ -288,7 +274,7 @@ class TestClassify:
     def test_conjugation_invariance(self):
         rng = random.Random(65)
         for _ in range(12):
-            f = rand_corr(rng, rng.randint(1, 3), rng.randint(1, 3))
+            f = rand_correspondence(rng, rng.randint(1, 3), rng.randint(1, 3))
             g = rand_moebius(rng)
             assert classify_stability(f).verdict == classify_stability(conjugate(f, g)).verdict
 
@@ -299,7 +285,7 @@ class TestClassify:
             d, e = rng.randint(1, 3), rng.randint(1, 3)
             if (d + e) % 2 == 0:
                 continue
-            f = rand_corr(rng, d, e)
+            f = rand_correspondence(rng, d, e)
             assert classify_stability(f).verdict != Verdict.STRICTLY_SEMISTABLE
             checked += 1
 
