@@ -8,95 +8,47 @@ domains; the Cayley/Clebsch-Gordan decomposition with its exact inverse;
 stability classification under simultaneous conjugation; and fixed-point
 multiplier forms together with the index and hyperplane identities they
 satisfy.  Every identity is replayable through ``corrdyn verify``.
+
+``import corrdyn`` loads no submodule.  A public name is looked up in its
+defining module on each access (PEP 562), importing that module the first
+time, so ``corrdyn.compose`` is always ``corrdyn.correspondence.compose``,
+even after that binding is replaced, and nothing is copied into the package
+namespace.  A submodule is imported as usual (``import corrdyn.clebsch``).
 """
 
 __version__ = "0.1.0"
 
-from .clebsch import (
-    CgComponents,
-    cayley_omega,
-    cg_decompose,
-    cg_reconstruct,
-    rho_embed,
-)
-from .correspondence import (
-    Correspondence,
-    DegenerateComposition,
-    MoebiusMap,
-    compose,
-    conjugate,
-    iterate,
-    moebius_graph,
-)
-from .forms import BiForm, BinaryForm, binary_gcd, rational_roots
-from .multiplier import (
-    BadPosition,
-    DiagonalDerivatives,
-    IndeterminateMultiplier,
-    MultiplierSpectrum,
-    diagonal_derivative_forms,
-    dz_coordinates,
-    dz_to_covariant,
-    index_residual,
-    multiplier_form,
-    rational_fixed_point_oracle,
-    rho_compatibility_check,
-    sigma_spectrum,
-    woods_hole_resultant,
-)
-from .resultant import (
-    covariant_resultant,
-    homogeneous_resultant,
-)
-from .serialization import SchemaError, parse_correspondence, serialize_correspondence
-from .stability import (
-    StabilityVerdict,
-    Verdict,
-    classify_stability,
-    diagonal_multiplicity_at_least,
-    max_diagonal_multiplicity,
-)
-from .verify import run_verify_suite
+import importlib
 
-__all__ = [
-    "BadPosition",
-    "BiForm",
-    "BinaryForm",
-    "CgComponents",
-    "Correspondence",
-    "DegenerateComposition",
-    "DiagonalDerivatives",
-    "IndeterminateMultiplier",
-    "MoebiusMap",
-    "MultiplierSpectrum",
-    "SchemaError",
-    "StabilityVerdict",
-    "Verdict",
-    "binary_gcd",
-    "cayley_omega",
-    "cg_decompose",
-    "cg_reconstruct",
-    "classify_stability",
-    "compose",
-    "conjugate",
-    "covariant_resultant",
-    "diagonal_derivative_forms",
-    "diagonal_multiplicity_at_least",
-    "dz_coordinates",
-    "dz_to_covariant",
-    "homogeneous_resultant",
-    "index_residual",
-    "iterate",
-    "max_diagonal_multiplicity",
-    "moebius_graph",
-    "multiplier_form",
-    "parse_correspondence",
-    "rational_fixed_point_oracle",
-    "rational_roots",
-    "rho_compatibility_check",
-    "rho_embed",
-    "run_verify_suite",
-    "serialize_correspondence",
-    "sigma_spectrum",
-    "woods_hole_resultant",
-]
+# The public names, by the submodule that defines them.
+_EXPORTS = {
+    "clebsch": ("CgComponents", "cayley_omega", "cg_decompose", "cg_reconstruct", "rho_embed"),
+    "correspondence": ("Correspondence", "DegenerateComposition", "MoebiusMap", "compose",
+                       "conjugate", "iterate", "moebius_graph"),
+    "forms": ("BiForm", "BinaryForm", "binary_gcd", "rational_roots"),
+    "multiplier": ("BadPosition", "DiagonalDerivatives", "IndeterminateMultiplier",
+                   "MultiplierSpectrum", "diagonal_derivative_forms", "dz_coordinates",
+                   "dz_to_covariant", "index_residual", "multiplier_form",
+                   "rational_fixed_point_oracle", "rho_compatibility_check", "sigma_spectrum",
+                   "woods_hole_resultant"),
+    "resultant": ("covariant_resultant", "homogeneous_resultant"),
+    "serialization": ("SchemaError", "parse_correspondence", "serialize_correspondence"),
+    "stability": ("StabilityVerdict", "Verdict", "classify_stability",
+                  "diagonal_multiplicity_at_least", "max_diagonal_multiplicity"),
+    "verify": ("run_verify_suite",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Importing a submodule binds it in this namespace; only the first use imports.
+    module = globals().get(_HOME[name]) or importlib.import_module(f".{_HOME[name]}", __name__)
+    return getattr(module, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

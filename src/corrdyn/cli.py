@@ -13,6 +13,14 @@ Handlers compute and return their JSON document; ``main`` writes it to stdout
 or ``--out``, the one write site.  ``verify`` prints its text report and has
 no ``--out``.
 
+Each handler imports the modules it uses when it runs, so a command loads
+only its part of the library: ``--help`` and ``--version`` none of it;
+``compose``, ``iterate``, ``conjugate`` and ``graph`` forms, resultant,
+correspondence and serialization; ``decompose``, ``reconstruct`` and
+``project`` those and clebsch; ``stability`` those and stability (not for an
+input it refuses); ``multipliers`` those, clebsch and multiplier; ``verify``
+all of it.
+
 The multiplier form is printed in the (dx, dy) monomials: entry k of
 ``dx_dy`` multiplies dx^k * dy^(n-k).
 """
@@ -24,62 +32,60 @@ import re
 import sys
 
 from . import __version__
-from .clebsch import cg_decompose, cg_reconstruct, rho_embed, cayley_omega
-from .correspondence import Correspondence, DegenerateComposition, compose, conjugate, iterate, moebius_graph
-from .multiplier import (
-    BadPosition,
-    IndeterminateMultiplier,
-    dz_coordinates,
-    multiplier_form,
-    sigma_spectrum,
-)
-from .serialization import (
-    SchemaError,
-    binary_form_to_doc,
-    components_from_doc,
-    components_to_doc,
-    correspondence_from_doc,
-    correspondence_to_doc,
-    format_rational,
-    parse_moebius,
-    parse_rational,
-    _dumps,
-    _loads,
-)
-from .stability import classify_stability
-from .verify import CHECK_NAMES, run_verify_suite
 
 
-def _load(path: str, from_doc=correspondence_from_doc):
+def _load(path: str, from_doc=None):
+    """The document in the file at path, read by from_doc (default: a correspondence)."""
+    from .serialization import SchemaError, _loads, correspondence_from_doc
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    return from_doc(_loads(text))
+    return (from_doc or correspondence_from_doc)(_loads(text))
 
 
 def _cmd_compose(args):
+    from .correspondence import compose
+    from .serialization import correspondence_to_doc
+
     return correspondence_to_doc(compose(_load(args.left), _load(args.right)))
 
 
 def _cmd_iterate(args):
+    from .correspondence import iterate
+    from .serialization import correspondence_to_doc
+
     return correspondence_to_doc(iterate(_load(args.input), args.n))
 
 
 def _cmd_conjugate(args):
+    from .correspondence import conjugate
+    from .serialization import correspondence_to_doc, parse_moebius
+
     return correspondence_to_doc(conjugate(_load(args.input), parse_moebius(args.moebius)))
 
 
 def _cmd_graph(args):
+    from .correspondence import moebius_graph
+    from .serialization import correspondence_to_doc, parse_moebius
+
     return correspondence_to_doc(moebius_graph(parse_moebius(args.moebius)))
 
 
 def _cmd_decompose(args):
+    from .clebsch import cg_decompose
+    from .serialization import components_to_doc
+
     return components_to_doc(cg_decompose(_load(args.input).form))
 
 
 def _cmd_reconstruct(args):
+    from .clebsch import cg_reconstruct
+    from .correspondence import Correspondence
+    from .serialization import SchemaError, components_from_doc, correspondence_to_doc
+
     form = cg_reconstruct(_load(args.input, components_from_doc))
     if form.is_zero():
         raise SchemaError("components reconstruct to the zero form")
@@ -87,6 +93,10 @@ def _cmd_reconstruct(args):
 
 
 def _cmd_project(args):
+    from .clebsch import cayley_omega, rho_embed
+    from .correspondence import Correspondence
+    from .serialization import SchemaError, correspondence_to_doc, parse_rational
+
     f = _load(args.input)
     if min(f.deg_x, f.deg_y) < 1:
         raise SchemaError("projection needs bidegree at least (1, 1)")
@@ -101,9 +111,13 @@ def _cmd_project(args):
 
 
 def _cmd_stability(args):
+    from .serialization import SchemaError, binary_form_to_doc
+
     f = _load(args.input)
     if f.deg_x + f.deg_y < 1:
         raise SchemaError("stability needs total degree d + e at least 1")
+    from .stability import classify_stability  # imported only for an input it accepts
+
     result = classify_stability(f)
     return {
         "verdict": result.verdict.value,
@@ -113,9 +127,14 @@ def _cmd_stability(args):
 
 
 def _cmd_multipliers(args):
+    from .correspondence import iterate
+    from .serialization import SchemaError, format_rational
+
     f = _load(args.input)
     if f.deg_x + f.deg_y < 1:
         raise SchemaError("the multiplier form needs total degree d + e at least 1")
+    from .multiplier import dz_coordinates, multiplier_form, sigma_spectrum  # likewise
+
     iterated = iterate(f, args.n)
     d, e = iterated.bidegree
     r = multiplier_form(iterated)
@@ -137,12 +156,29 @@ def _cmd_multipliers(args):
 
 
 def _cmd_verify(args) -> int:
+    from .serialization import SchemaError
+    from .verify import run_verify_suite
+
     try:
         report = run_verify_suite(args.seed, args.degree_cap, args.only)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
     sys.stdout.write(report.text())
     return 0 if report.passed else 1
+
+
+def _check_only(name):
+    """Reject a ``verify --only`` that names no identity, in argparse's words.
+
+    The identity names live in corrdyn.verify, which loads the whole library,
+    so the command parser holds no ``choices`` for ``--only``; a one-option
+    parser that does checks the name after parsing.
+    """
+    from .verify import CHECK_NAMES
+
+    checker = _Parser(add_help=False)
+    checker.add_argument("--only", choices=CHECK_NAMES)
+    checker.parse_args([f"--only={name}"])
 
 
 class _UsageError(Exception):
@@ -199,17 +235,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the identity suite")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--degree-cap", type=int, default=3)
-    p.add_argument("--only", choices=CHECK_NAMES, metavar="IDENT")
+    p.add_argument("--only", metavar="IDENT")  # checked by _check_only
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if getattr(args, "n", 1) < 1:
             raise _UsageError("--n must be positive")
+        if args.command == "verify" and args.only is not None:
+            _check_only(args.only)
+    except _UsageError as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"UsageError: {message}", file=sys.stderr)
+        return 3
+    # Every command loads serialization, and with it correspondence.
+    from .correspondence import _PreconditionError
+    from .serialization import SchemaError, _dumps
+
+    try:
         if args.command == "verify":
             return _cmd_verify(args)
         text = _dumps(args.func(args))
@@ -222,14 +268,10 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise SchemaError(f"cannot write {args.out}: {exc}") from exc
         return 0
-    except _UsageError as exc:
-        message = " ".join(str(exc).splitlines())
-        print(f"UsageError: {message}", file=sys.stderr)
-        return 3
     except SchemaError as exc:
         print(f"SchemaError: {exc}", file=sys.stderr)
         return 3
-    except (BadPosition, DegenerateComposition, IndeterminateMultiplier) as exc:
+    except _PreconditionError as exc:  # BadPosition, DegenerateComposition, IndeterminateMultiplier
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -22,7 +22,15 @@ from .forms import BiForm, BinaryForm, _frac, _int_rows, binary_gcd, rational_ro
 from .resultant import bareiss_det_poly, sylvester_rows
 
 
-class DegenerateComposition(ValueError):
+class _PreconditionError(ValueError):
+    """An input outside a computation's domain; ``corrdyn`` exits 2 and names the subclass.
+
+    The CLI catches this base, so it need not import the module of each
+    subclass (``multiplier`` holds the other two) to recognise them.
+    """
+
+
+class DegenerateComposition(_PreconditionError):
     """Raised when the composite eliminant vanishes identically.
 
     This happens exactly when the left factor carries a linear factor in its

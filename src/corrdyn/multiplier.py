@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .clebsch import cayley_omega, rho_embed
-from .correspondence import Correspondence
+from .correspondence import Correspondence, _PreconditionError
 from .forms import (
     BinaryForm,
     _convolve,
@@ -47,11 +47,11 @@ from .forms import (
 from .resultant import IntPoly, bareiss_det_poly, covariant_resultant, sylvester_rows
 
 
-class BadPosition(ValueError):
+class BadPosition(_PreconditionError):
     """A fixed point sits at 0 or infinity (a00 * a_de = 0); conjugate first."""
 
 
-class IndeterminateMultiplier(ValueError):
+class IndeterminateMultiplier(_PreconditionError):
     """The multiplier map is undefined for this correspondence."""
 
 

@@ -11,10 +11,13 @@ import json
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .clebsch import CgComponents
 from .correspondence import Correspondence, MoebiusMap
 from .forms import BinaryForm
+
+if TYPE_CHECKING:  # clebsch is imported where a component list is built, not here
+    from .clebsch import CgComponents
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")  # ASCII digits only, whole string
 
@@ -107,6 +110,8 @@ def components_to_doc(components: CgComponents) -> dict:
 
 
 def components_from_doc(doc) -> CgComponents:
+    from .clebsch import CgComponents
+
     if not isinstance(doc, dict):
         raise SchemaError("component document must be a JSON object")
     d = _require_degree(doc, "d")

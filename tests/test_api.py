@@ -111,11 +111,11 @@ def test_library_has_no_assert_statements():
 
 def test_library_has_no_unused_imports():
     # The project runs no linter; an import left behind by a deletion fails
-    # this instead.  __init__.py is skipped: it imports to re-export.
+    # this instead, in the library (__init__.py included: it resolves its
+    # public names on access and imports nothing to re-export) and in tests/.
     found = []
-    for path in sorted(Path(corrdyn.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    for path in [*sorted(Path(corrdyn.__file__).parent.glob("*.py")),
+                 *sorted(Path(__file__).parent.glob("*.py"))]:
         tree = ast.parse(path.read_text(), str(path))
         imported = {}
         for node in ast.walk(tree):
@@ -126,5 +126,30 @@ def test_library_has_no_unused_imports():
                     bound = alias.asname or alias.name.split(".")[0]
                     imported[bound] = node.lineno
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+        found += [f"{path.parent.name}/{path.name}:{line} {name}"
+                  for name, line in imported.items() if name not in used]
     assert not found
+
+
+def test_dir_lists_every_public_name():
+    assert set(PUBLIC) <= set(dir(corrdyn))
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from corrdyn import *", namespace)
+    assert all(namespace[name] is getattr(corrdyn, name) for name in PUBLIC)
+
+
+def test_public_names_follow_their_module_bindings(monkeypatch):
+    # perfbench's tracer rebinds corrdyn.correspondence.compose and relies on
+    # corrdyn.compose resolving to whatever that binding is now.
+    import corrdyn.correspondence
+
+    original = corrdyn.correspondence.compose
+    replacement = object()
+    monkeypatch.setattr(corrdyn.correspondence, "compose", replacement)
+    assert corrdyn.compose is replacement
+    monkeypatch.undo()
+    assert corrdyn.compose is original
+    assert "compose" not in vars(corrdyn)

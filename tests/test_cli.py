@@ -224,12 +224,12 @@ class TestVerifyCommand:
 
 class TestInternalError:
     def test_unexpected_exception_exits_4_with_one_line(self, tmp_path, capsys, monkeypatch):
-        import corrdyn.cli as cli_mod
+        import corrdyn.stability as stability_mod
 
         def broken(f):
             raise RuntimeError("planted\nfailure")
 
-        monkeypatch.setattr(cli_mod, "classify_stability", broken)
+        monkeypatch.setattr(stability_mod, "classify_stability", broken)
         path = write(tmp_path, "f.json", MOEBIUS_DOC)
         code, out, err = run_main(capsys, ["stability", "--input", path])
         assert code == 4

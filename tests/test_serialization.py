@@ -12,7 +12,6 @@ from corrdyn.serialization import (
     components_from_doc,
     components_to_doc,
     correspondence_from_doc,
-    correspondence_to_doc,
     parse_correspondence,
     parse_moebius,
     parse_rational,
