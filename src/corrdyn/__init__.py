@@ -28,13 +28,12 @@ _EXPORTS = {
     "forms": ("BiForm", "BinaryForm", "binary_gcd", "rational_roots"),
     "multiplier": ("BadPosition", "DiagonalDerivatives", "IndeterminateMultiplier",
                    "MultiplierSpectrum", "diagonal_derivative_forms", "dz_coordinates",
-                   "dz_to_covariant", "index_residual", "multiplier_form",
-                   "rational_fixed_point_oracle", "rho_compatibility_check", "sigma_spectrum",
-                   "woods_hole_resultant"),
+                   "index_residual", "multiplier_form", "rational_fixed_point_oracle",
+                   "rho_compatibility_check", "sigma_spectrum", "woods_hole_resultant"),
     "resultant": ("covariant_resultant", "homogeneous_resultant"),
     "serialization": ("SchemaError", "parse_correspondence", "serialize_correspondence"),
     "stability": ("StabilityVerdict", "Verdict", "classify_stability",
-                  "diagonal_multiplicity_at_least", "max_diagonal_multiplicity"),
+                  "diagonal_multiplicity_at_least"),
     "verify": ("run_verify_suite",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

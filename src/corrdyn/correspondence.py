@@ -55,10 +55,6 @@ class MoebiusMap:
         if self.determinant() == 0:
             raise ValueError("Moebius map needs nonzero determinant a*d - b*c")
 
-    @classmethod
-    def identity(cls) -> "MoebiusMap":
-        return cls(1, 0, 0, 1)
-
     def determinant(self) -> Fraction:
         return self.a * self.d - self.b * self.c
 

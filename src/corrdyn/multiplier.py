@@ -59,33 +59,33 @@ class IndeterminateMultiplier(_PreconditionError):
 class DiagonalDerivatives:
     """Degree d+e polynomial representatives of the diagonal derivative data.
 
-    diag satisfies diag[k] = sum_{i+j=k} a_ij (the fixed point form); the two
-    exact linear relations dz0_part == diag_x + diag_y and
-    dz1_part == (e/2)*diag_x - (d/2)*diag_y hold coefficient-wise, and
-    diag_x*dx + diag_y*dy == dz0_part*dz0 + dz1_part*dz1 as covectors.
+    diag satisfies diag[k] = sum_{i+j=k} a_ij (the fixed point form), and
+    diag_x, diag_y are the slope forms of the module docstring.  Their dz
+    coefficients are diag_x + diag_y (dz0) and (e*diag_x - d*diag_y)/2 (dz1).
     """
 
     diag: BinaryForm
     diag_x: BinaryForm
     diag_y: BinaryForm
-    dz0_part: BinaryForm
-    dz1_part: BinaryForm
 
 
 @dataclass(frozen=True)
 class MultiplierSpectrum:
-    """sigma[i] is the i-th elementary symmetric function of the multipliers."""
+    """sigma[i] is the i-th elementary symmetric function of the n multipliers."""
 
-    n: int
     sigma: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if len(self.sigma) != self.n + 1 or self.sigma[0] != 1:
+        if not self.sigma or self.sigma[0] != 1:
             raise ValueError("spectrum needs n+1 entries starting with 1")
+
+    @property
+    def n(self) -> int:
+        return len(self.sigma) - 1
 
 
 def diagonal_derivative_forms(f: Correspondence) -> DiagonalDerivatives:
-    """All five diagonal derivative forms of a correspondence."""
+    """The three diagonal derivative forms of a correspondence."""
     d, e = f.deg_x, f.deg_y
     n = d + e
     a, den = _int_rows(f.form)
@@ -97,8 +97,6 @@ def diagonal_derivative_forms(f: Correspondence) -> DiagonalDerivatives:
         BinaryForm(n, [Fraction(c, den) for c in diag]),
         BinaryForm(n, [Fraction(x, den) for x in xk]),
         BinaryForm(n, [Fraction(y, den) for y in yk]),
-        BinaryForm(n, [Fraction(x + y, den) for x, y in zip(xk, yk)]),
-        BinaryForm(n, [Fraction(e * x - d * y, 2 * den) for x, y in zip(xk, yk)]),
     )
 
 
@@ -137,7 +135,7 @@ def sigma_spectrum(r: BinaryForm) -> MultiplierSpectrum:
             "dy^n coefficient vanishes: a multiplier is infinite, the spectrum is indeterminate"
         )
     sigma = tuple((-1) ** i * c / lead for i, c in enumerate(r.coeffs))
-    return MultiplierSpectrum(r.degree, sigma)
+    return MultiplierSpectrum(sigma)
 
 
 def rational_fixed_point_oracle(f: Correspondence) -> MultiplierSpectrum:
@@ -166,7 +164,7 @@ def rational_fixed_point_oracle(f: Correspondence) -> MultiplierSpectrum:
     sigma = [Fraction(1)]  # coefficients of prod (1 + m*t)
     for m in multipliers:
         sigma = _convolve(sigma, [Fraction(1), m])
-    return MultiplierSpectrum(n, tuple(sigma))
+    return MultiplierSpectrum(tuple(sigma))
 
 
 def dz_coordinates(r: BinaryForm, deg_x: int, deg_y: int) -> tuple[Fraction, ...]:
@@ -177,29 +175,21 @@ def dz_coordinates(r: BinaryForm, deg_x: int, deg_y: int) -> tuple[Fraction, ...
     d' + e' to equal the degree of r.
     """
     n = r.degree
+    if deg_x < 0 or deg_y < 0:
+        raise ValueError("basis degrees must be nonnegative")
     if deg_x + deg_y != n or n < 1:
         raise ValueError("basis bidegree must sum to the form degree")
     m = ((Fraction(1), Fraction(-deg_x, 2)), (Fraction(1), Fraction(deg_y, 2)))
     return r.substitute_linear(m).coeffs
 
 
-def dz_to_covariant(coords: Sequence, deg_x: int, deg_y: int) -> BinaryForm:
-    """Inverse of dz_coordinates: rebuild the (dx, dy) form from dz coefficients."""
-    n = deg_x + deg_y
-    if n < 1:
-        raise ValueError("basis bidegree must sum to the form degree")
-    if len(coords) != n + 1:
-        raise ValueError("coordinate vector length must be d' + e' + 1")
-    s = Fraction(1, n)
-    m = ((deg_y * s, deg_x * s), (-2 * s, 2 * s))
-    return BinaryForm(n, coords).substitute_linear(m)
-
-
 def index_residual(spectrum: MultiplierSpectrum) -> Fraction:
     """sum (-1)^i (d - i) sigma_i over i = 0..d+1, for the map degree d = n - 1.
 
     Vanishes exactly on spectra of genuine degree-d self-maps; a nonzero
-    value certifies a non-realizable spectrum.
+    value certifies a non-realizable spectrum.  This is the e = 1 case of the
+    index theorem sum (-1)^i (n - i - e) sigma_i = 0 for a (d, e)
+    correspondence with n = d + e.
     """
     d = spectrum.n - 1
     return sum(

@@ -23,9 +23,10 @@ algebraic closure, and the all-zero GCD means every diagonal point qualifies
 (the partials vanish along the whole diagonal).  The GCD is returned as a
 witness; its roots are the offending diagonal points.
 
-The largest multiplicity is found by bisection over the orders 0..d+e
-rather than by trying m = 1, 2, ... in turn, so at most ceil(log2(d+e+1))
-orders are tested.  This is exact: the test at each order stands alone (the
+``classify_stability`` finds the largest multiplicity by bisection over the
+orders 0..d+e rather than by trying m = 1, 2, ... in turn, so at most
+ceil(log2(d+e+1)) orders are tested, and returns it with its witness in the
+verdict.  This is exact: the test at each order stands alone (the
 Euler argument above), and "some diagonal point has multiplicity >= m" is
 monotone in m, which the ``multiplicity-monotonicity`` identity of
 ``corrdyn verify`` checks.  The last order that holds is therefore the m a
@@ -94,27 +95,24 @@ def diagonal_multiplicity_at_least(f: Correspondence, m: int) -> tuple[bool, Bin
     return witness.is_zero() or witness.degree >= 1, witness
 
 
-def max_diagonal_multiplicity(f: Correspondence) -> tuple[int, BinaryForm]:
-    """Largest multiplicity attained on the diagonal, with the witness at that order."""
-    # Bisection over 0..n: the test is monotone in m and each order stands alone.
-    lo, hi = 0, f.deg_x + f.deg_y
-    best_witness = BinaryForm(0, [1])
-    while lo < hi:
-        m = (lo + hi + 1) // 2
-        hit, witness = diagonal_multiplicity_at_least(f, m)
-        if hit:
-            lo, best_witness = m, witness
-        else:
-            hi = m - 1
-    return lo, best_witness
-
-
 def classify_stability(f: Correspondence) -> StabilityVerdict:
-    """Stability verdict from the diagonal multiplicity threshold."""
+    """Stability verdict from the largest multiplicity attained on the diagonal.
+
+    The verdict carries that multiplicity and the GCD witness at its order.
+    """
     n = f.deg_x + f.deg_y
     if n < 1:
         raise ValueError("stability needs total degree at least 1")
-    mult, witness = max_diagonal_multiplicity(f)
+    # Bisection over 0..n: the test is monotone in m and each order stands alone.
+    mult, hi = 0, n
+    witness = BinaryForm(0, [1])
+    while mult < hi:
+        m = (mult + hi + 1) // 2
+        hit, witness_m = diagonal_multiplicity_at_least(f, m)
+        if hit:
+            mult, witness = m, witness_m
+        else:
+            hi = m - 1
     if 2 * mult < n:
         verdict = Verdict.STABLE
     elif 2 * mult == n:

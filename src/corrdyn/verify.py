@@ -7,6 +7,7 @@ full run; reports are byte-identical across runs with the same arguments.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,7 +21,7 @@ from .correspondence import (
     conjugate,
     moebius_graph,
 )
-from .forms import BiForm, BinaryForm, _convolve, _gcd_int, _int_scale, binary_gcd
+from .forms import BiForm, BinaryForm, _convolve, _gcd_int, _int_scale, binary_gcd, rational_roots
 from .resultant import covariant_resultant, homogeneous_resultant
 
 # ---------------------------------------------------------------------------
@@ -89,6 +90,22 @@ def rand_good_position(rng: random.Random, d: int, e: int) -> Correspondence:
             continue
 
 
+def _map_graph_in_good_position(p: list, q: list) -> Correspondence | None:
+    """The (d, 1) graph y*Q(x) - P(x) of ascending P, Q with d = deg Q, or None.
+
+    None unless P(0) != 0, gcd(P, Q) = 1 and the multiplier form is defined.
+    """
+    if p[0] == 0 or len(_gcd_int(_int_scale(p)[0], _int_scale(q)[0])) > 1:
+        return None
+    d = len(q) - 1
+    f = Correspondence.from_matrix(d, 1, [[-p[i], q[i]] for i in range(d + 1)])
+    try:
+        multiplier.multiplier_form(f)
+    except ValueError:
+        return None
+    return f
+
+
 def rand_map_graph(rng: random.Random, d: int) -> Correspondence:
     """Graph of a random degree-d rational map, in good position.
 
@@ -98,16 +115,9 @@ def rand_map_graph(rng: random.Random, d: int) -> Correspondence:
     while True:
         p = [Fraction(rng.randint(-9, 9)) for _ in range(d + 1)]
         q = [Fraction(rng.randint(-9, 9)) for _ in range(d)] + [Fraction(1)]
-        if p[0] == 0:
-            continue
-        if len(_gcd_int(_int_scale(p)[0], _int_scale(q)[0])) > 1:
-            continue
-        f = Correspondence.from_matrix(d, 1, [[-p[i], q[i]] for i in range(d + 1)])
-        try:
-            multiplier.multiplier_form(f)
+        f = _map_graph_in_good_position(p, q)
+        if f is not None:
             return f
-        except ValueError:
-            continue
 
 
 _POINT_POOL = [Fraction(n) for n in range(-9, 10) if n] + [
@@ -135,11 +145,10 @@ def rand_split_map_graph(rng: random.Random, d: int) -> Correspondence:
         p = [zq[k] - n_poly[k] for k in range(d + 1)]
         if zq[d + 1] != n_poly[d + 1]:
             continue
-        if p[0] == 0 or len(_gcd_int(_int_scale(p)[0], _int_scale(q)[0])) > 1:
+        f = _map_graph_in_good_position(p, q)
+        if f is None:
             continue
-        f = Correspondence.from_matrix(d, 1, [[-p[i], q[i]] for i in range(d + 1)])
         try:
-            multiplier.multiplier_form(f)
             multiplier.rational_fixed_point_oracle(f)
             return f
         except ValueError:
@@ -418,8 +427,6 @@ def _check_cayley_linearity(rng, cap, c: CheckResult):
 
 
 def _check_cayley_explicit(rng, cap, c: CheckResult):
-    import math
-
     for d in range(1, min(cap, 5) + 1):
         for e in range(1, min(cap, 5) + 1):
             for m in range(min(d, e) + 1):
@@ -492,8 +499,6 @@ def _check_stability_odd_parity(rng, cap, c: CheckResult):
 
 
 def _check_stability_matrix_crosscheck(rng, cap, c: CheckResult):
-    from .forms import rational_roots
-
     for k in range(10):
         d, e = rand_bidegree(rng, cap)
         n = d + e
@@ -547,17 +552,14 @@ def _check_derivative_relations(rng, cap, c: CheckResult):
         f = rand_correspondence(rng, d, e)
         dd = multiplier.diagonal_derivative_forms(f)
         n = d + e
-        ok = dd.dz0_part == dd.diag_x + dd.diag_y
-        ok = ok and dd.dz1_part == dd.diag_x.scale(Fraction(e, 2)) - dd.diag_y.scale(
-            Fraction(d, 2)
-        )
-        omega1 = clebsch.cayley_omega(f.form, 1) if min(d, e) >= 1 else None
-        if omega1 is not None:
-            shifted = BinaryForm(n, [0] + list(omega1.coeffs) + [0])
-            ok = ok and dd.dz1_part == shifted
-        ok = ok and all(
-            dd.dz0_part.coeffs[k] == (n - 2 * k) * dd.diag.coeffs[k] for k in range(n + 1)
-        )
+        # The dz0 and dz1 coefficients of the slope covector (module docstring
+        # of multiplier): Euler weights of the fixed point form, and the first
+        # Cayley power shifted by z0*z1.
+        dz0_part = dd.diag_x + dd.diag_y
+        dz1_part = (dd.diag_x.scale(e) - dd.diag_y.scale(d)).scale(Fraction(1, 2))
+        shifted = BinaryForm(n, [0] + list(clebsch.cayley_omega(f.form, 1).coeffs) + [0])
+        ok = all(dz0_part.coeffs[k] == (n - 2 * k) * dd.diag.coeffs[k] for k in range(n + 1))
+        ok = ok and dz1_part == shifted
         x1 = BiForm(1, 0, [[0], [1]])
         x0 = BiForm(1, 0, [[1], [0]])
         direct = (

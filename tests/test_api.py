@@ -11,6 +11,7 @@ import corrdyn.clebsch
 import corrdyn.forms
 import corrdyn.multiplier
 import corrdyn.resultant
+import corrdyn.stability
 import corrdyn.verify
 
 PUBLIC = [
@@ -38,11 +39,9 @@ PUBLIC = [
     "diagonal_derivative_forms",
     "diagonal_multiplicity_at_least",
     "dz_coordinates",
-    "dz_to_covariant",
     "homogeneous_resultant",
     "index_residual",
     "iterate",
-    "max_diagonal_multiplicity",
     "moebius_graph",
     "multiplier_form",
     "parse_correspondence",
@@ -58,7 +57,7 @@ PUBLIC = [
 
 
 def test_all_is_exactly_the_public_names():
-    assert len(PUBLIC) == 40
+    assert len(PUBLIC) == 38
     assert len(set(corrdyn.__all__)) == len(corrdyn.__all__)
     assert sorted(corrdyn.__all__) == PUBLIC
 
@@ -78,6 +77,8 @@ RETIRED = [
     "nth_multiplier_form",
     "torus_weight",
     "resultant_univariate",
+    "dz_to_covariant",
+    "max_diagonal_multiplicity",
 ]
 
 
@@ -92,11 +93,21 @@ def test_retired_names_are_gone(module, name):
 
 def test_retired_verify_and_spectrum_members_are_gone():
     assert not hasattr(corrdyn.verify, "_Check")
-    assert [f.name for f in dataclasses.fields(corrdyn.MultiplierSpectrum)] == ["n", "sigma"]
+    assert [f.name for f in dataclasses.fields(corrdyn.MultiplierSpectrum)] == ["sigma"]
 
 
 def test_moebius_map_has_no_apply():
     assert not hasattr(corrdyn.MoebiusMap, "apply")
+
+
+def test_each_result_is_stored_once():
+    # The dz coefficient forms are sums of diag_x and diag_y, the largest
+    # multiplicity is in the stability verdict, and the identity map is
+    # MoebiusMap(1, 0, 0, 1).
+    fields = [f.name for f in dataclasses.fields(corrdyn.DiagonalDerivatives)]
+    assert fields == ["diag", "diag_x", "diag_y"]
+    assert not hasattr(corrdyn.MoebiusMap, "identity")
+    assert not hasattr(corrdyn.stability, "max_diagonal_multiplicity")
 
 
 def test_library_has_no_assert_statements():

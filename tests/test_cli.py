@@ -212,7 +212,7 @@ class TestVerifyCommand:
 
         def flipped(f):
             dd = original(f)
-            return DiagonalDerivatives(dd.diag, dd.diag_x, -dd.diag_y, dd.dz0_part, dd.dz1_part)
+            return DiagonalDerivatives(dd.diag, dd.diag_x, -dd.diag_y)
 
         monkeypatch.setattr(multiplier_mod, "diagonal_derivative_forms", flipped)
         code, out, _ = run_main(

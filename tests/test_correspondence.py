@@ -21,7 +21,7 @@ SQUARE = Correspondence.from_matrix(2, 1, [[0, -1], [0, 0], [1, 0]])  # graph of
 class TestMoebiusGraph:
     def test_identity_graph(self):
         # (b*x0 + a*x1)*y0 - (d*x0 + c*x1)*y1 with (1, 0, 0, 1)
-        g = moebius_graph(MoebiusMap.identity())
+        g = moebius_graph(MoebiusMap(1, 0, 0, 1))
         assert g.form == BiForm(1, 1, [[0, -1], [1, 0]])
 
     def test_doubling_graph(self):
@@ -43,7 +43,7 @@ class TestCompose:
 
     def test_identity_law(self):
         rng = random.Random(31)
-        ident = moebius_graph(MoebiusMap.identity())
+        ident = moebius_graph(MoebiusMap(1, 0, 0, 1))
         for _ in range(10):
             f = rand_correspondence(rng, rng.randint(1, 2), rng.randint(1, 2))
             assert compose(f, ident).projectively_equal(f)
@@ -92,6 +92,23 @@ class TestCompose:
             assert lhs.projectively_equal(rhs)
             done += 1
 
+    def test_associativity_is_exact(self):
+        # Both groupings give the same form, not merely proportional ones,
+        # so an iterate may be built in any order.
+        rng = random.Random(37)
+        checked = 0
+        for _ in range(60):
+            f, g, h = (rand_correspondence(rng, rng.randint(0, 2), rng.randint(0, 2))
+                       for _ in range(3))
+            try:
+                lhs = compose(compose(f, g), h)
+                rhs = compose(f, compose(g, h))
+            except DegenerateComposition:
+                continue
+            assert lhs.form == rhs.form, (f, g, h)
+            checked += 1
+        assert checked >= 50
+
     def test_graphs_compose_by_matrix_product(self):
         rng = random.Random(34)
         for _ in range(15):
@@ -112,6 +129,19 @@ class TestIterate:
         g = MoebiusMap(2, 1, 0, 1)
         assert iterate(moebius_graph(g), 2).projectively_equal(moebius_graph(g * g))
 
+    def test_left_fold_equals_right_fold(self):
+        rng = random.Random(38)
+        for _ in range(8):
+            f = rand_correspondence(rng, rng.randint(1, 2), rng.randint(1, 2))
+            right = f
+            for n in range(2, 5):
+                try:
+                    right = compose(f, right)
+                    left = iterate(f, n)
+                except DegenerateComposition:
+                    break
+                assert left.form == right.form, (f, n)
+
     def test_degenerate_step_reported(self):
         f = Correspondence.from_matrix(1, 1, [[1, 0], [0, 0]])  # x0*y0
         with pytest.raises(DegenerateComposition) as err:
@@ -127,7 +157,7 @@ class TestConjugate:
     def test_identity(self):
         rng = random.Random(35)
         f = rand_correspondence(rng, 2, 2)
-        assert conjugate(f, MoebiusMap.identity()).form == f.form
+        assert conjugate(f, MoebiusMap(1, 0, 0, 1)).form == f.form
 
     def test_inverse_law(self):
         rng = random.Random(36)

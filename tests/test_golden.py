@@ -180,8 +180,13 @@ def _case_rho_embed_scaled(rng):
 
 
 def _case_diagonal_derivative_forms(rng):
-    dd = diagonal_derivative_forms(_corr(rng, rng.randint(0, 3), rng.randint(0, 3)))
-    return "|".join(_form(x) for x in (dd.diag, dd.diag_x, dd.diag_y, dd.dz0_part, dd.dz1_part))
+    f = _corr(rng, rng.randint(0, 3), rng.randint(0, 3))
+    dd = diagonal_derivative_forms(f)
+    # The digest also covers the dz0 and dz1 coefficient forms of the slope covector.
+    d, e = f.bidegree
+    dz0 = dd.diag_x + dd.diag_y
+    dz1 = (dd.diag_x.scale(e) - dd.diag_y.scale(d)).scale(F(1, 2))
+    return "|".join(_form(x) for x in (dd.diag, dd.diag_x, dd.diag_y, dz0, dz1))
 
 
 def _case_compose(rng):

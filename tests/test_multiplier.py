@@ -19,7 +19,6 @@ from corrdyn.multiplier import (
     MultiplierSpectrum,
     diagonal_derivative_forms,
     dz_coordinates,
-    dz_to_covariant,
     index_residual,
     multiplier_form,
     rational_fixed_point_oracle,
@@ -27,8 +26,10 @@ from corrdyn.multiplier import (
     sigma_spectrum,
     woods_hole_resultant,
 )
+from corrdyn.resultant import covariant_resultant
 from corrdyn.verify import (
     conjugated_square_map,
+    rand_correspondence,
     rand_good_position,
     rand_map_graph,
     rand_split_map_graph,
@@ -54,6 +55,20 @@ def derivative_at(p, q, z):
     return (pd * qv - pv * qd) / qv**2
 
 
+def dz_parts(f):
+    """The dz0 and dz1 coefficient forms of the slope covector diag_x*dx + diag_y*dy."""
+    d, e = f.bidegree
+    dd = diagonal_derivative_forms(f)
+    return dd.diag_x + dd.diag_y, (dd.diag_x.scale(e) - dd.diag_y.scale(d)).scale(F(1, 2))
+
+
+def dz_to_covariant(coords, deg_x, deg_y):
+    """Reference inverse of dz_coordinates: the (dx, dy) form with these dz coefficients."""
+    n = deg_x + deg_y
+    s = F(1, n)
+    return BinaryForm(n, coords).substitute_linear(((deg_y * s, deg_x * s), (-2 * s, 2 * s)))
+
+
 def elementary_symmetric(values):
     out = [F(1)]
     for v in values:
@@ -69,35 +84,36 @@ class TestDiagonalDerivatives:
         assert dd.diag == BinaryForm(2, [1, -2, 1])
         assert dd.diag_x == BinaryForm(2, [1, 2, -1])
         assert dd.diag_y == BinaryForm(2, [1, -2, -1])
-        assert dd.dz0_part == BinaryForm(2, [2, 0, -2])
-        assert dd.dz1_part == BinaryForm(2, [0, 2, 0])
+        assert dz_parts(MOEBIUS_FIXTURE) == (BinaryForm(2, [2, 0, -2]), BinaryForm(2, [0, 2, 0]))
 
     def test_linear_relations(self):
+        # diag_x*dx + diag_y*dy == dz0_part*dz0 + dz1_part*dz1 as covectors,
+        # so the resultant of the fixed point form against the dz pencil is
+        # the multiplier form written in dz coordinates, exactly.
         rng = random.Random(71)
         for _ in range(15):
             d, e = rng.randint(1, 3), rng.randint(1, 3)
             f = rand_good_position(rng, d, e)
-            dd = diagonal_derivative_forms(f)
-            assert dd.dz0_part == dd.diag_x + dd.diag_y
-            assert dd.dz1_part == dd.diag_x.scale(F(e, 2)) - dd.diag_y.scale(F(d, 2))
+            dz0_part, dz1_part = dz_parts(f)
+            in_dz = covariant_resultant(diagonal_derivative_forms(f).diag, dz1_part, dz0_part)
+            assert in_dz.coeffs == dz_coordinates(multiplier_form(f), d, e)
 
     def test_dz1_part_is_shifted_cayley_power(self):
         rng = random.Random(72)
         for _ in range(15):
             d, e = rng.randint(1, 3), rng.randint(1, 3)
             f = rand_good_position(rng, d, e)
-            dd = diagonal_derivative_forms(f)
             omega1 = cayley_omega(f.form, 1)
-            assert dd.dz1_part == BinaryForm(d + e, [0] + list(omega1.coeffs) + [0])
+            assert dz_parts(f)[1] == BinaryForm(d + e, [0] + list(omega1.coeffs) + [0])
 
     def test_dz0_part_is_euler_weighted_diagonal(self):
         rng = random.Random(73)
         for _ in range(15):
             d, e = rng.randint(1, 3), rng.randint(1, 3)
             f = rand_good_position(rng, d, e)
-            dd = diagonal_derivative_forms(f)
+            diag, dz0_part = diagonal_derivative_forms(f).diag, dz_parts(f)[0]
             n = d + e
-            assert all(dd.dz0_part.coeffs[k] == (n - 2 * k) * dd.diag.coeffs[k] for k in range(n + 1))
+            assert all(dz0_part.coeffs[k] == (n - 2 * k) * diag.coeffs[k] for k in range(n + 1))
 
     def test_matches_definition_with_large_denominators(self):
         # The class docstring's definitions, term by term, on coefficients
@@ -112,7 +128,8 @@ class TestDiagonalDerivatives:
                 for _ in range(d + 1)
             ]
             rows[0][0] = rows[0][0] or F(1)
-            dd = diagonal_derivative_forms(Correspondence.from_matrix(d, e, rows))
+            f = Correspondence.from_matrix(d, e, rows)
+            dd = diagonal_derivative_forms(f)
             n = d + e
             diag, xk, yk = ([F(0)] * (n + 1) for _ in range(3))
             for i in range(d + 1):
@@ -123,8 +140,11 @@ class TestDiagonalDerivatives:
             assert list(dd.diag.coeffs) == diag
             assert list(dd.diag_x.coeffs) == xk
             assert list(dd.diag_y.coeffs) == yk
-            assert dd.dz0_part == dd.diag_x + dd.diag_y
-            assert dd.dz1_part == dd.diag_x.scale(F(e, 2)) - dd.diag_y.scale(F(d, 2))
+            dz0_part, dz1_part = dz_parts(f)
+            assert all(dz0_part.coeffs[k] == (n - 2 * k) * diag[k] for k in range(n + 1))
+            if min(d, e) >= 1:
+                omega1 = cayley_omega(f.form, 1)
+                assert dz1_part == BinaryForm(n, [0] + list(omega1.coeffs) + [0])
 
     def test_symmetric_matrix_gives_equal_parts(self):
         f = Correspondence.from_matrix(2, 2, [[1, 2, 3], [2, 5, 7], [3, 7, 4]])
@@ -358,14 +378,16 @@ class TestDzCoordinates:
         with pytest.raises(ValueError):
             dz_coordinates(BinaryForm(2, [1, 0, 1]), 1, 2)
 
-    def test_bidegree_zero_rejected_both_ways(self):
-        # the (0, 0) basis has no dz1 direction; both directions refuse it
-        # with the same ValueError, before any length check
+    def test_bidegree_zero_rejected(self):
+        # the (0, 0) basis has no dz1 direction
         with pytest.raises(ValueError, match="basis bidegree"):
             dz_coordinates(BinaryForm(0, [1]), 0, 0)
-        for coords in ([1], [], [1, 2]):
-            with pytest.raises(ValueError, match="basis bidegree"):
-                dz_to_covariant(coords, 0, 0)
+
+    def test_negative_basis_degree_rejected(self):
+        # (-1, 3) sums to the degree of r but names no dz basis
+        for deg_x, deg_y in [(-1, 3), (3, -1), (-2, 4)]:
+            with pytest.raises(ValueError, match="nonnegative"):
+                dz_coordinates(BinaryForm(2, [1, 0, 1]), deg_x, deg_y)
 
 
 class TestHyperplane:
@@ -390,17 +412,23 @@ class TestHyperplane:
 
 class TestIndexResidual:
     def test_square_spectrum(self):
-        s = MultiplierSpectrum(3, (F(1), F(2), F(0), F(0)))
+        s = MultiplierSpectrum((F(1), F(2), F(0), F(0)))
+        assert s.n == 3
         assert index_residual(s) == 0
 
     def test_moebius_spectrum(self):
-        s = MultiplierSpectrum(2, (F(1), F(2), F(1)))
+        s = MultiplierSpectrum((F(1), F(2), F(1)))
         assert index_residual(s) == 0
 
     def test_non_realizable_spectrum(self):
         for d in (1, 2, 3):
-            s = MultiplierSpectrum(d + 1, tuple([F(1)] + [F(0)] * (d + 1)))
+            s = MultiplierSpectrum(tuple([F(1)] + [F(0)] * (d + 1)))
             assert index_residual(s) == d
+
+    def test_malformed_spectrum_rejected(self):
+        for sigma in ((), (F(2), F(1)), (F(0),)):
+            with pytest.raises(ValueError, match="starting with 1"):
+                MultiplierSpectrum(sigma)
 
     def test_map_graph_corpus(self):
         rng = random.Random(80)
@@ -408,6 +436,26 @@ class TestIndexResidual:
             for _ in range(4):
                 f = rand_map_graph(rng, d)
                 assert index_residual(sigma_spectrum(multiplier_form(f))) == 0
+
+    def test_index_theorem_at_every_bidegree(self):
+        # sum (-1)^i (n - i - e) sigma_i = 0 for a (d, e) correspondence with
+        # n = d + e; index_residual is the e = 1 case.
+        rng = random.Random(84)
+        checked = set()
+        instances = 0
+        for _ in range(80):
+            d, e = rng.randint(0, 3), rng.randint(1, 3)
+            f = rand_correspondence(rng, d, e)
+            try:
+                sigma = sigma_spectrum(multiplier_form(f)).sigma
+            except (BadPosition, IndeterminateMultiplier):
+                continue
+            n = d + e
+            assert sum((-1) ** i * (n - i - e) * s for i, s in enumerate(sigma)) == 0, f
+            checked.add((d, e))
+            instances += 1
+        assert instances >= 60
+        assert len(checked) == 12
 
 
 class TestWoodsHole:

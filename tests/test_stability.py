@@ -7,18 +7,19 @@ import pytest
 from corrdyn.correspondence import Correspondence, MoebiusMap, conjugate
 from corrdyn.forms import BiForm, BinaryForm, rational_roots
 import corrdyn.stability
-from corrdyn.stability import (
-    Verdict,
-    classify_stability,
-    diagonal_multiplicity_at_least,
-    max_diagonal_multiplicity,
-)
+from corrdyn.stability import Verdict, classify_stability, diagonal_multiplicity_at_least
 from corrdyn.verify import rand_correspondence, rand_moebius
 from test_forms import fraction_binary_gcd, fraction_diagonal_restriction, rand_coeff
 
 SQUARE = Correspondence.from_matrix(2, 1, [[0, -1], [0, 0], [1, 0]])
 DIAGONAL = Correspondence.from_matrix(1, 1, [[0, 1], [-1, 0]])
 CUSP = Correspondence.from_matrix(2, 1, [[1, 0], [0, 0], [0, 0]])  # x0^2*y0
+
+
+def max_multiplicity(f: Correspondence):
+    """The largest diagonal multiplicity and its witness, as classify_stability reports them."""
+    verdict = classify_stability(f)
+    return verdict.max_multiplicity, verdict.witness
 
 
 def affine_multiplicity(f: Correspondence, p0, p1) -> int:
@@ -96,7 +97,7 @@ class TestMultiplicity:
             assert affine_multiplicity(f, p0, p1) == alpha + beta
             for m in range(1, alpha + beta + 1):
                 assert diagonal_multiplicity_at_least(f, m)[0]
-            assert max_diagonal_multiplicity(f)[0] >= alpha + beta
+            assert max_multiplicity(f)[0] >= alpha + beta
 
     def test_monotonicity(self):
         rng = random.Random(63)
@@ -178,7 +179,7 @@ class TestBisection:
                     f = planted_corner(rng, d, e, k)
                     if k % 2:  # move the planted point off [1:0]
                         f = conjugate(f, rand_moebius(rng))
-                    assert max_diagonal_multiplicity(f) == linear_scan_multiplicity(f), (d, e, k)
+                    assert max_multiplicity(f) == linear_scan_multiplicity(f), (d, e, k)
 
     def test_multiples_of_the_diagonal_match_linear_scan(self):
         # A power of the diagonal has every diagonal point at multiplicity j,
@@ -189,7 +190,7 @@ class TestBisection:
             power = power * DIAGONAL.form
             f = Correspondence(power)
             expected = (j, BinaryForm.zero(0))
-            assert max_diagonal_multiplicity(f) == linear_scan_multiplicity(f) == expected
+            assert max_multiplicity(f) == linear_scan_multiplicity(f) == expected
         rng = random.Random(70)
         for d in range(7):
             for e in range(7):
@@ -197,7 +198,7 @@ class TestBisection:
                     continue
                 k = rng.randint(0, d + e)
                 f = Correspondence(planted_corner(rng, d, e, k).form * DIAGONAL.form)
-                assert max_diagonal_multiplicity(f) == linear_scan_multiplicity(f), (d, e, k)
+                assert max_multiplicity(f) == linear_scan_multiplicity(f), (d, e, k)
 
     def test_full_corners_match_linear_scan(self):
         for d in range(8):
@@ -205,7 +206,7 @@ class TestBisection:
                 if d + e == 0:
                     continue
                 f = Correspondence(BiForm.monomial(d, e, 0, 0))  # x0^d * y0^e
-                got = max_diagonal_multiplicity(f)
+                got = max_multiplicity(f)
                 assert got == linear_scan_multiplicity(f)
                 assert got[0] == d + e
 
@@ -223,7 +224,7 @@ class TestBisection:
         for k in (0, 1, 5, 12, 13, 23, 24):
             calls.clear()
             f = planted_corner(rng, 12, 12, k)
-            assert max_diagonal_multiplicity(f)[0] >= k
+            assert max_multiplicity(f)[0] >= k
             assert len(calls) <= math.ceil(math.log2(n + 1)), (k, calls)
 
 
@@ -231,22 +232,22 @@ class TestMaxMultiplicity:
     def test_full_corner(self):
         for d, e in [(1, 1), (2, 1), (2, 2)]:
             f = Correspondence(BiForm.monomial(d, e, 0, 0))  # x0^d * y0^e
-            assert max_diagonal_multiplicity(f)[0] == d + e
+            assert max_multiplicity(f)[0] == d + e
             assert affine_multiplicity(f, 0, 1) == d + e
 
     def test_square_graph(self):
-        assert max_diagonal_multiplicity(SQUARE)[0] == 1
+        assert max_multiplicity(SQUARE)[0] == 1
 
     def test_diagonal_form(self):
         # f(z, z) vanishes identically but the first partials restrict to
         # coprime forms, so the maximum stays 1
-        assert max_diagonal_multiplicity(DIAGONAL)[0] == 1
+        assert max_multiplicity(DIAGONAL)[0] == 1
 
     def test_agrees_with_chart_oracle_at_rational_points(self):
         rng = random.Random(64)
         for _ in range(15):
             f = rand_correspondence(rng, rng.randint(1, 3), rng.randint(1, 3))
-            best, witness = max_diagonal_multiplicity(f)
+            best, witness = max_multiplicity(f)
             # the chart expansion at any rational diagonal point bounds the max
             probes = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2)]
             for p0, p1 in probes:

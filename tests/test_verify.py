@@ -74,7 +74,7 @@ class TestMutationSensitivity:
 
         def flipped(f):
             dd = original(f)
-            return DiagonalDerivatives(dd.diag, dd.diag_x, -dd.diag_y, dd.dz0_part, dd.dz1_part)
+            return DiagonalDerivatives(dd.diag, dd.diag_x, -dd.diag_y)
 
         monkeypatch.setattr(multiplier_mod, "diagonal_derivative_forms", flipped)
         report = run_verify_suite(seed=1, degree_cap=3)
@@ -88,7 +88,7 @@ class TestMutationSensitivity:
 
         def flipped(f):
             dd = original(f)
-            return DiagonalDerivatives(dd.diag, dd.diag_x, -dd.diag_y, dd.dz0_part, dd.dz1_part)
+            return DiagonalDerivatives(dd.diag, dd.diag_x, -dd.diag_y)
 
         monkeypatch.setattr(multiplier_mod, "diagonal_derivative_forms", flipped)
         text = run_verify_suite(seed=1, degree_cap=3, only="hyperplane-residual").text()
