@@ -18,8 +18,8 @@ only its part of the library: ``--help`` and ``--version`` none of it;
 ``compose``, ``iterate``, ``conjugate`` and ``graph`` forms, resultant,
 correspondence and serialization; ``decompose``, ``reconstruct`` and
 ``project`` those and clebsch; ``stability`` those and stability (not for an
-input it refuses); ``multipliers`` those, clebsch and multiplier; ``verify``
-all of it.
+input it refuses); ``multipliers`` those and multiplier (not for an input it
+refuses); ``verify`` all of it.
 
 The multiplier form is printed in the (dx, dy) monomials: entry k of
 ``dx_dy`` multiplies dx^k * dy^(n-k).

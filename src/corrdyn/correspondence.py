@@ -34,12 +34,13 @@ class DegenerateComposition(_PreconditionError):
     """Raised when the composite eliminant vanishes identically.
 
     This happens exactly when the left factor carries a linear factor in its
-    y-pair matching a linear factor of the right factor's x-pair; when that
-    factor is visible over the rationals it is reported in the message and in
-    the `shared_factor` attribute.  `step` is set by `iterate`.
+    y-pair matching a linear factor of the right factor's x-pair.  The
+    `shared_factor` attribute holds the gcd of those factors, a form of degree
+    at least 1; the message names one shared factor when it has a rational
+    root, and the gcd otherwise.  `step` is set by `iterate`.
     """
 
-    def __init__(self, message: str, shared_factor: BinaryForm | None = None):
+    def __init__(self, message: str, shared_factor: BinaryForm):
         super().__init__(message)
         self.shared_factor = shared_factor
         self.step: int | None = None
@@ -126,8 +127,8 @@ def moebius_graph(g: MoebiusMap) -> Correspondence:
     return Correspondence.from_matrix(1, 1, [[g.b, -g.d], [g.a, -g.c]])
 
 
-def _shared_linear_obstruction(f: BiForm, g: BiForm) -> BinaryForm | None:
-    """Common factor certificate for a vanishing composite, when rational.
+def _shared_linear_obstruction(f: BiForm, g: BiForm) -> BinaryForm:
+    """Common factor certificate for a vanishing composite.
 
     The composite vanishes exactly when f has a linear factor in its y-pair
     whose coefficient vector also cuts a linear factor of g in its x-pair, so
@@ -137,10 +138,7 @@ def _shared_linear_obstruction(f: BiForm, g: BiForm) -> BinaryForm | None:
     y_content = binary_gcd([BinaryForm(f.deg_y, row) for row in f.coeffs])
     cols = [[g.coeffs[i][j] for i in range(g.deg_x + 1)] for j in range(g.deg_y + 1)]
     x_content = binary_gcd([BinaryForm(g.deg_x, col) for col in cols])
-    shared = binary_gcd([y_content, x_content])
-    if shared.is_zero() or shared.degree >= 1:
-        return shared
-    return None
+    return binary_gcd([y_content, x_content])
 
 
 def compose(f: Correspondence, g: Correspondence) -> Correspondence:
@@ -166,17 +164,15 @@ def compose(f: Correspondence, g: Correspondence) -> Correspondence:
         det = bareiss_det_poly(sylvester_rows(fz, gz, {}))
     if not det:
         shared = _shared_linear_obstruction(f.form, g.form)
-        detail = ""
-        if shared is not None and not shared.is_zero():
-            pts = [pt for pt, _ in rational_roots(shared)]
-            if pts:
-                p0, p1 = pts[0]
-                detail = (
-                    f": f carries the factor {p1}*y0 - {p0}*y1"
-                    f" and g the factor {p1}*x0 - {p0}*x1"
-                )
-            else:
-                detail = f": shared irrational linear factor, gcd certificate {shared!r}"
+        pts = [pt for pt, _ in rational_roots(shared)]
+        if pts:
+            p0, p1 = pts[0]
+            detail = (
+                f": f carries the factor {p1}*y0 - {p0}*y1"
+                f" and g the factor {p1}*x0 - {p0}*x1"
+            )
+        else:
+            detail = f": shared irrational linear factor, gcd certificate {shared!r}"
         raise DegenerateComposition("composition degenerates to the zero form" + detail, shared)
     scale = df**dp * dg**e
     rows = [

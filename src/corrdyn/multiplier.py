@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .clebsch import cayley_omega, rho_embed
 from .correspondence import Correspondence, _PreconditionError
 from .forms import (
     BinaryForm,
@@ -216,15 +215,8 @@ def woods_hole_resultant(f: Sequence, g: Sequence) -> tuple[Fraction, ...]:
     gc += [Fraction(0)] * (df - len(gc))
     fi, den_f = _int_scale(fc)
     dgi, den_g = _int_scale(deriv + gc)
-    rows_f: list[IntPoly] = [{(0,): c} if c else {} for c in fi]
-    rows_g: list[IntPoly] = []
-    for di, gi in zip(dgi[:df], dgi[df:]):
-        entry: IntPoly = {}
-        if di:
-            entry[(0,)] = di
-        if gi:
-            entry[(1,)] = gi
-        rows_g.append(entry)
+    rows_f: list[IntPoly] = [{(0,): c} for c in fi]
+    rows_g: list[IntPoly] = [{(0,): di, (1,): gi} for di, gi in zip(dgi[:df], dgi[df:])]
     det = bareiss_det_poly(sylvester_rows(rows_f, rows_g, {}))
     scale = den_f ** (df - 1) * den_g**df
     return tuple(Fraction(det.get((k,), 0), scale) for k in range(df + 1))
@@ -238,6 +230,8 @@ def rho_compatibility_check(f: Correspondence, scale=(1, 1)) -> bool:
     must agree projectively with f's multiplier form read in the (d, e)
     basis after rescaling coordinate k by c0^(n-k) * c1^k.
     """
+    from .clebsch import cayley_omega, rho_embed  # its only user in this module
+
     d, e = f.deg_x, f.deg_y
     n = d + e
     c0, c1 = (_frac(c) for c in scale)

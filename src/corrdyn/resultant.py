@@ -154,7 +154,6 @@ def bareiss_det_int(rows: list[list[int]]) -> int:
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
 

@@ -65,6 +65,14 @@ def rand_moebius(rng: random.Random) -> MoebiusMap:
             continue
 
 
+def rand_planted_corner(rng: random.Random, d: int, e: int, k: int) -> Correspondence:
+    """Random (d, e) correspondence of multiplicity exactly k at ([1:0], [1:0]), 0 <= k <= d+e."""
+    rows = [[0 if i + j < k else rng.randint(-9, 9) for j in range(e + 1)] for i in range(d + 1)]
+    i = rng.randint(max(0, k - e), min(d, k))
+    rows[i][k - i] = rng.choice([-2, -1, 1, 3])
+    return Correspondence.from_matrix(d, e, rows)
+
+
 def rand_sl2_moebius(rng: random.Random) -> MoebiusMap:
     """Random determinant-one map, as a product of rational shears."""
     x, y, z = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3))
@@ -181,7 +189,7 @@ class CheckResult:
     def record(self, ok: bool, describe):
         self.total += 1
         if not ok:
-            self.failures.append(f"instance {self.total}: {describe() if callable(describe) else describe}")
+            self.failures.append(f"instance {self.total}: {describe()}")
 
 
 @dataclass
@@ -478,13 +486,24 @@ def _check_torus_weight_scaling(rng, cap, c: CheckResult):
         c.record(ok, lambda: f"f={f!r} t={t}")
 
 
+def _planted_instance(rng, cap, moved: bool, unstable=False) -> Correspondence:
+    """rand_planted_corner at a random order (above (d+e)/2 if unstable), moved if moved."""
+    d, e = rand_bidegree(rng, cap)
+    n = d + e
+    f = rand_planted_corner(rng, d, e, rng.randint(n // 2 + 1 if unstable else 0, n))
+    return conjugate(f, rand_moebius(rng)) if moved else f
+
+
 def _check_stability_conjugation(rng, cap, c: CheckResult):
-    for _ in range(10):
-        f = rand_correspondence(rng, *rand_bidegree(rng, cap))
+    # Conjugation moves diagonal points along the diagonal and keeps their
+    # multiplicities, so the verdict and the largest multiplicity stay.
+    for k in range(10):
+        f = _planted_instance(rng, cap, k % 2 == 1)
         g = rand_moebius(rng)
-        lhs = stability.classify_stability(f).verdict
-        rhs = stability.classify_stability(conjugate(f, g)).verdict
-        c.record(lhs == rhs, lambda: f"f={f!r} g={g!r}")
+        lhs = stability.classify_stability(f)
+        rhs = stability.classify_stability(conjugate(f, g))
+        same = (lhs.verdict, lhs.max_multiplicity) == (rhs.verdict, rhs.max_multiplicity)
+        c.record(same, lambda: f"f={f!r} g={g!r}")
 
 
 def _check_stability_odd_parity(rng, cap, c: CheckResult):
@@ -499,30 +518,17 @@ def _check_stability_odd_parity(rng, cap, c: CheckResult):
 
 
 def _check_stability_matrix_crosscheck(rng, cap, c: CheckResult):
+    # A point of multiplicity above (d+e)/2 makes f Unstable; it is the one
+    # root of the witness, and moving it to [1:0] clears every a_ij with
+    # 2(i+j) <= d+e.
     for k in range(10):
-        d, e = rand_bidegree(rng, cap)
-        n = d + e
-        if k % 2 == 0:
-            # plant b_ij = 0 for 2(i+j) <= d+e, expect Unstable
-            rows = [
-                [0 if 2 * (i + j) <= n else rng.randint(-9, 9) for j in range(e + 1)]
-                for i in range(d + 1)
-            ]
-            if all(v == 0 for row in rows for v in row):
-                rows[d][e] = 1
-            f = Correspondence.from_matrix(d, e, rows)
-            verdict = stability.classify_stability(f).verdict
-            c.record(verdict == stability.Verdict.UNSTABLE, lambda: f"planted f={f!r}")
-        else:
-            f = rand_correspondence(rng, d, e)
-            res = stability.classify_stability(f)
-            if res.verdict != stability.Verdict.UNSTABLE or res.witness.is_zero():
-                c.record(True, "")
-                continue
-            pts = [pt for pt, _ in rational_roots(res.witness)]
-            if not pts:
-                c.record(True, "")
-                continue
+        f = _planted_instance(rng, cap, k % 2 == 1, unstable=True)
+        d, e = f.bidegree
+        res = stability.classify_stability(f)
+        unstable = res.verdict == stability.Verdict.UNSTABLE and not res.witness.is_zero()
+        pts = [pt for pt, _ in rational_roots(res.witness)] if unstable else []
+        ok = len(pts) == 1
+        if ok:
             p0, p1 = pts[0]
             g = MoebiusMap(1, p1, 0, p0) if p0 != 0 else MoebiusMap(0, 1, 1, 0)
             conj = conjugate(f, g).form
@@ -530,15 +536,17 @@ def _check_stability_matrix_crosscheck(rng, cap, c: CheckResult):
                 conj.coeffs[i][j] == 0
                 for i in range(d + 1)
                 for j in range(e + 1)
-                if 2 * (i + j) <= n
+                if 2 * (i + j) <= d + e
             )
-            c.record(ok, lambda: f"f={f!r} witness root {(p0, p1)}")
+        c.record(ok, lambda: f"f={f!r} witness={res.witness!r}")
 
 
 def _check_multiplicity_monotonicity(rng, cap, c: CheckResult):
-    for _ in range(8):
-        d, e = rand_bidegree(rng, cap)
-        f = rand_correspondence(rng, d, e)
+    # Once "some diagonal point has multiplicity >= m" fails it fails for every
+    # larger m: the premise of classify_stability's bisection.
+    for k in range(8):
+        f = _planted_instance(rng, cap, k % 2 == 1)
+        d, e = f.bidegree
         flags = [
             stability.diagonal_multiplicity_at_least(f, m)[0] for m in range(1, d + e + 1)
         ]

@@ -8,9 +8,11 @@ import pytest
 
 import corrdyn
 import corrdyn.clebsch
+import corrdyn.correspondence
 import corrdyn.forms
 import corrdyn.multiplier
 import corrdyn.resultant
+import corrdyn.serialization
 import corrdyn.stability
 import corrdyn.verify
 
@@ -84,7 +86,8 @@ RETIRED = [
 
 @pytest.mark.parametrize(
     "module",
-    [corrdyn, corrdyn.forms, corrdyn.clebsch, corrdyn.multiplier, corrdyn.resultant, corrdyn.verify],
+    [corrdyn, corrdyn.forms, corrdyn.clebsch, corrdyn.multiplier, corrdyn.resultant, corrdyn.verify,
+     corrdyn.stability, corrdyn.correspondence, corrdyn.serialization],
 )
 @pytest.mark.parametrize("name", RETIRED)
 def test_retired_names_are_gone(module, name):
@@ -101,13 +104,11 @@ def test_moebius_map_has_no_apply():
 
 
 def test_each_result_is_stored_once():
-    # The dz coefficient forms are sums of diag_x and diag_y, the largest
-    # multiplicity is in the stability verdict, and the identity map is
-    # MoebiusMap(1, 0, 0, 1).
+    # The dz coefficient forms are sums of diag_x and diag_y, and the identity
+    # map is MoebiusMap(1, 0, 0, 1).
     fields = [f.name for f in dataclasses.fields(corrdyn.DiagonalDerivatives)]
     assert fields == ["diag", "diag_x", "diag_y"]
     assert not hasattr(corrdyn.MoebiusMap, "identity")
-    assert not hasattr(corrdyn.stability, "max_diagonal_multiplicity")
 
 
 def test_library_has_no_assert_statements():
@@ -155,8 +156,6 @@ def test_star_import_binds_every_public_name():
 def test_public_names_follow_their_module_bindings(monkeypatch):
     # perfbench's tracer rebinds corrdyn.correspondence.compose and relies on
     # corrdyn.compose resolving to whatever that binding is now.
-    import corrdyn.correspondence
-
     original = corrdyn.correspondence.compose
     replacement = object()
     monkeypatch.setattr(corrdyn.correspondence, "compose", replacement)

@@ -11,7 +11,7 @@ from corrdyn.correspondence import (
     iterate,
     moebius_graph,
 )
-from corrdyn.forms import BiForm
+from corrdyn.forms import BiForm, BinaryForm
 from corrdyn.verify import rand_correspondence, rand_moebius
 
 
@@ -56,6 +56,36 @@ class TestCompose:
         with pytest.raises(DegenerateComposition) as err:
             compose(f, g)
         assert "y0" in str(err.value) and "x0" in str(err.value)
+
+    def test_degenerate_composite_always_has_a_shared_factor(self):
+        # A zero composite means a linear factor of f's y-pair that is also one
+        # of g's x-pair, so the certificate divides every nonzero row of f (as a
+        # y-form) and column of g (as an x-form) and is never constant.
+        rng = random.Random(33)
+
+        def sparse(d, e):
+            while True:
+                rows = [[0 if rng.random() < 0.6 else rng.randint(-3, 3) for _ in range(e + 1)]
+                        for _ in range(d + 1)]
+                if any(any(row) for row in rows):
+                    return Correspondence.from_matrix(d, e, rows)
+
+        degenerate = 0
+        for _ in range(1500):
+            f = sparse(rng.randint(0, 2), rng.randint(0, 2))
+            g = sparse(rng.randint(0, 2), rng.randint(0, 2))
+            try:
+                compose(f, g)
+            except DegenerateComposition as exc:
+                degenerate += 1
+                shared = exc.shared_factor
+                assert shared.degree >= 1, (f, g)
+                rows = [BinaryForm(f.deg_y, row) for row in f.form.coeffs]
+                cols = [BinaryForm(g.deg_x, col) for col in zip(*g.form.coeffs)]
+                for h in rows + cols:
+                    if not h.is_zero():
+                        assert h.divide_exact(shared) * shared == h, (f, g)
+        assert degenerate >= 100
 
     def test_no_middle_variable_gives_empty_determinant(self):
         # f = 2*x0 + 3*x1 and g = 5*y0 + 7*y1 share no z: the eliminant is the

@@ -31,7 +31,7 @@ COMMANDS = [
     (["reconstruct", "--input", "{parts}"], IO | {"corrdyn.clebsch"}),
     (["project", "--input", "{f}"], IO | {"corrdyn.clebsch"}),
     (["stability", "--input", "{g}"], IO | {"corrdyn.stability"}),
-    (["multipliers", "--input", "{g}"], IO | {"corrdyn.clebsch", "corrdyn.multiplier"}),
+    (["multipliers", "--input", "{g}"], IO | {"corrdyn.multiplier"}),
     (["verify", "--degree-cap", "2", "--only", "torus-weight-scaling"], EVERYTHING),
 ]
 

@@ -8,7 +8,7 @@ from corrdyn.correspondence import Correspondence, MoebiusMap, conjugate
 from corrdyn.forms import BiForm, BinaryForm, rational_roots
 import corrdyn.stability
 from corrdyn.stability import Verdict, classify_stability, diagonal_multiplicity_at_least
-from corrdyn.verify import rand_correspondence, rand_moebius
+from corrdyn.verify import rand_correspondence, rand_moebius, rand_planted_corner
 from test_forms import fraction_binary_gcd, fraction_diagonal_restriction, rand_coeff
 
 SQUARE = Correspondence.from_matrix(2, 1, [[0, -1], [0, 0], [1, 0]])
@@ -160,14 +160,6 @@ def linear_scan_multiplicity(f: Correspondence):
     return best, best_witness
 
 
-def planted_corner(rng, d, e, k):
-    """Random (d, e) form with a_ij = 0 for i + j < k: multiplicity >= k at ([1:0], [1:0])."""
-    rows = [[0 if i + j < k else rng.randint(-9, 9) for j in range(e + 1)] for i in range(d + 1)]
-    i = rng.randint(max(0, k - e), min(d, k))
-    rows[i][k - i] = rng.choice([-2, -1, 1, 3])
-    return Correspondence.from_matrix(d, e, rows)
-
-
 class TestBisection:
     def test_planted_orders_match_linear_scan(self):
         rng = random.Random(69)
@@ -176,7 +168,7 @@ class TestBisection:
                 if d + e == 0:
                     continue
                 for k in range(d + e + 1):
-                    f = planted_corner(rng, d, e, k)
+                    f = rand_planted_corner(rng, d, e, k)
                     if k % 2:  # move the planted point off [1:0]
                         f = conjugate(f, rand_moebius(rng))
                     assert max_multiplicity(f) == linear_scan_multiplicity(f), (d, e, k)
@@ -197,7 +189,7 @@ class TestBisection:
                 if d + e == 0:
                     continue
                 k = rng.randint(0, d + e)
-                f = Correspondence(planted_corner(rng, d, e, k).form * DIAGONAL.form)
+                f = Correspondence(rand_planted_corner(rng, d, e, k).form * DIAGONAL.form)
                 assert max_multiplicity(f) == linear_scan_multiplicity(f), (d, e, k)
 
     def test_full_corners_match_linear_scan(self):
@@ -223,7 +215,7 @@ class TestBisection:
         n = 24
         for k in (0, 1, 5, 12, 13, 23, 24):
             calls.clear()
-            f = planted_corner(rng, 12, 12, k)
+            f = rand_planted_corner(rng, 12, 12, k)
             assert max_multiplicity(f)[0] >= k
             assert len(calls) <= math.ceil(math.log2(n + 1)), (k, calls)
 

@@ -5,6 +5,8 @@ import sys
 import pytest
 
 import corrdyn.multiplier as multiplier_mod
+import corrdyn.stability as stability_mod
+import corrdyn.verify as verify_mod
 from corrdyn.multiplier import DiagonalDerivatives
 from corrdyn.verify import CHECK_NAMES, run_verify_suite
 
@@ -66,6 +68,60 @@ class TestTermination:
         )
         proc = subprocess.run([sys.executable, "-c", code], timeout=60)
         assert proc.returncode == 0
+
+
+class TestStabilityCoverage:
+    """The stability identities reach the cases they are about on every seed."""
+
+    @staticmethod
+    def verdicts(monkeypatch):
+        seen = []
+        inner = stability_mod.classify_stability
+
+        def recording(f):
+            seen.append(inner(f))
+            return seen[-1]
+
+        monkeypatch.setattr(stability_mod, "classify_stability", recording)
+        return seen
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_crosscheck_round_trips_every_witness(self, monkeypatch, seed):
+        seen = self.verdicts(monkeypatch)
+        roots = []
+        inner = verify_mod.rational_roots
+        monkeypatch.setattr(verify_mod, "rational_roots", lambda w: roots.append(w) or inner(w))
+        for cap in (2, 3, 4):
+            seen.clear()
+            roots.clear()
+            (result,) = run_verify_suite(seed, cap, only="stability-matrix-crosscheck").results
+            assert result.passed and result.total == 10
+            assert [r.verdict.value for r in seen] == ["Unstable"] * 10
+            assert len(roots) == 10
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_conjugation_invariance_meets_every_verdict(self, monkeypatch, seed):
+        seen = self.verdicts(monkeypatch)
+        for cap in (2, 3):
+            (result,) = run_verify_suite(seed, cap, only="stability-conjugation-invariance").results
+            assert result.passed and result.total == 10
+        assert {r.verdict.value for r in seen} == {"Stable", "StrictlySemistable", "Unstable"}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_monotonicity_sees_orders_above_one(self, monkeypatch, seed):
+        hits = []
+        inner = stability_mod.diagonal_multiplicity_at_least
+
+        def recording(f, m):
+            hit, witness = inner(f, m)
+            hits.append(m if hit else 0)
+            return hit, witness
+
+        monkeypatch.setattr(stability_mod, "diagonal_multiplicity_at_least", recording)
+        for cap in (2, 3):
+            (result,) = run_verify_suite(seed, cap, only="multiplicity-monotonicity").results
+            assert result.passed and result.total == 8
+        assert max(hits) >= 3
 
 
 class TestMutationSensitivity:
