@@ -8,12 +8,15 @@ Collecting the powers m = 0..min(d, e) is a linear bijection between the
 the decomposition V_d (x) V_e ~ V_{d+e} (+) V_{d+e-2} (+) ... of classical
 invariant theory.  Both directions run on integers.
 
-Each power is computed from that definition: the signed binomial sum over k
-of the partials d_{x0}^k d_{x1}^(m-k) d_{y0}^(m-k) d_{y1}^k, restricted by
-the integer anti-diagonal kernel of ``forms``; ``cg_decompose`` clears f to
-integer rows once and takes every power from them.  The map is graded:
-component m at index t only sees the a_ij with i + j = t + m, so the inverse
-splits into blocks of size at most min(d, e) + 1, one per anti-diagonal.
+The map is graded: component m at index t only sees the a_ij with
+i + j = t + m.  Each power's integer weights are summed once per (d, e, m)
+from the definition, the signed binomial sum over k of the partials
+d_{x0}^k d_{x1}^(m-k) d_{y0}^(m-k) d_{y1}^k restricted to the diagonal, and
+cached by anti-diagonal; a power is then one integer dot product per output
+coefficient with f's integer rows read by anti-diagonal, which
+``cg_decompose`` clears once for all powers.  By the same grading the
+inverse splits into blocks of size at most min(d, e) + 1, one per
+anti-diagonal.
 Gordan's series (Grace and Young, The Algebra of Invariants, 1903) writes f
 back from its Cayley powers in closed form, so each block's weights are read
 off binomial coefficients and cached as integer rows over one denominator;
@@ -24,25 +27,48 @@ dot products with those rows, one ``Fraction`` per coefficient.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .forms import BiForm, BinaryForm, _diagonal_sum, _frac, _int_rows, _int_scale, _partial_weights
+from .forms import BiForm, BinaryForm, _frac, _int_rows, _int_scale, _partial_weights
 
 
-def _omega(a, den: int, d: int, e: int, m: int) -> BinaryForm:
-    """The m-th Cayley power of the bidegree (d, e) form with integer rows a over den.
+@lru_cache(maxsize=None)
+def _omega_table(d: int, e: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Integer weights of the m-th Cayley power of a bidegree (d, e) form.
 
+    Row t holds the weights of the a_ij with i + j = t + m, in increasing i:
+    output coefficient t is their dot product with that anti-diagonal.
     (d_{x0} d_{y1} - d_{y0} d_{x1})^m is the signed binomial sum over k of
-    d_{x0}^k d_{x1}^(m-k) d_{y0}^(m-k) d_{y1}^k.
+    d_{x0}^k d_{x1}^(m-k) d_{y0}^(m-k) d_{y1}^k, whose weight on a_ij is
+    wx[i - m + k] * wy[j - k] for the _partial_weights wx of the x orders
+    and wy of the y orders; for one k and one i these fill the run
+    j = k..k+e-m of the weight matrix, which is updated as a whole.
     """
-    out = [0] * (d + e - 2 * m + 1)
+    w = [[0] * (e + 1) for _ in range(d + 1)]
     for k in range(m + 1):
-        wx = [(-1) ** (m - k) * math.comb(m, k) * w for w in _partial_weights(d, k, m - k)]
-        term = _diagonal_sum(a, wx, _partial_weights(e, m - k, k), m - k, k)
-        out = [u + v for u, v in zip(out, term)]
-    return BinaryForm(d + e - 2 * m, [Fraction(v, den) for v in out])
+        sign = (-1) ** (m - k) * math.comb(m, k)
+        wy = _partial_weights(e, m - k, k)
+        for ii, u in enumerate(_partial_weights(d, k, m - k)):
+            row, su = w[m - k + ii], sign * u
+            row[k : k + len(wy)] = [x + su * v for x, v in zip(row[k : k + len(wy)], wy)]
+    return tuple(map(tuple, _anti_diagonals(w, d, e)[m : d + e - m + 1]))
+
+
+def _anti_diagonals(a, d: int, e: int) -> list[list[int]]:
+    """The (d+1) x (e+1) matrix a by anti-diagonal: entry s lists a[i][s - i] in increasing i."""
+    return [[a[i][s - i] for i in range(max(0, s - e), min(d, s) + 1)] for s in range(d + e + 1)]
+
+
+def _omega(diagonals, den: int, d: int, e: int, m: int) -> BinaryForm:
+    """The m-th Cayley power of the bidegree (d, e) form with anti-diagonals over den."""
+    table = _omega_table(d, e, m)
+    return BinaryForm(
+        d + e - 2 * m,
+        [Fraction(sum(map(operator.mul, row, diagonals[t + m])), den) for t, row in enumerate(table)],
+    )
 
 
 def cayley_omega(f: BiForm, m: int) -> BinaryForm:
@@ -50,7 +76,8 @@ def cayley_omega(f: BiForm, m: int) -> BinaryForm:
     d, e = f.deg_x, f.deg_y
     if m < 0 or m > min(d, e):
         raise ValueError(f"Cayley order must lie in 0..min(d, e) = {min(d, e)}")
-    return _omega(*_int_rows(f), d, e, m)
+    a, den = _int_rows(f)
+    return _omega(_anti_diagonals(a, d, e), den, d, e, m)
 
 
 @dataclass(frozen=True)
@@ -82,7 +109,8 @@ def cg_decompose(f: BiForm) -> CgComponents:
     """All Cayley powers of f, stacked; an exact linear bijection."""
     d, e = f.deg_x, f.deg_y
     a, den = _int_rows(f)
-    return CgComponents(d, e, tuple(_omega(a, den, d, e, m) for m in range(min(d, e) + 1)))
+    diagonals = _anti_diagonals(a, d, e)
+    return CgComponents(d, e, tuple(_omega(diagonals, den, d, e, m) for m in range(min(d, e) + 1)))
 
 
 @lru_cache(maxsize=None)

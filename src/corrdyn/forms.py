@@ -19,9 +19,10 @@ from ``_int_scale`` and make one ``Fraction`` per output coefficient at the
 end: linear substitution (``substitute_linear``, which ``substitute_pair``
 applies to rows and columns), the homogeneous GCD (``_gcd_int_forms``),
 exact division (``divide_exact``) and ``_diagonal_sum``, the weighted
-anti-diagonal sum of ``_int_rows`` that gives every diagonal restriction: of
-f, of the Cayley powers, of the multiplier's diagonal derivatives and of the
-stability partials.  ``rational_roots`` finds the roots of an integer core by
+anti-diagonal sum of ``_int_rows`` that gives the diagonal restrictions of f,
+of the multiplier's diagonal derivatives and of the stability partials (the
+Cayley powers of ``clebsch`` read their summed weights from a cached table
+instead).  ``rational_roots`` finds the roots of an integer core by
 p-adic lifting and rational reconstruction (Loos 1983), in time polynomial in
 the coefficients' bit size, and keeps a root only when an exact integer
 division confirms it.

@@ -507,14 +507,23 @@ def _check_stability_conjugation(rng, cap, c: CheckResult):
 
 
 def _check_stability_odd_parity(rng, cap, c: CheckResult):
-    for _ in range(12):
+    # For odd d+e a planted point of multiplicity k > (d+e)/2 makes f Unstable,
+    # and k is the largest multiplicity: a (1, 1) curve through it and any
+    # other diagonal point meets f in d+e points, so that point has fewer than k.
+    for i in range(12):
         while True:
             d, e = rand_bidegree(rng, cap)
             if (d + e) % 2 == 1:
                 break
-        f = rand_correspondence(rng, d, e)
-        verdict = stability.classify_stability(f).verdict
-        c.record(verdict != stability.Verdict.STRICTLY_SEMISTABLE, lambda: f"f={f!r}")
+        k = rng.randint((d + e) // 2 + 1, d + e)
+        f = rand_planted_corner(rng, d, e, k)
+        if i % 2 == 1:
+            f = conjugate(f, rand_moebius(rng))
+        res = stability.classify_stability(f)
+        c.record(
+            (res.verdict, res.max_multiplicity) == (stability.Verdict.UNSTABLE, k),
+            lambda: f"f={f!r} k={k}",
+        )
 
 
 def _check_stability_matrix_crosscheck(rng, cap, c: CheckResult):

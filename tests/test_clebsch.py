@@ -8,6 +8,7 @@ import pytest
 from corrdyn.clebsch import (
     CgComponents,
     _block_inverse,
+    _omega_table,
     cayley_omega,
     cg_decompose,
     cg_reconstruct,
@@ -109,14 +110,40 @@ class TestCayleyOmega:
 
     def test_matches_operator_expansion(self):
         rng = random.Random(42)
-        for trial in range(60):
-            d, e = rng.randint(0, 5), rng.randint(0, 5)
+        fixed = [(12, 12), (0, 0), (0, 4), (0, 9), (4, 0), (9, 0)]
+        for trial in range(60 + 2 * len(fixed)):
+            if trial < 60:
+                d, e = rng.randint(0, 5), rng.randint(0, 5)
+            else:  # each fixed bidegree once with integer and once with Fraction entries
+                d, e = fixed[(trial - 60) // 2]
             if trial % 2:  # zero, small and large-denominator Fraction entries
                 f = BiForm(d, e, [[rand_coeff(rng) for _ in range(e + 1)] for _ in range(d + 1)])
             else:
                 f = rand_biform(rng, d, e)
             for m in range(min(d, e) + 1):
                 assert cayley_omega(f, m) == omega_by_definition(f, m)
+
+    def test_table_matches_closed_form(self):
+        for d in range(9):
+            for e in range(9):
+                for m in range(min(d, e) + 1):
+                    table = _omega_table(d, e, m)
+                    assert len(table) == d + e - 2 * m + 1
+                    for t, row in enumerate(table):
+                        s = t + m
+                        pairs = [(i, s - i) for i in range(max(0, s - e), min(d, s) + 1)]
+                        assert list(row) == [monomial_weight(d, e, i, j, m) for i, j in pairs]
+
+    def test_results_survive_a_cold_table(self):
+        rng = random.Random(53)
+        forms = [rand_biform(rng, rng.randint(0, 7), rng.randint(0, 7)) for _ in range(20)]
+        forms.append(BiForm(3, 4, [[rand_coeff(rng) for _ in range(5)] for _ in range(4)]))
+        warm = [cg_decompose(f) for f in forms]
+        _omega_table.cache_clear()
+        assert [cg_decompose(f) for f in forms] == warm
+        _omega_table.cache_clear()
+        for f, comp in zip(forms, warm):
+            assert [cayley_omega(f, m) for m in range(len(comp.parts))] == list(comp.parts)
 
     def test_order_out_of_range(self):
         f = BiForm.monomial(2, 1, 0, 0)

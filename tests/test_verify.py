@@ -150,3 +150,16 @@ class TestMutationSensitivity:
         text = run_verify_suite(seed=1, degree_cap=3, only="hyperplane-residual").text()
         assert "FAIL hyperplane-residual" in text
         assert "corrdyn verify --seed 1 --degree-cap 3 --only hyperplane-residual" in text
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_off_by_one_multiplicity_breaks_odd_parity(self, monkeypatch, seed):
+        (result,) = run_verify_suite(seed, 3, only="stability-odd-parity").results
+        assert result.passed and result.total == 12
+        original = stability_mod.diagonal_multiplicity_at_least
+
+        def off_by_one(f, m):
+            return original(f, max(m - 1, 1))
+
+        monkeypatch.setattr(stability_mod, "diagonal_multiplicity_at_least", off_by_one)
+        (result,) = run_verify_suite(seed, 3, only="stability-odd-parity").results
+        assert not result.passed
