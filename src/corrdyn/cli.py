@@ -11,7 +11,9 @@ form: ``--c0 -1/2`` or ``--c0=-1/2``.
 
 Handlers compute and return their JSON document; ``main`` writes it to stdout
 or ``--out``, the one write site.  ``verify`` prints its text report and has
-no ``--out``.
+no ``--out``; an identity that raises, or finds no valid input within the
+redraw bound, is a FAIL line and exits 1, so ``verify`` exits 3 only for a
+bad argument.
 
 Each handler imports the modules it uses when it runs, so a command loads
 only its part of the library: ``--help`` and ``--version`` none of it;

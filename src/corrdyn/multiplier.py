@@ -141,14 +141,15 @@ def rational_fixed_point_oracle(f: Correspondence) -> MultiplierSpectrum:
     """Brute-force spectrum from the rational fixed points themselves.
 
     Requires the fixed point form to split into distinct rational roots, none
-    at 0 or infinity, with diag_y nonzero at each; the multiplier at p is
-    then -diag_x(p)/diag_y(p) and sigma collects its elementary symmetric
-    functions.  This is the independent check of the resultant route.
+    at 0 or infinity (BadPosition), with diag_y nonzero at each (else
+    IndeterminateMultiplier); the multiplier at p is -diag_x(p)/diag_y(p) and
+    sigma collects their elementary symmetric functions.  This is the
+    independent check of the resultant route.
     """
     dd = diagonal_derivative_forms(f)
     n = dd.diag.degree
     if dd.diag.coeffs[0] == 0 or dd.diag.coeffs[n] == 0:
-        raise ValueError("fixed point at 0 or infinity")
+        raise BadPosition("fixed point at 0 or infinity")
     roots = rational_roots(dd.diag)
     if sum(mult for _, mult in roots) != n:
         raise ValueError("fixed point form does not split over the rationals")
@@ -158,7 +159,7 @@ def rational_fixed_point_oracle(f: Correspondence) -> MultiplierSpectrum:
     for (p0, p1), _ in roots:
         dy = dd.diag_y.evaluate(p0, p1)
         if dy == 0:
-            raise ValueError(f"y-critical fixed point at [{p0}:{p1}]")
+            raise IndeterminateMultiplier(f"y-critical fixed point at [{p0}:{p1}]")
         multipliers.append(-dd.diag_x.evaluate(p0, p1) / dy)
     sigma = [Fraction(1)]  # coefficients of prod (1 + m*t)
     for m in multipliers:

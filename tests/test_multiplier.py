@@ -314,6 +314,24 @@ class TestOracle:
         with pytest.raises(ValueError):
             rational_fixed_point_oracle(f)
 
+    def test_fixed_point_at_zero_is_bad_position(self):
+        # z -> z^2 fixes 0, 1 and infinity; the oracle refuses it as multiplier_form does
+        square = Correspondence.from_matrix(2, 1, [[0, -1], [0, 0], [1, 0]])
+        with pytest.raises(BadPosition):
+            rational_fixed_point_oracle(square)
+        with pytest.raises(BadPosition):
+            multiplier_form(square)
+
+    def test_y_critical_fixed_point_is_indeterminate(self):
+        # The conjugated square map with x and y swapped: its two critical fixed
+        # points have infinite multipliers, which sigma_spectrum refuses too.
+        rows = conjugated_square_map().form.coeffs
+        f = Correspondence.from_matrix(1, 2, [[rows[i][j] for i in range(3)] for j in range(2)])
+        with pytest.raises(IndeterminateMultiplier):
+            rational_fixed_point_oracle(f)
+        with pytest.raises(IndeterminateMultiplier):
+            sigma_spectrum(multiplier_form(f))
+
     def test_planted_fixed_points(self):
         from corrdyn.forms import rational_roots
 

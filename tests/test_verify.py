@@ -1,9 +1,13 @@
 import hashlib
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import corrdyn
 import corrdyn.multiplier as multiplier_mod
 import corrdyn.stability as stability_mod
 import corrdyn.verify as verify_mod
@@ -68,6 +72,159 @@ class TestTermination:
         )
         proc = subprocess.run([sys.executable, "-c", code], timeout=60)
         assert proc.returncode == 0
+
+
+def _verify_with_fault(tmp_path, path, line, faulty):
+    """``verify --seed 1 --degree-cap 3`` on a copy of the package with one line replaced.
+
+    Returns the exit code and {identity: its failure lines, or None if it passed}.
+    """
+    shutil.copytree(
+        Path(corrdyn.__file__).parent,
+        tmp_path / "corrdyn",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    target = tmp_path / "corrdyn" / path
+    text = target.read_text(encoding="utf-8")
+    assert text.count(line) == 1
+    target.write_text(text.replace(line, faulty), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "corrdyn", "verify", "--seed", "1", "--degree-cap", "3"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+        timeout=60,
+    )
+    verdicts = {}
+    for row in proc.stdout.splitlines():
+        if row.startswith(("PASS ", "FAIL ")):
+            name = row.split()[1]
+            verdicts[name] = None if row.startswith("PASS") else []
+        elif row.startswith("    instance"):
+            verdicts[name].append(row.strip())
+    return proc.returncode, verdicts
+
+
+# The identities that reach _interpolate_line, through compose or covariant_resultant.
+_INTERPOLATION_USERS = (
+    "covariant-specialization",
+    "composition-bidegree",
+    "composition-associativity",
+    "moebius-graph-composition",
+    "spectrum-conjugation-invariance",
+    "multiplier-oracle-agreement",
+    "invariant-normalized-coefficients",
+    "hyperplane-residual",
+    "index-residual",
+    "woods-hole-residual",
+)
+_BLIND_SPOT = pytest.mark.xfail(strict=True, reason="verify blind spot, ROADMAP item 4")
+
+
+class TestPlantedFaults:
+    """A one-line library fault ends verify with FAIL lines and exit 1.
+
+    ``failing`` maps each identity the fault must fail to the exception type
+    its failure lines name (None: a wrong result, no exception); every other
+    identity must pass.  A blind spot is a fault that no identity catches yet,
+    marked xfail so that the change that closes it must flip its entry.
+    """
+
+    @pytest.mark.parametrize(
+        "path, line, faulty, failing",
+        [
+            pytest.param(
+                "multiplier.py",
+                "    if r.is_zero():\n",
+                "    if r.is_zero() or (d, e) == (2, 2):\n",
+                dict.fromkeys(
+                    (
+                        "spectrum-conjugation-invariance",
+                        "invariant-normalized-coefficients",
+                        "hyperplane-residual",
+                    ),
+                    "RuntimeError",
+                ),
+                id="multiplier-form-refuses-bidegree-2-2",
+            ),
+            pytest.param(
+                "clebsch.py",
+                "    if m < 0 or m > min(d, e):\n",
+                "    if m < 0 or m > min(d, e) or m == 1:\n",
+                dict.fromkeys(
+                    ("cayley-linearity", "cayley-explicit-monomial", "derivative-linear-relations"),
+                    "ValueError",
+                ),
+                id="cayley-omega-refuses-order-1",
+            ),
+            pytest.param(
+                "resultant.py",
+                "    c = list(vals)\n",
+                '    raise ArithmeticError("inexact divided difference")\n',
+                dict.fromkeys(_INTERPOLATION_USERS, "ArithmeticError"),
+                id="interpolation-raises",
+            ),
+            pytest.param(
+                "stability.py",
+                "    order = m - 1\n",
+                "    order = m - 2\n",
+                {"stability-odd-parity": None},
+                id="order-m-minus-2-partials",
+            ),
+            pytest.param(
+                "stability.py",
+                "    if 2 * mult < n:\n",
+                "    if 2 * mult < n - 1:\n",
+                None,
+                id="stable-read-as-unstable",
+                marks=_BLIND_SPOT,
+            ),
+            pytest.param(
+                "clebsch.py",
+                "w1.scale(c1)",
+                "w1.scale(c0)",
+                None,
+                id="rho-embed-scales-omega1-by-c0",
+                marks=_BLIND_SPOT,
+            ),
+            pytest.param(
+                "correspondence.py",
+                "    scale = df**dp * dg**e\n",
+                "    scale = df**dp * dg**e * dg\n",
+                None,
+                id="compose-divides-by-extra-dg",
+                marks=_BLIND_SPOT,
+            ),
+            pytest.param(
+                "resultant.py",
+                "df**g.degree * dg**f.degree",
+                "df**f.degree * dg**g.degree",
+                None,
+                id="resultant-denominator-exponents-swapped",
+                marks=_BLIND_SPOT,
+            ),
+            pytest.param(
+                "forms.py",
+                "roots.append(((b, a), mult))",
+                "roots.append(((b, a), 1))",
+                None,
+                id="rational-roots-multiplicity-1",
+                marks=_BLIND_SPOT,
+            ),
+        ],
+    )
+    def test_fault_fails_the_identities_it_reaches(self, tmp_path, path, line, faulty, failing):
+        code, verdicts = _verify_with_fault(tmp_path, path, line, faulty)
+        assert code == 1
+        assert sorted(verdicts) == sorted(CHECK_NAMES)
+        failed = {name: lines for name, lines in verdicts.items() if lines is not None}
+        assert failed
+        if failing is None:
+            return
+        assert sorted(failed) == sorted(failing)
+        for name, raised in failing.items():
+            if raised is not None:
+                assert all(f": raised {raised}: " in row for row in failed[name])
 
 
 class TestStabilityCoverage:
