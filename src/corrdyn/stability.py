@@ -17,11 +17,36 @@ of order-(k+1) partials at P, so vanishing propagates downward as long as
 p + q >= 1; requesting m <= d + e keeps every intermediate bidegree positive,
 hence checking the single top order suffices.  Restricting the order-(m-1)
 partials to the diagonal turns the existence of such a point into a common
-projective root of finitely many binary forms, which the homogeneous GCD
-decides exactly: the GCD is nonconstant iff a common root exists over the
-algebraic closure, and the all-zero GCD means every diagonal point qualifies
-(the partials vanish along the whole diagonal).  The GCD is returned as a
-witness; its roots are the offending diagonal points.
+projective root of finitely many binary forms, which their homogeneous GCD W
+decides exactly: W is nonconstant iff a common root exists over the
+algebraic closure, and W = 0 means every diagonal point qualifies (the
+partials vanish along the whole diagonal).  W is returned as a witness; its
+roots are the offending diagonal points.
+
+W is computed from about m^2/2 restrictions instead of the ~m^3/6 partials
+of order m-1.  On the diagonal the x identity reads
+
+    z0*(d_{x0}h)|D + z1*(d_{x1}h)|D = p*h|D,
+
+and the y identity likewise.  Solved for (d_{x0}h)|D, it trades an
+x0-derivative for an x1-derivative and a restriction of lower order, divided
+by z0.  So at a diagonal point P = [p0:p1] with p0 != 0 every order-(m-1)
+partial vanishes at least to the least order among the chart partials
+d_{x1}^j d_{y1}^l f with j + l <= m-1; and read forward, the identities make
+each chart partial a combination of order-(m-1) partials, so the two least
+orders are equal.  A binary GCD is fixed up to a scalar by its order at each
+point, so the GCD of the restricted chart partials agrees with W at every
+point but [0:1] and, normalized as ``binary_gcd`` normalizes, is W once that
+point is settled.  The chart sees [0:1] only through a_de (every chart
+partial vanishes there when a_de = 0), and the mirrored partials
+d_{x0}^i d_{y0}^k f settle it the same way, so they are read only while the
+GCD is nonzero and still vanishes at [0:1], and only for their order there.
+Adding an order-(m-1) partial to the set leaves the GCD alone, W being its
+divisor.  The first two of them, in y0 and y1 after the x0-derivatives that
+degree e forces, lead the stream: on a form without the point their GCD is
+usually already 1, so an order that misses stops as early as with every
+order-(m-1) partial, while the chart, read from order m-1 down to 0, makes an
+order that holds cheap.
 
 ``classify_stability`` finds the largest multiplicity by bisection over the
 orders 0..d+e rather than by trying m = 1, 2, ... in turn, so at most
@@ -31,8 +56,7 @@ Euler argument above), and "some diagonal point has multiplicity >= m" is
 monotone in m, which the ``multiplicity-monotonicity`` identity of
 ``corrdyn verify`` checks.  The last order that holds is therefore the m a
 linear scan finds, with the same GCD witness.  The restrictions of one order
-are produced lazily and the GCD stops reading them once it is 1, so an order
-that misses usually costs only its first few partials.
+are produced lazily and the GCD stops reading them once it is 1.
 
 The restrictions are computed on integers.  The coefficients of f are
 cleared once to integer rows over their common denominator D, and the
@@ -47,6 +71,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain
 
 from .correspondence import Correspondence
 from .forms import BinaryForm, _diagonal_sum, _gcd_int_forms, _int_rows, _partial_weights
@@ -70,7 +95,8 @@ def diagonal_multiplicity_at_least(f: Correspondence, m: int) -> tuple[bool, Bin
 
     The witness is the homogeneous GCD of all order-(m-1) mixed partials
     restricted to the diagonal; it is nonconstant or zero exactly when the
-    answer is true, and its roots are the offending points.
+    answer is true, and its roots are the offending points.  It is computed
+    from the chart partials of orders < m, which give the same GCD.
     """
     d, e = f.deg_x, f.deg_y
     n = d + e
@@ -79,20 +105,41 @@ def diagonal_multiplicity_at_least(f: Correspondence, m: int) -> tuple[bool, Bin
     a, _ = _int_rows(f.form)
     order = m - 1
 
-    def restrictions():
-        # One restriction per partial d_{x0}^i d_{x1}^j d_{y0}^k d_{y1}^l of
-        # total order m-1, grouped by sx = i + j so that the y weights are made
-        # once per (k, l); the range of sx leaves out the partials that
-        # overflow a degree.  Lazily, so the GCD can stop reading at 1.
-        for sx in range(max(order - e, 0), min(order, d) + 1):
-            wys = [_partial_weights(e, order - sx - l, l) for l in range(order - sx + 1)]
-            for j in range(sx + 1):
-                wx = _partial_weights(d, sx - j, j)
-                for l, wy in enumerate(wys):
-                    yield n - order, _diagonal_sum(a, wx, wy, j, l)
+    def leads():
+        # d_{x0}^sx d_{y0}^(m-1-sx-l) d_{y1}^l for l = 0, 1 with sx as small as
+        # degree e allows: on an order that misses their GCD is usually 1.
+        sx = max(order - e, 0)
+        wx = _partial_weights(d, sx, 0)
+        for l in range(min(order - sx, 1) + 1):
+            if l < order:  # else it is d_{y1}^l, a chart partial
+                wy = _partial_weights(e, order - sx - l, l)
+                yield n - order, _diagonal_sum(a, wx, wy, 0, l)
 
-    witness = _gcd_int_forms(restrictions())
-    return witness.is_zero() or witness.degree >= 1, witness
+    def chart(rows, lowest):
+        # Restrictions of d_{x1}^j d_{y1}^l for the form with these rows, for
+        # lowest <= j + l <= m-1, highest order (fewest terms) first.
+        wxs = [_partial_weights(d, 0, j) for j in range(min(order, d) + 1)]
+        wys = [_partial_weights(e, 0, l) for l in range(min(order, e) + 1)]
+        for k in range(order, lowest - 1, -1):
+            for j in range(max(k - e, 0), min(k, d) + 1):
+                yield n - k, _diagonal_sum(rows, wxs[j], wys[k - j], j, k - j)
+
+    witness = _gcd_int_forms(chain(leads(), chart(a, 0)))
+    if witness.is_zero() or witness.coeffs[-1] != 0:
+        return witness.is_zero() or witness.degree >= 1, witness
+    # The witness vanishes at [0:1], where the chart z0 != 0 sees only a_de.
+    # The mirrored form (x0 <-> x1, y0 <-> y1) turns the partials in x0/y0
+    # into chart partials and [0:1] into [1:0]: the least order of vanishing
+    # at [0:1] is the least number of leading zeros among them.
+    v0 = next(k for k, c in enumerate(reversed(witness.coeffs)) if c)
+    low = v0
+    for _, r in chart([row[::-1] for row in reversed(a)], 1):
+        low = min(low, next((k for k, c in enumerate(r) if c), low))
+        if not low:
+            break
+    cs = witness.coeffs[: len(witness.coeffs) - v0 + low]
+    witness = BinaryForm(len(cs) - 1, cs)
+    return witness.degree >= 1, witness
 
 
 def classify_stability(f: Correspondence) -> StabilityVerdict:

@@ -109,9 +109,22 @@ def rand_invertible_matrix(rng: random.Random):
     )
 
 
+def _draw_with_form(draw, accept=lambda f: True) -> tuple[Correspondence, BinaryForm]:
+    """The first draw() f that is not None, has a multiplier form and passes accept, with that form."""
+    def pair():
+        f = draw()
+        return f, None if f is None else multiplier.multiplier_form(f)
+
+    return _draw_until(pair, lambda v: v[0] is not None and accept(v[0]))
+
+
+def _good_position(rng: random.Random, d: int, e: int) -> tuple[Correspondence, BinaryForm]:
+    return _draw_with_form(lambda: rand_correspondence(rng, d, e))
+
+
 def rand_good_position(rng: random.Random, d: int, e: int) -> Correspondence:
     """Random (d, e) correspondence on which the multiplier form is defined."""
-    return _draw_until(lambda: rand_correspondence(rng, d, e), multiplier.multiplier_form)
+    return _good_position(rng, d, e)[0]
 
 
 def _map_graph(p: list, q: list) -> Correspondence | None:
@@ -125,19 +138,22 @@ def _map_graph(p: list, q: list) -> Correspondence | None:
     return Correspondence.from_matrix(d, 1, [[-p[i], q[i]] for i in range(d + 1)])
 
 
+def _map_graph_in_position(rng: random.Random, d: int) -> tuple[Correspondence, BinaryForm]:
+    return _draw_with_form(
+        lambda: _map_graph(
+            [Fraction(rng.randint(-9, 9)) for _ in range(d + 1)],
+            [Fraction(rng.randint(-9, 9)) for _ in range(d)] + [Fraction(1)],
+        )
+    )
+
+
 def rand_map_graph(rng: random.Random, d: int) -> Correspondence:
     """Graph of a random degree-d rational map, in good position.
 
     The defining form is y*Q(x) - P(x) with coprime P, Q, Q monic of degree d
     and P(0) != 0, so no fixed point sits at 0 or infinity.
     """
-    return _draw_until(
-        lambda: _map_graph(
-            [Fraction(rng.randint(-9, 9)) for _ in range(d + 1)],
-            [Fraction(rng.randint(-9, 9)) for _ in range(d)] + [Fraction(1)],
-        ),
-        lambda f: f is not None and multiplier.multiplier_form(f),
-    )
+    return _map_graph_in_position(rng, d)[0]
 
 
 _POINT_POOL = [Fraction(n) for n in range(-9, 10) if n] + [
@@ -145,13 +161,7 @@ _POINT_POOL = [Fraction(n) for n in range(-9, 10) if n] + [
 ] + [Fraction(n, 3) for n in (-8, -7, -5, -4, -2, -1, 1, 2, 4, 5, 7, 8)]
 
 
-def rand_split_map_graph(rng: random.Random, d: int) -> Correspondence:
-    """Graph of a degree-d map with d+1 distinct rational fixed points.
-
-    Fixed points are planted: with N monic vanishing on the chosen points and
-    Q monic of degree d, the map P/Q with P = z*Q - N has fixed point form
-    exactly N.  Redraws until the multiplier preconditions hold.
-    """
+def _split_map_graph(rng: random.Random, d: int) -> tuple[Correspondence, BinaryForm]:
     def draw():
         pts = rng.sample(_POINT_POOL, d + 1)
         # monic product prod (z - pt), ascending
@@ -163,11 +173,17 @@ def rand_split_map_graph(rng: random.Random, d: int) -> Correspondence:
             return None
         return _map_graph([(q[k - 1] if k else 0) - n_poly[k] for k in range(d + 1)], q)
 
-    def accept(f):
-        return (f is not None and multiplier.multiplier_form(f)
-                and multiplier.rational_fixed_point_oracle(f))
+    return _draw_with_form(draw, multiplier.rational_fixed_point_oracle)
 
-    return _draw_until(draw, accept)
+
+def rand_split_map_graph(rng: random.Random, d: int) -> Correspondence:
+    """Graph of a degree-d map with d+1 distinct rational fixed points.
+
+    Fixed points are planted: with N monic vanishing on the chosen points and
+    Q monic of degree d, the map P/Q with P = z*Q - N has fixed point form
+    exactly N.  Redraws until the multiplier preconditions hold.
+    """
+    return _split_map_graph(rng, d)[0]
 
 
 def conjugated_square_map() -> Correspondence:
@@ -588,17 +604,17 @@ def _spectrum(f):
     return multiplier.sigma_spectrum(multiplier.multiplier_form(f))
 
 
-def _normalized_multiplier_form(f):
-    """The multiplier form over a00*a_de, invariant under determinant-one conjugation."""
+def _normalized_multiplier_form(f, r=None):
+    """The multiplier form r of f over a00*a_de, invariant under determinant-one conjugation."""
     d, e = f.bidegree
     norm = f.form.coeffs[0][0] * f.form.coeffs[d][e]
-    return tuple(x / norm for x in multiplier.multiplier_form(f).coeffs)
+    return tuple(x / norm for x in (multiplier.multiplier_form(f) if r is None else r).coeffs)
 
 
 def _check_spectrum_conjugation(rng, cap, c: CheckResult):
     def draw():
-        f = rand_good_position(rng, rng.randint(1, 2), rng.randint(1, 2))
-        return f, _spectrum(f)
+        f, r = _good_position(rng, rng.randint(1, 2), rng.randint(1, 2))
+        return f, multiplier.sigma_spectrum(r)
 
     for _ in range(8):
         # An infinite multiplier stays infinite under every conjugation, so
@@ -609,32 +625,34 @@ def _check_spectrum_conjugation(rng, cap, c: CheckResult):
 
 
 def _check_oracle_agreement(rng, cap, c: CheckResult):
-    instances = [conjugated_square_map()] + [
-        rand_split_map_graph(rng, rng.randint(1, min(cap, 3))) for _ in range(7)
+    square = conjugated_square_map()
+    instances = [(square, multiplier.multiplier_form(square))] + [
+        _split_map_graph(rng, rng.randint(1, min(cap, 3))) for _ in range(7)
     ]
-    for f in instances:
-        c.record(_spectrum(f) == multiplier.rational_fixed_point_oracle(f), lambda: f"f={f!r}")
+    for f, r in instances:
+        ok = multiplier.sigma_spectrum(r) == multiplier.rational_fixed_point_oracle(f)
+        c.record(ok, lambda: f"f={f!r}")
 
 
 def _check_invariant_coefficients(rng, cap, c: CheckResult):
     for _ in range(8):
-        f = rand_good_position(rng, rng.randint(1, 2), rng.randint(1, 2))
+        f, r = _good_position(rng, rng.randint(1, 2), rng.randint(1, 2))
         g, rhs = _conjugate_until_defined(rng, f, rand_sl2_moebius, _normalized_multiplier_form)
-        c.record(_normalized_multiplier_form(f) == rhs, lambda: f"f={f!r} g={g!r}")
+        c.record(_normalized_multiplier_form(f, r) == rhs, lambda: f"f={f!r} g={g!r}")
 
 
 def _check_hyperplane(rng, cap, c: CheckResult):
     plan = [(1, 2), (2, 2)] + [rand_bidegree(rng, min(cap, 3)) for _ in range(4)]
     for d, e in plan:
-        f = rand_good_position(rng, d, e)
-        residual = multiplier.dz_coordinates(multiplier.multiplier_form(f), d, e)[1]
+        f, r = _good_position(rng, d, e)
+        residual = multiplier.dz_coordinates(r, d, e)[1]
         c.record(residual == 0, lambda: f"f={f!r}")
 
 
 def _check_index(rng, cap, c: CheckResult):
     for _ in range(8):
-        f = rand_map_graph(rng, rng.randint(1, min(cap + 1, 4)))
-        c.record(multiplier.index_residual(_spectrum(f)) == 0, lambda: f"f={f!r}")
+        f, r = _map_graph_in_position(rng, rng.randint(1, min(cap + 1, 4)))
+        c.record(multiplier.index_residual(multiplier.sigma_spectrum(r)) == 0, lambda: f"f={f!r}")
 
 
 def _check_woods_hole(rng, cap, c: CheckResult):

@@ -109,6 +109,17 @@ class TestMultiplicity:
                 assert earlier or not later
 
 
+def planted_at_infinity(rng, d: int, e: int, k: int):
+    """Rows of a random nonzero (d, e) form with a_ij = 0 for (d-i) + (e-j) < k.
+
+    Its multiplicity at ([0:1], [0:1]) is at least k.
+    """
+    rows = [[0 if (d - i) + (e - j) < k else rand_coeff(rng) for j in range(e + 1)]
+            for i in range(d + 1)]
+    rows[0][0] = rows[0][0] or 1  # (d-0) + (e-0) >= k, so the form stays nonzero
+    return rows
+
+
 def partial_route_multiplicity(f: Correspondence, m: int):
     """Reference route: every order-(m-1) partial as a form, restricted, monic Fraction GCD.
 
@@ -147,6 +158,23 @@ class TestIntegerRestrictions:
             f = Correspondence(form)
             for m in range(1, d + e + 1):
                 assert diagonal_multiplicity_at_least(f, m) == partial_route_multiplicity(f, m)
+
+    def test_matches_partial_route_off_the_corner(self):
+        # Forms planted at ([0:1], [0:1]), the only inputs whose witness the
+        # chart z0 != 0 cannot settle, and planted forms moved along the diagonal.
+        rng = random.Random(72)
+        for trial in range(48):
+            d, e = rng.randint(0, 6), rng.randint(0, 6)
+            if d + e == 0:
+                e = 1
+            k = rng.randint(1, d + e)
+            if trial % 2 == 0:
+                f = Correspondence.from_matrix(d, e, planted_at_infinity(rng, d, e, k))
+            else:
+                f = conjugate(rand_planted_corner(rng, d, e, k), rand_moebius(rng))
+            for m in range(1, d + e + 1):
+                got = diagonal_multiplicity_at_least(f, m)
+                assert got == partial_route_multiplicity(f, m), (trial, m)
 
 
 def linear_scan_multiplicity(f: Correspondence):
@@ -218,6 +246,47 @@ class TestBisection:
             f = rand_planted_corner(rng, 12, 12, k)
             assert max_multiplicity(f)[0] >= k
             assert len(calls) <= math.ceil(math.log2(n + 1)), (k, calls)
+
+    def test_confirmed_order_reads_the_chart_only(self, monkeypatch):
+        # A confirmed order m reads the two leading restrictions and the chart
+        # partials d_{x1}^j d_{y1}^l with j + l < m, about m^2/2 of them; the
+        # chart z0 = 0 is read only when a_de = 0 leaves [0:1] undecided.
+        reads = []
+        inner = corrdyn.stability._diagonal_sum
+
+        def counted(*args):
+            reads.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(corrdyn.stability, "_diagonal_sum", counted)
+
+        def chart_size(d, e, m):
+            return sum(1 for j in range(d + 1) for l in range(e + 1) if j + l < m)
+
+        rng = random.Random(73)
+        for k in (3, 5, 12, 13, 23, 24):
+            f = rand_planted_corner(rng, 12, 12, k)
+            while f.form.coeffs[12][12] == 0:
+                f = rand_planted_corner(rng, 12, 12, k)
+            for m in range(1, k + 1):
+                reads.clear()
+                assert diagonal_multiplicity_at_least(f, m)[0]
+                assert len(reads) <= m * (m + 1) // 2 + 2, (k, m, len(reads))
+        for trial in range(24):
+            d, e = rng.randint(2, 6), rng.randint(1, 6)
+            k = rng.randint(3, d + e)
+            at_infinity = trial % 2 == 1
+            if at_infinity:
+                f = Correspondence.from_matrix(d, e, planted_at_infinity(rng, d, e, k))
+            else:
+                f = conjugate(rand_planted_corner(rng, d, e, k), rand_moebius(rng))
+                if f.form.coeffs[d][e] == 0:
+                    continue
+            for m in range(3, k + 1):
+                reads.clear()
+                assert diagonal_multiplicity_at_least(f, m)[0]
+                chart = chart_size(d, e, m) + 2
+                assert len(reads) > chart if at_infinity else len(reads) == chart, (trial, m)
 
 
 class TestMaxMultiplicity:
