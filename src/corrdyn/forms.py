@@ -134,8 +134,15 @@ class BinaryForm:
 
     def evaluate(self, z0, z1) -> Fraction:
         z0, z1 = _frac(z0), _frac(z1)
-        n = self.degree
-        return sum((c * z0 ** (n - k) * z1**k for k, c in enumerate(self.coeffs)), Fraction(0))
+        ints, den = _int_scale(self.coeffs)
+        # With z0 = u/w and z1 = v/w for w = q0*q1, the value is
+        # sum c_k u^(n-k) v^k / (den * w^n): homogeneous Horner on integers.
+        u, v = z0.numerator * z1.denominator, z1.numerator * z0.denominator
+        acc, upow = 0, 1
+        for c in reversed(ints):
+            acc = acc * v + c * upow
+            upow *= u
+        return Fraction(acc, den * (z0.denominator * z1.denominator) ** self.degree)
 
     def __eq__(self, other) -> bool:
         return (

@@ -58,8 +58,22 @@ monotone in m, which the ``multiplicity-monotonicity`` identity of
 linear scan finds, with the same GCD witness.  The restrictions of one order
 are produced lazily and the GCD stops reading them once it is 1.
 
+The orders of one call share their per-form work.  The integer rows of f
+(below), the mirrored rows and the chart weight tables are built once, and
+every order tried after a hit at mult lies above it, so the GCD G that the hit
+read is carried there: order m reads its two leading restrictions, the chart
+partials of orders m-1 down to mult only, and G last.  The GCD is the same.
+The chart restrictions do not depend on m and a GCD may be taken in any
+grouping, so G stands in for the chart partials below mult; the one thing G
+adds is the two leading restrictions of order mult-1.  Those are
+combinations of order-(m-1) partials by the Euler identities, so the W of
+order m divides them: the GCD keeps W's order at every point but [0:1], and
+there the mirrored partials set it exactly, as before.
+``diagonal_multiplicity_at_least`` runs the same per-order routine with
+nothing carried.
+
 The restrictions are computed on integers.  The coefficients of f are
-cleared once to integer rows over their common denominator D, and the
+cleared once per call to integer rows over their common denominator D, and the
 restriction of each partial is summed straight from them by the anti-diagonal
 kernel of ``forms``, with no intermediate form.  Every restriction is D times
 the true one, which does not move the witness: a GCD is unique up to a
@@ -90,6 +104,23 @@ class StabilityVerdict:
     witness: BinaryForm
 
 
+class _Partials:
+    """What every order test of f reads, built once per form.
+
+    f's integer rows, the mirrored rows (x0 <-> x1, y0 <-> y1) and the weight
+    tables of the chart partials d_{x1}^j and d_{y1}^l.
+    """
+
+    __slots__ = ("d", "e", "rows", "mirrored", "wxs", "wys")
+
+    def __init__(self, f: Correspondence):
+        self.d, self.e = d, e = f.deg_x, f.deg_y
+        self.rows = _int_rows(f.form)[0]
+        self.mirrored = [row[::-1] for row in reversed(self.rows)]
+        self.wxs = [_partial_weights(d, 0, j) for j in range(d + 1)]
+        self.wys = [_partial_weights(e, 0, l) for l in range(e + 1)]
+
+
 def diagonal_multiplicity_at_least(f: Correspondence, m: int) -> tuple[bool, BinaryForm]:
     """Whether some diagonal point has multiplicity >= m, with a GCD witness.
 
@@ -98,11 +129,22 @@ def diagonal_multiplicity_at_least(f: Correspondence, m: int) -> tuple[bool, Bin
     answer is true, and its roots are the offending points.  It is computed
     from the chart partials of orders < m, which give the same GCD.
     """
-    d, e = f.deg_x, f.deg_y
-    n = d + e
+    n = f.deg_x + f.deg_y
     if not 1 <= m <= n:
         raise ValueError(f"multiplicity order must lie in 1..{n}")
-    a, _ = _int_rows(f.form)
+    return _multiplicity_at_least(_Partials(f), m)[:2]
+
+
+def _multiplicity_at_least(p: _Partials, m: int, carried=(0, ())):
+    """diagonal_multiplicity_at_least on prepared partials, and what a higher order may carry.
+
+    carried is (lowest, gcd): gcd, as (degree, coefficients) pairs, stands in
+    for the chart partials of orders below lowest and is read last.  The
+    returned carry is this order's GCD before the [0:1] correction.
+    """
+    d, e = p.d, p.e
+    n = d + e
+    lowest, gcd = carried
     order = m - 1
 
     def leads():
@@ -113,33 +155,32 @@ def diagonal_multiplicity_at_least(f: Correspondence, m: int) -> tuple[bool, Bin
         for l in range(min(order - sx, 1) + 1):
             if l < order:  # else it is d_{y1}^l, a chart partial
                 wy = _partial_weights(e, order - sx - l, l)
-                yield n - order, _diagonal_sum(a, wx, wy, 0, l)
+                yield n - order, _diagonal_sum(p.rows, wx, wy, 0, l)
 
     def chart(rows, lowest):
         # Restrictions of d_{x1}^j d_{y1}^l for the form with these rows, for
         # lowest <= j + l <= m-1, highest order (fewest terms) first.
-        wxs = [_partial_weights(d, 0, j) for j in range(min(order, d) + 1)]
-        wys = [_partial_weights(e, 0, l) for l in range(min(order, e) + 1)]
         for k in range(order, lowest - 1, -1):
             for j in range(max(k - e, 0), min(k, d) + 1):
-                yield n - k, _diagonal_sum(rows, wxs[j], wys[k - j], j, k - j)
+                yield n - k, _diagonal_sum(rows, p.wxs[j], p.wys[k - j], j, k - j)
 
-    witness = _gcd_int_forms(chain(leads(), chart(a, 0)))
+    witness = _gcd_int_forms(chain(leads(), chart(p.rows, lowest), gcd))
+    carry = order + 1, [(witness.degree, [c.numerator for c in witness.coeffs])]
     if witness.is_zero() or witness.coeffs[-1] != 0:
-        return witness.is_zero() or witness.degree >= 1, witness
+        return witness.is_zero() or witness.degree >= 1, witness, carry
     # The witness vanishes at [0:1], where the chart z0 != 0 sees only a_de.
-    # The mirrored form (x0 <-> x1, y0 <-> y1) turns the partials in x0/y0
-    # into chart partials and [0:1] into [1:0]: the least order of vanishing
-    # at [0:1] is the least number of leading zeros among them.
+    # The mirrored form turns the partials in x0/y0 into chart partials and
+    # [0:1] into [1:0]: the least order of vanishing at [0:1] is the least
+    # number of leading zeros among them.
     v0 = next(k for k, c in enumerate(reversed(witness.coeffs)) if c)
     low = v0
-    for _, r in chart([row[::-1] for row in reversed(a)], 1):
+    for _, r in chart(p.mirrored, 1):
         low = min(low, next((k for k, c in enumerate(r) if c), low))
         if not low:
             break
     cs = witness.coeffs[: len(witness.coeffs) - v0 + low]
     witness = BinaryForm(len(cs) - 1, cs)
-    return witness.degree >= 1, witness
+    return witness.degree >= 1, witness, carry
 
 
 def classify_stability(f: Correspondence) -> StabilityVerdict:
@@ -150,14 +191,16 @@ def classify_stability(f: Correspondence) -> StabilityVerdict:
     n = f.deg_x + f.deg_y
     if n < 1:
         raise ValueError("stability needs total degree at least 1")
-    # Bisection over 0..n: the test is monotone in m and each order stands alone.
+    # Bisection over 0..n: the test is monotone in m.  Every order tried after
+    # a hit lies above it and reads the hit's GCD in place of the chart below.
+    p = _Partials(f)
     mult, hi = 0, n
-    witness = BinaryForm(0, [1])
+    witness, carried = BinaryForm(0, [1]), (0, ())
     while mult < hi:
         m = (mult + hi + 1) // 2
-        hit, witness_m = diagonal_multiplicity_at_least(f, m)
+        hit, witness_m, carry = _multiplicity_at_least(p, m, carried)
         if hit:
-            mult, witness = m, witness_m
+            mult, witness, carried = m, witness_m, carry
         else:
             hi = m - 1
     if 2 * mult < n:

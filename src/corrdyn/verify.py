@@ -41,8 +41,8 @@ def _draw_until(draw, accept=lambda value: True):
 
     A false accept(value), or a _PreconditionError (BadPosition,
     DegenerateComposition, IndeterminateMultiplier) from either call, rejects
-    the draw; a form or spectrum returned by accept takes it.  Any other
-    error, and the RuntimeError of running out, passes through enclosing draws.
+    the draw.  Any other error, and the RuntimeError of running out, passes
+    through enclosing draws.
     """
     for _ in range(_MAX_DRAWS):
         try:
@@ -109,13 +109,13 @@ def rand_invertible_matrix(rng: random.Random):
     )
 
 
-def _draw_with_form(draw, accept=lambda f: True) -> tuple[Correspondence, BinaryForm]:
-    """The first draw() f that is not None, has a multiplier form and passes accept, with that form."""
+def _draw_with_form(draw) -> tuple[Correspondence, BinaryForm]:
+    """The first draw() f that is not None and has a multiplier form, with that form."""
     def pair():
         f = draw()
         return f, None if f is None else multiplier.multiplier_form(f)
 
-    return _draw_until(pair, lambda v: v[0] is not None and accept(v[0]))
+    return _draw_until(pair, lambda v: v[0] is not None)
 
 
 def _good_position(rng: random.Random, d: int, e: int) -> tuple[Correspondence, BinaryForm]:
@@ -161,7 +161,10 @@ _POINT_POOL = [Fraction(n) for n in range(-9, 10) if n] + [
 ] + [Fraction(n, 3) for n in (-8, -7, -5, -4, -2, -1, 1, 2, 4, 5, 7, 8)]
 
 
-def _split_map_graph(rng: random.Random, d: int) -> tuple[Correspondence, BinaryForm]:
+def _split_map_graph(
+    rng: random.Random, d: int
+) -> tuple[Correspondence, BinaryForm, multiplier.MultiplierSpectrum]:
+    """rand_split_map_graph's draw with its multiplier form and the oracle spectrum that took it."""
     def draw():
         pts = rng.sample(_POINT_POOL, d + 1)
         # monic product prod (z - pt), ascending
@@ -171,9 +174,12 @@ def _split_map_graph(rng: random.Random, d: int) -> tuple[Correspondence, Binary
         q = [Fraction(rng.randint(-6, 6)) for _ in range(d)] + [Fraction(1)]
         if any(sum(c * pt**k for k, c in enumerate(q)) == 0 for pt in pts):
             return None
-        return _map_graph([(q[k - 1] if k else 0) - n_poly[k] for k in range(d + 1)], q)
+        f = _map_graph([(q[k - 1] if k else 0) - n_poly[k] for k in range(d + 1)], q)
+        if f is None:
+            return None
+        return f, multiplier.multiplier_form(f), multiplier.rational_fixed_point_oracle(f)
 
-    return _draw_with_form(draw, multiplier.rational_fixed_point_oracle)
+    return _draw_until(draw, lambda v: v is not None)
 
 
 def rand_split_map_graph(rng: random.Random, d: int) -> Correspondence:
@@ -626,12 +632,11 @@ def _check_spectrum_conjugation(rng, cap, c: CheckResult):
 
 def _check_oracle_agreement(rng, cap, c: CheckResult):
     square = conjugated_square_map()
-    instances = [(square, multiplier.multiplier_form(square))] + [
-        _split_map_graph(rng, rng.randint(1, min(cap, 3))) for _ in range(7)
-    ]
-    for f, r in instances:
-        ok = multiplier.sigma_spectrum(r) == multiplier.rational_fixed_point_oracle(f)
-        c.record(ok, lambda: f"f={f!r}")
+    instances = [
+        (square, multiplier.multiplier_form(square), multiplier.rational_fixed_point_oracle(square))
+    ] + [_split_map_graph(rng, rng.randint(1, min(cap, 3))) for _ in range(7)]
+    for f, r, spectrum in instances:
+        c.record(multiplier.sigma_spectrum(r) == spectrum, lambda: f"f={f!r}")
 
 
 def _check_invariant_coefficients(rng, cap, c: CheckResult):

@@ -59,6 +59,23 @@ class TestEvaluate:
             assert (f * g).evaluate(p) == f.evaluate(p) * g.evaluate(p)
             assert f.evaluate((p[0], p[1], t * p[2], t * p[3])) == t**e * f.evaluate(p)
 
+    def test_binary_form_matches_fraction_sum(self):
+        # Reference: the definition, sum c_k z0^(n-k) z1^k in Fraction arithmetic.
+        def fraction_sum(form, z0, z1):
+            n = form.degree
+            return sum((c * F(z0) ** (n - k) * F(z1) ** k for k, c in enumerate(form.coeffs)), F(0))
+
+        rng = random.Random(74)
+        for trial in range(300):
+            n = 0 if trial % 10 == 0 else rng.randint(1, 8)
+            form = BinaryForm(n, [rand_coeff(rng) for _ in range(n + 1)])
+            points = [(1, 0), (0, 1), (rng.randint(-9, 9), rng.randint(-9, 9)),
+                      (rand_coeff(rng), rand_coeff(rng)),
+                      (F(rng.randint(-30, 30), rng.randint(1, 9)), rng.randint(-9, 9))]
+            for z0, z1 in points:
+                got = form.evaluate(z0, z1)
+                assert type(got) is F and got == fraction_sum(form, z0, z1), (trial, z0, z1)
+
 
 class TestDiagonalRestriction:
     def test_diagonal_form_vanishes(self):

@@ -177,6 +177,11 @@ class TestIntegerRestrictions:
                 assert got == partial_route_multiplicity(f, m), (trial, m)
 
 
+def chart_size(d: int, e: int, m: int) -> int:
+    """The number of chart partials d_{x1}^j d_{y1}^l f with j + l < m."""
+    return sum(1 for j in range(d + 1) for l in range(e + 1) if j + l < m)
+
+
 def linear_scan_multiplicity(f: Correspondence):
     """Oracle: try the orders m = 1, 2, ... in turn and keep the last hit with its witness."""
     best, best_witness = 0, BinaryForm(0, [1])
@@ -230,15 +235,29 @@ class TestBisection:
                 assert got == linear_scan_multiplicity(f)
                 assert got[0] == d + e
 
+    def test_off_the_corner_matches_linear_scan(self):
+        # Planted at ([0:1], [0:1]) with a_de = 0, or moved along the diagonal:
+        # where the carried GCD meets the [0:1] correction.
+        rng = random.Random(76)
+        for d in range(9):
+            for e in range(9):
+                if d + e == 0:
+                    continue
+                for k in rng.sample(range(d + e + 1), min(3, d + e + 1)):
+                    f = Correspondence.from_matrix(d, e, planted_at_infinity(rng, d, e, k))
+                    assert max_multiplicity(f) == linear_scan_multiplicity(f), (d, e, k)
+                    f = conjugate(rand_planted_corner(rng, d, e, k), rand_moebius(rng))
+                    assert max_multiplicity(f) == linear_scan_multiplicity(f), (d, e, k)
+
     def test_tries_logarithmically_many_orders(self, monkeypatch):
         calls = []
-        inner = corrdyn.stability.diagonal_multiplicity_at_least
+        inner = corrdyn.stability._multiplicity_at_least
 
-        def counted(f, m):
+        def counted(p, m, *carried):
             calls.append(m)
-            return inner(f, m)
+            return inner(p, m, *carried)
 
-        monkeypatch.setattr(corrdyn.stability, "diagonal_multiplicity_at_least", counted)
+        monkeypatch.setattr(corrdyn.stability, "_multiplicity_at_least", counted)
         rng = random.Random(71)
         n = 24
         for k in (0, 1, 5, 12, 13, 23, 24):
@@ -259,10 +278,6 @@ class TestBisection:
             return inner(*args)
 
         monkeypatch.setattr(corrdyn.stability, "_diagonal_sum", counted)
-
-        def chart_size(d, e, m):
-            return sum(1 for j in range(d + 1) for l in range(e + 1) if j + l < m)
-
         rng = random.Random(73)
         for k in (3, 5, 12, 13, 23, 24):
             f = rand_planted_corner(rng, 12, 12, k)
@@ -287,6 +302,35 @@ class TestBisection:
                 assert diagonal_multiplicity_at_least(f, m)[0]
                 chart = chart_size(d, e, m) + 2
                 assert len(reads) > chart if at_infinity else len(reads) == chart, (trial, m)
+
+    def test_classify_reads_each_chart_partial_once(self, monkeypatch):
+        # A hit's GCD is carried to the orders above it, so one call reads the
+        # chart partials of orders < k once, plus at most four restrictions
+        # per order tried (two leading ones, and a few more on a miss).
+        reads, orders = [], []
+        inner_sum = corrdyn.stability._diagonal_sum
+        inner_order = corrdyn.stability._multiplicity_at_least
+
+        def counted_sum(*args):
+            reads.append(args)
+            return inner_sum(*args)
+
+        def counted_order(p, m, *carried):
+            orders.append(m)
+            return inner_order(p, m, *carried)
+
+        monkeypatch.setattr(corrdyn.stability, "_diagonal_sum", counted_sum)
+        monkeypatch.setattr(corrdyn.stability, "_multiplicity_at_least", counted_order)
+        rng = random.Random(75)
+        for k in (11, 13):
+            for _ in range(4):
+                f = rand_planted_corner(rng, 12, 12, k)
+                while f.form.coeffs[12][12] == 0:
+                    f = rand_planted_corner(rng, 12, 12, k)
+                reads.clear()
+                orders.clear()
+                assert max_multiplicity(f)[0] == k
+                assert len(reads) <= chart_size(12, 12, k) + 4 * len(orders), (k, len(reads))
 
 
 class TestMaxMultiplicity:

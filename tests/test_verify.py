@@ -312,11 +312,11 @@ class TestMutationSensitivity:
     def test_off_by_one_multiplicity_breaks_odd_parity(self, monkeypatch, seed):
         (result,) = run_verify_suite(seed, 3, only="stability-odd-parity").results
         assert result.passed and result.total == 12
-        original = stability_mod.diagonal_multiplicity_at_least
+        original = stability_mod._multiplicity_at_least
 
-        def off_by_one(f, m):
-            return original(f, max(m - 1, 1))
+        def off_by_one(p, m, *carried):
+            return original(p, max(m - 1, 1), *carried)
 
-        monkeypatch.setattr(stability_mod, "diagonal_multiplicity_at_least", off_by_one)
+        monkeypatch.setattr(stability_mod, "_multiplicity_at_least", off_by_one)
         (result,) = run_verify_suite(seed, 3, only="stability-odd-parity").results
         assert not result.passed
