@@ -16,9 +16,8 @@ matrices are shaped by declared degrees.  Coefficients are
 value is immutable, so everything here is safe to share between threads.
 Inside, the hot loops run on integer numerators over one common denominator
 from ``_int_scale`` and make one ``Fraction`` per output coefficient at the
-end: linear substitution (``substitute_linear``, which ``substitute_pair``
-applies to rows and columns), the homogeneous GCD (``_gcd_int_forms``),
-exact division (``divide_exact``) and ``_diagonal_sum``, the weighted
+end: linear substitution, the homogeneous GCD (``_gcd_int_forms``), exact
+division (``divide_exact``) and ``_diagonal_sum``, the weighted
 anti-diagonal sum of ``_int_rows`` that gives the diagonal restrictions of f,
 of the multiplier's diagonal derivatives and of the stability partials (the
 Cayley powers of ``clebsch`` read their summed weights from a cached table
@@ -27,16 +26,30 @@ p-adic lifting and rational reconstruction (Loos 1983), in time polynomial in
 the coefficients' bit size, and keeps a root only when an exact integer
 division confirms it.
 
+Linear substitution of a degree-n form is one integer matrix: the
+``_substitution_table`` of the 2x2 matrix cleared to integers, whose column j
+holds L^(n-j) * M^j, built in O(n^2) from L^n by exact division
+(L * column j+1 = M * column j).
+``substitute_linear`` takes one integer dot product per output coefficient
+with it; ``substitute_pair`` clears f to integer rows once, sends the rows
+through the y-table and the columns through the x-table (one table serves
+both when the two matrices and degrees agree, as in every conjugation of a
+square bidegree), and divides once by den * dx^d * dy^e.
+
 Each univariate kernel on ascending coefficient lists exists once: the
 pseudo-remainder ``_prem``, which both the primitive remainder sequence of
 ``_gcd_int`` and the subresultant sequence of ``resultant._resultant_prs``
-take; the exact integer division ``_divide_int``; and the convolution
-``_convolve``, which also multiplies bihomogeneous forms row pair by row pair.
+take; the exact integer division ``_divide_int``; the product by a linear
+form ``_times_linear``, which gives the substitution tables their first
+column and the multiplier oracle its product; the homogeneous Horner value ``_horner``, which
+``evaluate`` and that oracle take; and the convolution ``_convolve``, which
+also multiplies bihomogeneous forms row pair by row pair.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -59,6 +72,57 @@ def _primitive(p: Sequence[int]) -> list[int]:
     """p divided by its content; p must have a nonzero entry."""
     g = math.gcd(*p)
     return [c // g for c in p]
+
+
+def _times_linear(p: Sequence[int], a: int, b: int) -> list[int]:
+    """p * (a*z0 + b*z1) for the coefficient list p of a binary form."""
+    return [a * u + b * v for u, v in zip([*p, 0], [0, *p])]
+
+
+def _horner(p: Sequence[int], u: int, v: int) -> int:
+    """The binary form with integer coefficients p at the integer point [u:v]."""
+    acc, upow = 0, 1
+    for c in reversed(p):
+        acc = acc * v + c * upow
+        upow *= u
+    return acc
+
+
+def _int_matrix(m) -> tuple[list[int], int]:
+    """The entries a, b, c, d of m = ((a, b), (c, d)) over their common denominator, and it."""
+    return _int_scale([_frac(v) for row in m for v in row])
+
+
+def _substitution_table(a: int, b: int, c: int, d: int, n: int) -> list[list[int]]:
+    """Row k holds coefficient k of L^(n-j) * M^j for j = 0..n.
+
+    L = a*z0 + b*z1 and M = c*z0 + d*z1, so row k dotted with the
+    coefficients of a degree-n form F is coefficient k of F(L, M).  Column 0
+    is L^n; column j+1 is the N with L*N = M * (column j), solved one
+    coefficient at a time by exact division by a: O(n^2) operations where
+    multiplying out every L^(n-j) * M^j would take O(n^3).
+    """
+    if not a:
+        if b:  # L = b*z1: the table of (b, a, d, c) read with z0 and z1 swapped
+            return _substitution_table(b, a, d, c, n)[::-1]
+        mpow = [1]  # L = 0: every column but M^n vanishes
+        for _ in range(n):
+            mpow = _times_linear(mpow, c, d)
+        return [[0] * n + [v] for v in mpow]
+    col = [1]
+    for _ in range(n):
+        col = _times_linear(col, a, b)
+    cols = [col]
+    for _ in range(n):
+        # a*N[k] + b*N[k-1] = c*col[k] + d*col[k-1]; q is N[k-1] and prev col[k-1].
+        nxt, q, prev = [], 0, 0
+        for u in col:
+            q = (c * u + d * prev - b * q) // a
+            nxt.append(q)
+            prev = u
+        col = nxt
+        cols.append(col)
+    return [list(row) for row in zip(*cols)]
 
 
 def _partial_weights(n: int, i: int, j: int) -> list[int]:
@@ -138,11 +202,8 @@ class BinaryForm:
         # With z0 = u/w and z1 = v/w for w = q0*q1, the value is
         # sum c_k u^(n-k) v^k / (den * w^n): homogeneous Horner on integers.
         u, v = z0.numerator * z1.denominator, z1.numerator * z0.denominator
-        acc, upow = 0, 1
-        for c in reversed(ints):
-            acc = acc * v + c * upow
-            upow *= u
-        return Fraction(acc, den * (z0.denominator * z1.denominator) ** self.degree)
+        value = _horner(ints, u, v)
+        return Fraction(value, den * (z0.denominator * z1.denominator) ** self.degree)
 
     def __eq__(self, other) -> bool:
         return (
@@ -177,18 +238,14 @@ class BinaryForm:
 
     def substitute_linear(self, m) -> "BinaryForm":
         """F(a*z0 + b*z1, c*z0 + d*z1) for the 2x2 matrix m = ((a, b), (c, d))."""
-        (a, b, c, d), den = _int_scale([_frac(v) for row in m for v in row])
+        entries, den = _int_matrix(m)
         ints, cden = _int_scale(self.coeffs)
-        # Homogeneous Horner on integers, for L = a*z0 + b*z1 and M = c*z0 + d*z1
-        # (den times the substituted linear forms) and the numerators c_j: after
-        # step k, acc holds sum_{j<=k} c_j L^(k-j) M^j and mpow holds M^k.
-        acc = ints[:1]
-        mpow = [1]
-        for coeff in ints[1:]:
-            mpow = [c * u + d * v for u, v in zip(mpow + [0], [0] + mpow)]
-            acc = [a * u + b * v + coeff * w for u, v, w in zip(acc + [0], [0] + acc, mpow)]
+        # den times the substituted linear forms, on the numerators c_j.
+        table = _substitution_table(*entries, self.degree)
         scale = cden * den**self.degree
-        return BinaryForm(self.degree, [Fraction(v, scale) for v in acc])
+        return BinaryForm(
+            self.degree, [Fraction(sum(map(operator.mul, row, ints)), scale) for row in table]
+        )
 
     def divide_exact(self, divisor: "BinaryForm") -> "BinaryForm":
         """Quotient Q with self == divisor * Q; raises ValueError when not divisible.
@@ -550,12 +607,23 @@ class BiForm:
 
         Each matrix ((a, b), (c, d)) sends the first slot to a*v0 + b*v1 and
         the second to c*v0 + d*v1, exactly as substitute_linear does for
-        binary forms.
+        binary forms.  The form is cleared to integer rows once; the rows go
+        through the substitution table of my, then the columns through that of
+        mx (the same table when mx = my and d = e), and each output
+        coefficient is one Fraction over den * dx^d * dy^e.
         """
         d, e = self.deg_x, self.deg_y
-        rows = [BinaryForm(e, row).substitute_linear(my).coeffs for row in self.coeffs]
-        cols = [BinaryForm(d, col).substitute_linear(mx).coeffs for col in zip(*rows)]
-        return BiForm(d, e, zip(*cols))
+        rows, den = _int_rows(self)
+        (xs, dx), (ys, dy) = _int_matrix(mx), _int_matrix(my)
+        ty = _substitution_table(*ys, e)
+        tx = ty if (xs, d) == (ys, e) else _substitution_table(*xs, d)
+        # half[i][s]: row i of f substituted in y; out[r][s] then sums down column s.
+        half = [[sum(map(operator.mul, t, row)) for t in ty] for row in rows]
+        cols = list(zip(*half))
+        scale = den * dx**d * dy**e
+        return BiForm(
+            d, e, [[Fraction(sum(map(operator.mul, t, col)), scale) for col in cols] for t in tx]
+        )
 
     def projectively_equal(self, other: "BiForm") -> bool:
         return (self.deg_x, self.deg_y) == (other.deg_x, other.deg_y) and projectively_equal(

@@ -35,11 +35,12 @@ from typing import Sequence
 from .correspondence import Correspondence, _PreconditionError
 from .forms import (
     BinaryForm,
-    _convolve,
     _diagonal_sum,
     _frac,
+    _horner,
     _int_rows,
     _int_scale,
+    _times_linear,
     projectively_equal,
     rational_roots,
 )
@@ -143,8 +144,11 @@ def rational_fixed_point_oracle(f: Correspondence) -> MultiplierSpectrum:
     Requires the fixed point form to split into distinct rational roots, none
     at 0 or infinity (BadPosition), with diag_y nonzero at each (else
     IndeterminateMultiplier); the multiplier at p is -diag_x(p)/diag_y(p) and
-    sigma collects their elementary symmetric functions.  This is the
-    independent check of the resultant route.
+    sigma collects their elementary symmetric functions.  diag_x and diag_y
+    are cleared to integers over one denominator, which the ratio drops, and
+    read at each root [p0:p1] by integer Horner as X_p and Y_p; sigma_i is
+    coefficient i of prod (Y_p - X_p*t) over the integers, divided by
+    prod Y_p.  This is the independent check of the resultant route.
     """
     dd = diagonal_derivative_forms(f)
     n = dd.diag.degree
@@ -155,16 +159,16 @@ def rational_fixed_point_oracle(f: Correspondence) -> MultiplierSpectrum:
         raise ValueError("fixed point form does not split over the rationals")
     if any(mult > 1 for _, mult in roots):
         raise ValueError("fixed points are not distinct")
-    multipliers = []
+    ints = _int_scale(dd.diag_x.coeffs + dd.diag_y.coeffs)[0]
+    xs, ys = ints[: n + 1], ints[n + 1 :]
+    product, den = [1], 1
     for (p0, p1), _ in roots:
-        dy = dd.diag_y.evaluate(p0, p1)
-        if dy == 0:
+        y = _horner(ys, p0, p1)
+        if y == 0:
             raise IndeterminateMultiplier(f"y-critical fixed point at [{p0}:{p1}]")
-        multipliers.append(-dd.diag_x.evaluate(p0, p1) / dy)
-    sigma = [Fraction(1)]  # coefficients of prod (1 + m*t)
-    for m in multipliers:
-        sigma = _convolve(sigma, [Fraction(1), m])
-    return MultiplierSpectrum(tuple(sigma))
+        product = _times_linear(product, y, -_horner(xs, p0, p1))
+        den *= y
+    return MultiplierSpectrum(tuple(Fraction(c, den) for c in product))
 
 
 def dz_coordinates(r: BinaryForm, deg_x: int, deg_y: int) -> tuple[Fraction, ...]:

@@ -4,7 +4,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from corrdyn.forms import BiForm, BinaryForm, _gcd_int, _gcd_int_forms, binary_gcd, rational_roots
+from corrdyn.forms import (
+    BiForm,
+    BinaryForm,
+    _gcd_int,
+    _gcd_int_forms,
+    _substitution_table,
+    binary_gcd,
+    rational_roots,
+)
 from corrdyn.verify import rand_binary_form
 
 
@@ -358,6 +366,63 @@ class TestSubstituteLinear:
         assert list(form.substitute_linear(((0, 0), (0, 0))).coeffs) == [0, 0, 0, 0]
 
 
+def definition_substitute_linear(form, m):
+    """F(L, M) by its definition: sum_j c_j L^(n-j) M^j with both powers expanded binomially."""
+
+    def pow_linear(p, q, t):
+        return [math.comb(t, s) * p ** (t - s) * q**s for s in range(t + 1)]
+
+    (a, b), (c, d) = ((F(v) for v in row) for row in m)
+    n = form.degree
+    out = [F(0)] * (n + 1)
+    for j, coeff in enumerate(form.coeffs):
+        for r, u in enumerate(pow_linear(a, b, n - j)):
+            for s, v in enumerate(pow_linear(c, d, j)):
+                out[r + s] += coeff * u * v
+    return out
+
+
+def rand_matrix(rng, kind):
+    """A rational 2x2 matrix: 0 singular, 1 zero, otherwise random."""
+    if kind == 0:
+        a, b, k = rand_coeff(rng), rand_coeff(rng), rand_coeff(rng)
+        return ((a, b), (k * a, k * b))
+    if kind == 1:
+        return ((0, 0), (0, 0))
+    return tuple(tuple(rand_coeff(rng) for _ in range(2)) for _ in range(2))
+
+
+class TestSubstitutionTable:
+    def test_matches_definition(self):
+        rng = random.Random(16)
+        for trial in range(200):
+            n = trial % 9
+            form = BinaryForm(n, [rand_coeff(rng) for _ in range(n + 1)])
+            m = rand_matrix(rng, trial % 5)
+            assert list(form.substitute_linear(m).coeffs) == definition_substitute_linear(form, m)
+
+    def test_degree_zero_and_unit_columns(self):
+        assert _substitution_table(2, 3, 5, 7, 0) == [[1]]
+        # (a, b, c, d) = (1, 2, 3, 4), n = 2: columns L^2, L*M, M^2
+        assert _substitution_table(1, 2, 3, 4, 2) == [[1, 3, 9], [4, 10, 24], [4, 8, 16]]
+        # a = 0: L = 2*z1, so the columns are 4*z1^2, 2*z1*M and M^2
+        assert _substitution_table(0, 2, 3, 4, 2) == [[0, 0, 9], [0, 6, 24], [4, 8, 16]]
+        # L = 0: only M^n survives
+        assert _substitution_table(0, 0, 1, 2, 2) == [[0, 0, 1], [0, 0, 4], [0, 0, 4]]
+        assert _substitution_table(0, 0, 0, 0, 3) == [[0] * 4] * 4
+
+
+def row_then_column_substitute_pair(form, mx, my):
+    """substitute_pair's earlier route: every row substituted by my, then every column by mx.
+
+    The substitution is fraction_horner, so nothing here shares the integer tables.
+    """
+    d, e = form.deg_x, form.deg_y
+    rows = [fraction_horner(BinaryForm(e, row), my) for row in form.coeffs]
+    cols = [fraction_horner(BinaryForm(d, col), mx) for col in zip(*rows)]
+    return [list(row) for row in zip(*cols)]
+
+
 def loop_substitute_pair(form, mx, my):
     """Reference substitute_pair: expand every monomial's image term by term in Fractions."""
 
@@ -399,6 +464,17 @@ class TestSubstitutePair:
                     ms.append(tuple(tuple(rand_coeff(rng) for _ in range(2)) for _ in range(2)))
             got = form.substitute_pair(*ms)
             assert [list(row) for row in got.coeffs] == loop_substitute_pair(form, *ms)
+
+    def test_matches_row_then_column_route(self):
+        rng = random.Random(17)
+        bidegrees = [(0, 0), (0, 4), (5, 0), (3, 3), (2, 6), (7, 1), (8, 8)]
+        for trial in range(300):
+            d, e = bidegrees[trial % len(bidegrees)]
+            form = BiForm(d, e, [[rand_coeff(rng) for _ in range(e + 1)] for _ in range(d + 1)])
+            mx = rand_matrix(rng, trial // 7 % 5)
+            my = mx if trial % 3 == 0 else rand_matrix(rng, trial // 5 % 5)
+            got = [list(row) for row in form.substitute_pair(mx, my).coeffs]
+            assert got == row_then_column_substitute_pair(form, mx, my), (form, mx, my)
 
 
 def trial_division_roots(form):

@@ -12,7 +12,7 @@ from corrdyn.correspondence import (
     iterate,
     moebius_graph,
 )
-from corrdyn.forms import BiForm, BinaryForm, binary_gcd
+from corrdyn.forms import BiForm, BinaryForm, binary_gcd, rational_roots
 from corrdyn.multiplier import (
     BadPosition,
     IndeterminateMultiplier,
@@ -32,6 +32,8 @@ from corrdyn.verify import (
     rand_correspondence,
     rand_good_position,
     rand_map_graph,
+    rand_moebius,
+    rand_planted_corner,
     rand_split_map_graph,
 )
 
@@ -355,6 +357,75 @@ class TestOracle:
         mults = sorted(derivative_at(p, q, z) for z in (F(1, 2), F(2, 3), F(1)))
         assert mults == [0, 0, 2]
         assert rational_fixed_point_oracle(f).sigma == (1, 2, 0, 0)
+
+
+def fraction_product_oracle(f):
+    """rational_fixed_point_oracle in Fraction arithmetic: each multiplier
+    -diag_x(p)/diag_y(p) from two Fraction evaluations, then the product of
+    the (1 + m*t)."""
+    dd = diagonal_derivative_forms(f)
+    n = dd.diag.degree
+    if dd.diag.coeffs[0] == 0 or dd.diag.coeffs[n] == 0:
+        raise BadPosition("fixed point at 0 or infinity")
+    roots = rational_roots(dd.diag)
+    if sum(mult for _, mult in roots) != n:
+        raise ValueError("fixed point form does not split over the rationals")
+    if any(mult > 1 for _, mult in roots):
+        raise ValueError("fixed points are not distinct")
+    multipliers = []
+    for (p0, p1), _ in roots:
+        dy = dd.diag_y.evaluate(p0, p1)
+        if dy == 0:
+            raise IndeterminateMultiplier(f"y-critical fixed point at [{p0}:{p1}]")
+        multipliers.append(-dd.diag_x.evaluate(p0, p1) / dy)
+    return MultiplierSpectrum(elementary_symmetric(multipliers))
+
+
+def outcome(fn, f):
+    try:
+        return fn(f)
+    except ValueError as exc:  # BadPosition and IndeterminateMultiplier included
+        return type(exc), exc.args
+
+
+class TestOracleArithmetic:
+    def test_matches_fraction_product(self):
+        rng = random.Random(77)
+        seen = set()
+        for trial in range(160):
+            d = rng.randint(1, 6)
+            kind = trial % 4
+            if kind == 0:
+                f = rand_split_map_graph(rng, d)
+            elif kind == 1:  # rational fixed points, moved off the planted chart
+                f = conjugate(rand_split_map_graph(rng, d), rand_moebius(rng))
+            elif kind == 2:
+                f = rand_map_graph(rng, d)
+            else:
+                f = rand_planted_corner(rng, d, rng.randint(1, 3), rng.randint(0, 1))
+            got = outcome(rational_fixed_point_oracle, f)
+            assert got == outcome(fraction_product_oracle, f), f
+            seen.add(got[0] if isinstance(got, tuple) else MultiplierSpectrum)
+        assert seen == {MultiplierSpectrum, BadPosition, ValueError}
+
+    def test_messages(self):
+        rows = conjugated_square_map().form.coeffs
+        swapped = Correspondence.from_matrix(
+            1, 2, [[rows[i][j] for i in range(3)] for j in range(2)]
+        )
+        square = Correspondence.from_matrix(2, 1, [[0, -1], [0, 0], [1, 0]])
+        # x0*y0 + x1*y1: the fixed point form z0^2 + z1^2 has no rational root
+        irreducible = Correspondence.from_matrix(1, 1, [[1, 0], [0, 1]])
+        cases = [
+            (swapped, IndeterminateMultiplier, "y-critical fixed point at [1:1]"),
+            (square, BadPosition, "fixed point at 0 or infinity"),
+            (irreducible, ValueError, "fixed point form does not split over the rationals"),
+            (MOEBIUS_FIXTURE, ValueError, "fixed points are not distinct"),
+        ]
+        for f, kind, message in cases:
+            with pytest.raises(kind) as info:
+                rational_fixed_point_oracle(f)
+            assert type(info.value) is kind and info.value.args == (message,)
 
 
 class TestNthMultiplier:

@@ -211,6 +211,29 @@ class TestPlantedFaults:
                 id="rational-roots-multiplicity-1",
                 marks=_BLIND_SPOT,
             ),
+            pytest.param(
+                "forms.py",
+                "    return [list(row) for row in zip(*cols)]\n",
+                "    return [list(row) for row in zip(*cols[::-1])]\n",
+                dict.fromkeys(
+                    (
+                        "substitution-composition",
+                        "resultant-equivariance",
+                        "conjugation-action-law",
+                        "torus-weight-scaling",
+                        "stability-matrix-crosscheck",
+                        "hyperplane-residual",
+                    )
+                ),
+                id="substitution-table-swaps-powers-of-l-and-m",
+            ),
+            pytest.param(
+                "multiplier.py",
+                "        product = _times_linear(product, y, -_horner(xs, p0, p1))\n",
+                "        product = _times_linear(product, y, _horner(xs, p0, p1))\n",
+                {"multiplier-oracle-agreement": None},
+                id="oracle-product-sign-flip",
+            ),
         ],
     )
     def test_fault_fails_the_identities_it_reaches(self, tmp_path, path, line, faulty, failing):
