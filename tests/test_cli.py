@@ -10,6 +10,7 @@ import pytest
 from corrdyn.clebsch import cg_decompose
 from corrdyn.cli import build_parser, main
 from corrdyn.serialization import components_to_doc, correspondence_from_doc
+from corpus import FUZZ_CASES, FUZZ_SEED, fuzz_case
 
 SQUARE_DOC = {"d": 2, "e": 1, "coeffs": [["0", "-1"], ["0", "0"], ["1", "0"]]}
 MOEBIUS_DOC = {"d": 1, "e": 1, "coeffs": [["1", "0"], ["-2", "1"]]}
@@ -421,107 +422,25 @@ class TestUsageErrors:
             assert separate[0] == 0 and separate == joined
 
 
-def fuzz_entry(rng):
-    """A coefficient string: zero with probability 0.35, else a small rational."""
-    if rng.random() < 0.35:
-        return "0"
-    num = rng.choice([-1, 1]) * rng.randint(1, 12)
-    return str(num) if rng.random() < 0.7 else f"{num}/{rng.randint(2, 7)}"
-
-
-def fuzz_doc(rng):
-    d, e = rng.randint(0, 3), rng.randint(0, 3)
-    rows = [[fuzz_entry(rng) for _ in range(e + 1)] for _ in range(d + 1)]
-    return {"d": d, "e": e, "coeffs": rows}
-
-
-FUZZ_JUNK = [None, True, 1.5, 3, -1, "", "abc", "1.5", "1/0", "--1", "0x10", [], ["1"], {}]
-
-
-def mutate(rng, doc):
-    """doc with one random defect: a bad degree, a missing or extra key, a bad row or entry."""
-    doc = json.loads(json.dumps(doc))
-    rows = doc.get("coeffs") or doc.get("parts")
-    kind = rng.randrange(6)
-    if kind == 0:
-        doc[rng.choice(["d", "e"])] = rng.choice(FUZZ_JUNK + [rng.randint(-2, 6)])
-    elif kind == 1:
-        doc.pop(rng.choice(list(doc)))
-    elif kind == 2:
-        doc[rng.choice(["x", "coeffs", "parts"])] = rng.choice(FUZZ_JUNK)
-    elif kind == 3 and rows:
-        rows.pop(rng.randrange(len(rows)))
-    elif kind == 4 and rows:
-        rows.append(rng.choice(FUZZ_JUNK))
-    else:
-        row = rng.choice(rows) if rows else None
-        if isinstance(row, list) and row:
-            row[rng.randrange(len(row))] = rng.choice(FUZZ_JUNK)
-        elif isinstance(row, dict) and row.get("coeffs"):
-            row["coeffs"][rng.randrange(len(row["coeffs"]))] = rng.choice(FUZZ_JUNK)
-    return doc
-
-
-def fuzz_text(rng, doc):
-    """JSON text for doc, sometimes mutated, sometimes truncated or not JSON at all."""
-    kind = rng.randrange(10)
-    if kind < 7:
-        return json.dumps(doc)
-    if kind < 9:
-        return json.dumps(mutate(rng, doc))
-    text = json.dumps(doc)
-    return rng.choice([text[: rng.randrange(len(text))], "[1, 2", "", "nan", "\x00{}"])
-
-
-def fuzz_rational(rng):
-    return fuzz_entry(rng) if rng.random() < 0.9 else rng.choice(["x", "1/0", ""])
-
-
 class TestFuzz:
     """Seeded random and malformed input across the commands, in process.
 
-    Every run must exit 0, 2 or 3, print valid JSON on success and exactly
-    one stderr line otherwise, and never a traceback.  The fixed case count
-    keeps the test near 2 s.
+    The 550 cases of tests/corpus.py drawn from random.Random(20261018), with
+    relative file names in a temporary directory.  Every run must exit 0, 2
+    or 3, print valid JSON on success and exactly one stderr line otherwise,
+    and never a traceback.  The fixed case count keeps the test near 2 s.
     """
 
-    COMMANDS = [
-        ["compose", "--left", "{a}", "--right", "{b}"],
-        ["iterate", "--input", "{a}", "--n", "{n}"],
-        ["conjugate", "--input", "{a}", "--moebius", "{m}"],
-        ["decompose", "--input", "{a}"],
-        ["reconstruct", "--input", "{parts}"],
-        ["project", "--input", "{a}", "--c0", "{r}", "--c1", "{s}"],
-        ["stability", "--input", "{a}"],
-        ["multipliers", "--input", "{a}"],
-        ["multipliers", "--input", "{a}", "--n", "2"],
-    ]
-
-    def test_seeded_fuzz(self, tmp_path, capsys):
-        from corrdyn.clebsch import cg_decompose
-        from corrdyn.serialization import SchemaError, components_to_doc, correspondence_from_doc
-
-        rng = random.Random(20261018)
+    def test_seeded_fuzz(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        rng = random.Random(FUZZ_SEED)
         codes = set()
-        for case in range(550):
-            a, b = fuzz_doc(rng), fuzz_doc(rng)
-            try:
-                parts = components_to_doc(cg_decompose(correspondence_from_doc(a).form))
-            except SchemaError:  # the zero form
-                parts = {"d": a["d"], "e": a["e"], "parts": []}
-            files = {}
-            for name, doc in (("a", a), ("b", b), ("parts", parts)):
-                path = tmp_path / f"{name}.json"
-                path.write_text(fuzz_text(rng, doc))
-                files[name] = str(path)
-            entries = [fuzz_entry(rng) for _ in range(4)]
-            if rng.random() < 0.1:
-                entries = entries[: rng.randrange(4)] + ["y"]
-            fields = dict(files, n=str(rng.randint(1, 2)), m=",".join(entries),
-                          r=fuzz_rational(rng), s=fuzz_rational(rng))
-            argv = [arg.format(**fields) for arg in rng.choice(self.COMMANDS)]
+        for case in range(FUZZ_CASES):
+            files, argv = fuzz_case(rng)
+            for name, text in files.items():
+                Path(name).write_text(text, encoding="utf-8")
             code, out, err = run_main(capsys, argv)
-            context = (case, argv, [Path(p).read_text() for p in files.values()], err)
+            context = (case, argv, list(files.values()), err)
             assert code in (0, 2, 3), context
             assert "Traceback" not in err, context
             if code == 0:
