@@ -339,13 +339,13 @@ def _gcd_int(p: Sequence[int], q: Sequence[int]) -> list[int]:
     return _primitive(a) if a else a
 
 
-def _gcd_int_forms(forms: Iterable[tuple[int, Sequence[int]]]) -> BinaryForm:
-    """binary_gcd of forms given as (degree, integer coefficients).
+def _gcd_int_forms(forms: Iterable[tuple[int, Sequence[int]]]) -> list[int]:
+    """The coefficients of binary_gcd of forms given as (degree, integer coefficients).
 
     Each form's coefficients may carry their own nonzero scale: the normalized
-    GCD does not see it.  Reading stops once the GCD is 1, that is once the
-    core is constant and no power of z0 or z1 can remain, so a lazy iterable
-    is never read past that point.
+    GCD does not see it, and the GCD of zero forms only is [0].  Reading stops
+    once the GCD is 1, that is once the core is constant and no power of z0 or
+    z1 can remain, so a lazy iterable is never read past that point.
     """
     v1 = v0 = 0
     acc: list[int] | None = None
@@ -363,10 +363,10 @@ def _gcd_int_forms(forms: Iterable[tuple[int, Sequence[int]]]) -> BinaryForm:
         if len(acc) == 1 and v1 == v0 == 0:
             break  # the GCD is 1: no later form can change it
     if acc is None:
-        return BinaryForm.zero(0)
+        return [0]
     if acc[0] < 0:
         acc = [-c for c in acc]
-    return BinaryForm(v1 + len(acc) - 1 + v0, [0] * v1 + acc + [0] * v0)
+    return [0] * v1 + acc + [0] * v0
 
 
 def binary_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
@@ -383,7 +383,8 @@ def binary_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
     """
     if not forms:
         raise ValueError("binary_gcd needs at least one form")
-    return _gcd_int_forms((f.degree, _int_scale(f.coeffs)[0]) for f in forms)
+    cs = _gcd_int_forms((f.degree, _int_scale(f.coeffs)[0]) for f in forms)
+    return BinaryForm(len(cs) - 1, cs)
 
 
 def _divide_int(num: Sequence[int], den: Sequence[int]) -> list[int] | None:

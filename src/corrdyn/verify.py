@@ -563,7 +563,7 @@ def _check_stability_matrix_crosscheck(rng, cap, c: CheckResult):
 
 def _check_multiplicity_monotonicity(rng, cap, c: CheckResult):
     # Once "some diagonal point has multiplicity >= m" fails it fails for every
-    # larger m: the premise of classify_stability's bisection.
+    # larger m: the premise of the scan's stop at the first miss.
     for k in range(8):
         f = _planted_instance(rng, cap, k % 2 == 1)
         d, e = f.bidegree

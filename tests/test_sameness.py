@@ -72,9 +72,8 @@ def test_planted_fault_changes_the_substitution_keys(tmp_path):
 
 
 def test_planted_stability_fault_changes_the_multiplicity_keys(tmp_path):
-    differing = differing_keys(
-        tmp_path, "stability.py", "    order = m - 1\n", "    order = m - 2\n"
-    )
+    line = "        mult, witness = k + 1, w\n"
+    differing = differing_keys(tmp_path, "stability.py", line, line.replace("k + 1", "k + 2"))
     assert "diagonal_multiplicity_at_least" in families(differing)
 
 

@@ -182,11 +182,11 @@ def chart_size(d: int, e: int, m: int) -> int:
     return sum(1 for j in range(d + 1) for l in range(e + 1) if j + l < m)
 
 
-def linear_scan_multiplicity(f: Correspondence):
+def linear_scan_multiplicity(f: Correspondence, at_least=diagonal_multiplicity_at_least):
     """Oracle: try the orders m = 1, 2, ... in turn and keep the last hit with its witness."""
     best, best_witness = 0, BinaryForm(0, [1])
     for m in range(1, f.deg_x + f.deg_y + 1):
-        hit, witness = diagonal_multiplicity_at_least(f, m)
+        hit, witness = at_least(f, m)
         if not hit:
             break
         best, best_witness = m, witness
@@ -194,6 +194,12 @@ def linear_scan_multiplicity(f: Correspondence):
 
 
 class TestBisection:
+    """classify_stability's upward scan against linear scans of the order test.
+
+    The class keeps its old name, from the bisection the scan replaced, so
+    that its test ids stay stable.
+    """
+
     def test_planted_orders_match_linear_scan(self):
         rng = random.Random(69)
         for d in range(8):
@@ -249,27 +255,10 @@ class TestBisection:
                     f = conjugate(rand_planted_corner(rng, d, e, k), rand_moebius(rng))
                     assert max_multiplicity(f) == linear_scan_multiplicity(f), (d, e, k)
 
-    def test_tries_logarithmically_many_orders(self, monkeypatch):
-        calls = []
-        inner = corrdyn.stability._multiplicity_at_least
-
-        def counted(p, m, *carried):
-            calls.append(m)
-            return inner(p, m, *carried)
-
-        monkeypatch.setattr(corrdyn.stability, "_multiplicity_at_least", counted)
-        rng = random.Random(71)
-        n = 24
-        for k in (0, 1, 5, 12, 13, 23, 24):
-            calls.clear()
-            f = rand_planted_corner(rng, 12, 12, k)
-            assert max_multiplicity(f)[0] >= k
-            assert len(calls) <= math.ceil(math.log2(n + 1)), (k, calls)
-
     def test_confirmed_order_reads_the_chart_only(self, monkeypatch):
-        # A confirmed order m reads the two leading restrictions and the chart
-        # partials d_{x1}^j d_{y1}^l with j + l < m, about m^2/2 of them; the
-        # chart z0 = 0 is read only when a_de = 0 leaves [0:1] undecided.
+        # A confirmed order m reads the chart partials d_{x1}^j d_{y1}^l with
+        # j + l < m, about m^2/2 of them; the chart z0 = 0 is read only when
+        # a_de = 0 leaves [0:1] undecided.
         reads = []
         inner = corrdyn.stability._diagonal_sum
 
@@ -286,7 +275,7 @@ class TestBisection:
             for m in range(1, k + 1):
                 reads.clear()
                 assert diagonal_multiplicity_at_least(f, m)[0]
-                assert len(reads) <= m * (m + 1) // 2 + 2, (k, m, len(reads))
+                assert len(reads) <= m * (m + 1) // 2, (k, m, len(reads))
         for trial in range(24):
             d, e = rng.randint(2, 6), rng.randint(1, 6)
             k = rng.randint(3, d + e)
@@ -300,37 +289,61 @@ class TestBisection:
             for m in range(3, k + 1):
                 reads.clear()
                 assert diagonal_multiplicity_at_least(f, m)[0]
-                chart = chart_size(d, e, m) + 2
+                chart = chart_size(d, e, m)
                 assert len(reads) > chart if at_infinity else len(reads) == chart, (trial, m)
 
     def test_classify_reads_each_chart_partial_once(self, monkeypatch):
-        # A hit's GCD is carried to the orders above it, so one call reads the
-        # chart partials of orders < k once, plus at most four restrictions
-        # per order tried (two leading ones, and a few more on a miss).
-        reads, orders = [], []
-        inner_sum = corrdyn.stability._diagonal_sum
-        inner_order = corrdyn.stability._multiplicity_at_least
+        # With a_de != 0 the scan reads no mirrored partial and each chart
+        # partial of order <= mult at most once: orders 0..mult-1 hold and the
+        # miss at order mult stops at its first restriction with GCD 1.
+        reads = []
+        inner = corrdyn.stability._diagonal_sum
 
-        def counted_sum(*args):
+        def counted(*args):
             reads.append(args)
-            return inner_sum(*args)
+            return inner(*args)
 
-        def counted_order(p, m, *carried):
-            orders.append(m)
-            return inner_order(p, m, *carried)
-
-        monkeypatch.setattr(corrdyn.stability, "_diagonal_sum", counted_sum)
-        monkeypatch.setattr(corrdyn.stability, "_multiplicity_at_least", counted_order)
+        monkeypatch.setattr(corrdyn.stability, "_diagonal_sum", counted)
         rng = random.Random(75)
-        for k in (11, 13):
-            for _ in range(4):
-                f = rand_planted_corner(rng, 12, 12, k)
-                while f.form.coeffs[12][12] == 0:
-                    f = rand_planted_corner(rng, 12, 12, k)
+        for d, e, k in [(12, 12, 11), (12, 12, 13), (12, 12, 0), (12, 12, 24), (10, 10, 5),
+                        (10, 10, 10), (8, 8, 9), (3, 7, 4), (7, 2, 9)]:
+            for _ in range(3):
+                f = rand_planted_corner(rng, d, e, k)
+                while f.form.coeffs[d][e] == 0:
+                    f = rand_planted_corner(rng, d, e, k)
                 reads.clear()
-                orders.clear()
-                assert max_multiplicity(f)[0] == k
-                assert len(reads) <= chart_size(12, 12, k) + 4 * len(orders), (k, len(reads))
+                mult = max_multiplicity(f)[0]
+                assert mult >= k
+                assert len(reads) <= chart_size(d, e, mult + 1), (d, e, k, len(reads))
+        # Without a double point the scan ends at order 1.
+        for _ in range(12):
+            f = rand_correspondence(rng, 12, 12)
+            if f.form.coeffs[12][12] == 0:
+                continue
+            reads.clear()
+            classify_stability(f)
+            assert len(reads) <= 5
+
+    def test_matches_the_fraction_route(self):
+        # classify_stability against the last hit of the Fraction route, which
+        # shares no integer kernel with the scan.
+        rng = random.Random(77)
+        for d in range(6):
+            for e in range(6):
+                if d + e == 0:
+                    continue
+                k = rng.randint(0, d + e)
+                forms = [
+                    rand_planted_corner(rng, d, e, k),
+                    conjugate(rand_planted_corner(rng, d, e, k), rand_moebius(rng)),
+                    Correspondence.from_matrix(d, e, planted_at_infinity(rng, d, e, k)),
+                ]
+                if d >= 1 and e >= 1:
+                    cofactor = rand_planted_corner(rng, d - 1, e - 1, min(k, d + e - 2))
+                    forms.append(Correspondence(cofactor.form * DIAGONAL.form))
+                for f in forms:
+                    expected = linear_scan_multiplicity(f, partial_route_multiplicity)
+                    assert max_multiplicity(f) == expected, (d, e, k)
 
 
 class TestMaxMultiplicity:

@@ -166,9 +166,9 @@ class TestPlantedFaults:
             ),
             pytest.param(
                 "stability.py",
-                "    order = m - 1\n",
-                "    order = m - 2\n",
-                {"stability-odd-parity": None},
+                "        mult, witness = k + 1, w\n",
+                "        mult, witness = k + 2, w\n",
+                {"stability-odd-parity": None, "multiplicity-monotonicity": None},
                 id="order-m-minus-2-partials",
             ),
             pytest.param(
@@ -335,11 +335,12 @@ class TestMutationSensitivity:
     def test_off_by_one_multiplicity_breaks_odd_parity(self, monkeypatch, seed):
         (result,) = run_verify_suite(seed, 3, only="stability-odd-parity").results
         assert result.passed and result.total == 12
-        original = stability_mod._multiplicity_at_least
+        original = stability_mod._scan
 
-        def off_by_one(p, m, *carried):
-            return original(p, max(m - 1, 1), *carried)
+        def off_by_one(f, top):
+            mult, witness = original(f, top)
+            return mult + 1, witness
 
-        monkeypatch.setattr(stability_mod, "_multiplicity_at_least", off_by_one)
+        monkeypatch.setattr(stability_mod, "_scan", off_by_one)
         (result,) = run_verify_suite(seed, 3, only="stability-odd-parity").results
         assert not result.passed
