@@ -36,14 +36,20 @@ through the y-table and the columns through the x-table (one table serves
 both when the two matrices and degrees agree, as in every conjugation of a
 square bidegree), and divides once by den * dx^d * dy^e.
 
+The equality, hashing and linear structure of both form classes (sums,
+negation, scaling, projective equality) are written once, in their private
+base ``_Form``, over a flat coefficient view.
+
 Each univariate kernel on ascending coefficient lists exists once: the
 pseudo-remainder ``_prem``, which both the primitive remainder sequence of
 ``_gcd_int`` and the subresultant sequence of ``resultant._resultant_prs``
 take; the exact integer division ``_divide_int``; the product by a linear
 form ``_times_linear``, which gives the substitution tables their first
-column and the multiplier oracle its product; the homogeneous Horner value ``_horner``, which
-``evaluate`` and that oracle take; and the convolution ``_convolve``, which
-also multiplies bihomogeneous forms row pair by row pair.
+column and the multiplier oracle its product; the homogeneous Horner value
+``_horner``, the evaluation kernel of both classes (``BiForm.evaluate`` runs
+it on each integer row and then on the row values) and of that oracle; and
+the convolution ``_convolve``, which also multiplies bihomogeneous forms row
+pair by row pair.
 """
 
 from __future__ import annotations
@@ -86,6 +92,16 @@ def _horner(p: Sequence[int], u: int, v: int) -> int:
         acc = acc * v + c * upow
         upow *= u
     return acc
+
+
+def _int_point(z0, z1) -> tuple[int, int, int]:
+    """Integers u, v and w > 0 with (z0, z1) = (u, v) / w."""
+    z0, z1 = _frac(z0), _frac(z1)
+    return (
+        z0.numerator * z1.denominator,
+        z1.numerator * z0.denominator,
+        z0.denominator * z1.denominator,
+    )
 
 
 def _int_matrix(m) -> tuple[list[int], int]:
@@ -167,7 +183,52 @@ def projectively_equal(a: Sequence[Fraction], b: Sequence[Fraction]) -> bool:
     return all(lhs * a[k] == rhs * b[k] for k in range(len(a)))
 
 
-class BinaryForm:
+class _Form:
+    """What BinaryForm and BiForm share: equality, hashing and the linear structure.
+
+    Each subclass supplies its declared degrees ``_shape()``, its coefficients
+    in one flat tuple ``flat()`` and the form of its own shape with given flat
+    coefficients ``_from_flat(cs)``; everything here is written once over
+    those.  A BinaryForm never equals a BiForm, and forms of different shapes
+    neither compare equal nor add.
+    """
+
+    __slots__ = ()
+
+    def is_zero(self) -> bool:
+        return not any(self.flat())
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self._shape() == other._shape()
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((*self._shape(), self.coeffs))
+
+    def __add__(self, other):
+        if self._shape() != other._shape():
+            kind = "bidegree" if len(self._shape()) == 2 else "declared degree"
+            raise ValueError(f"cannot add forms of different {kind}")
+        return self._from_flat([a + b for a, b in zip(self.flat(), other.flat())])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._from_flat([-c for c in self.flat()])
+
+    def scale(self, c):
+        c = _frac(c)
+        return self._from_flat([c * x for x in self.flat()])
+
+    def projectively_equal(self, other) -> bool:
+        return self._shape() == other._shape() and projectively_equal(self.flat(), other.flat())
+
+
+class BinaryForm(_Form):
     """Homogeneous form of declared degree n in the variable pair (z0, z1)."""
 
     __slots__ = ("degree", "coeffs")
@@ -193,45 +254,24 @@ class BinaryForm:
         cs[k] = _frac(coeff)
         return cls(degree, cs)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+    def _shape(self) -> tuple[int]:
+        return (self.degree,)
+
+    def flat(self) -> tuple[Fraction, ...]:
+        return self.coeffs
+
+    def _from_flat(self, cs) -> "BinaryForm":
+        return BinaryForm(self.degree, cs)
 
     def evaluate(self, z0, z1) -> Fraction:
-        z0, z1 = _frac(z0), _frac(z1)
         ints, den = _int_scale(self.coeffs)
-        # With z0 = u/w and z1 = v/w for w = q0*q1, the value is
+        # With (z0, z1) = (u, v) / w, the value is
         # sum c_k u^(n-k) v^k / (den * w^n): homogeneous Horner on integers.
-        u, v = z0.numerator * z1.denominator, z1.numerator * z0.denominator
-        value = _horner(ints, u, v)
-        return Fraction(value, den * (z0.denominator * z1.denominator) ** self.degree)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BinaryForm)
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.degree, self.coeffs))
+        u, v, w = _int_point(z0, z1)
+        return Fraction(_horner(ints, u, v), den * w**self.degree)
 
     def __repr__(self):
         return f"BinaryForm({self.degree}, {[str(c) for c in self.coeffs]})"
-
-    def __add__(self, other: "BinaryForm") -> "BinaryForm":
-        if self.degree != other.degree:
-            raise ValueError("cannot add forms of different declared degree")
-        return BinaryForm(self.degree, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "BinaryForm") -> "BinaryForm":
-        return self + (-other)
-
-    def __neg__(self) -> "BinaryForm":
-        return BinaryForm(self.degree, [-c for c in self.coeffs])
-
-    def scale(self, c) -> "BinaryForm":
-        c = _frac(c)
-        return BinaryForm(self.degree, [c * x for x in self.coeffs])
 
     def __mul__(self, other: "BinaryForm") -> "BinaryForm":
         return BinaryForm(self.degree + other.degree, _convolve(self.coeffs, other.coeffs))
@@ -284,9 +324,6 @@ class BinaryForm:
         if first < 0:
             ints = [-v for v in ints]
         return BinaryForm(self.degree, ints)
-
-    def projectively_equal(self, other: "BinaryForm") -> bool:
-        return self.degree == other.degree and projectively_equal(self.coeffs, other.coeffs)
 
 
 def _prem(a: list[int], b: list[int]) -> list[int]:
@@ -423,9 +460,16 @@ def _lifted_root_candidates(core: Sequence[int]) -> list[tuple[int, int]]:
     extended Euclid of (M, root) returns the one a/b with |a| <= |s(0)| and
     0 < b <= |lc(s)| that can reduce to it.  Roots mod p that come from no
     rational root give spurious pairs, which the caller's exact division drops.
+
+    A prime p not dividing lc(s) with a multiple root of s mod p divides
+    res(s, s') != 0, whose bit size Hadamard's bound limits, so past that many
+    such primes s was not square-free and ArithmeticError is raised.
     """
     s = _divide_int(core, _gcd_int(core, [k * c for k, c in enumerate(core)][1:]))
     ds = [k * c for k, c in enumerate(s)][1:]
+    n = len(s) - 1
+    bits = (n - 1) * sum(c * c for c in s).bit_length() + n * sum(c * c for c in ds).bit_length()
+    misses_left = bits // 2 + 1
     p = 1
     while True:
         p += 2
@@ -434,6 +478,9 @@ def _lifted_root_candidates(core: Sequence[int]) -> list[tuple[int, int]]:
         residues = [x for x in range(p) if _eval_mod(s, x, p) == 0]
         if all(_eval_mod(ds, x, p) for x in residues):
             break
+        misses_left -= 1
+        if misses_left < 0:
+            raise ArithmeticError("the square-free part has a multiple root modulo every prime")
     height, bound = abs(s[0]), 2 * abs(s[0]) * abs(s[-1])
     out = []
     for x in residues:
@@ -468,15 +515,15 @@ def rational_roots(form: BinaryForm) -> list[tuple[tuple[int, int], int]]:
     """
     if form.is_zero():
         raise ValueError("the zero form vanishes everywhere")
-    prim = form.primitive_normalized()
-    ks = [k for k, c in enumerate(prim.coeffs) if c != 0]
+    ints = _primitive(_int_scale(form.coeffs)[0])
+    ks = [k for k, c in enumerate(ints) if c]
     lo, hi = ks[0], ks[-1]
     roots: list[tuple[tuple[int, int], int]] = []
     if lo > 0:
         roots.append(((1, 0), lo))
-    if hi < prim.degree:
-        roots.append(((0, 1), prim.degree - hi))
-    core = [int(c) for c in prim.coeffs[lo : hi + 1]]
+    if hi < form.degree:
+        roots.append(((0, 1), form.degree - hi))
+    core = ints[lo : hi + 1]
     if len(core) == 2:
         r = Fraction(-core[0], core[1])
         roots.append(((r.denominator, r.numerator), 1))
@@ -490,7 +537,7 @@ def rational_roots(form: BinaryForm) -> list[tuple[tuple[int, int], int]]:
     return sorted(roots)
 
 
-class BiForm:
+class BiForm(_Form):
     """Bihomogeneous form of declared bidegree (d, e) in (x0, x1) and (y0, y1)."""
 
     __slots__ = ("deg_x", "deg_y", "coeffs")
@@ -517,38 +564,28 @@ class BiForm:
         rows[i][j] = _frac(coeff)
         return cls(deg_x, deg_y, rows)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for row in self.coeffs for c in row)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BiForm)
-            and (self.deg_x, self.deg_y) == (other.deg_x, other.deg_y)
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.deg_x, self.deg_y, self.coeffs))
-
     def __repr__(self):
         rows = [[str(c) for c in row] for row in self.coeffs]
         return f"BiForm({self.deg_x}, {self.deg_y}, {rows})"
 
+    def _shape(self) -> tuple[int, int]:
+        return (self.deg_x, self.deg_y)
+
     def flat(self) -> tuple[Fraction, ...]:
         return tuple(c for row in self.coeffs for c in row)
 
+    def _from_flat(self, cs) -> "BiForm":
+        w = self.deg_y + 1
+        return BiForm(self.deg_x, self.deg_y, [cs[r : r + w] for r in range(0, len(cs), w)])
+
     def evaluate(self, point) -> Fraction:
-        x0, x1, y0, y1 = (_frac(v) for v in point)
-        d, e = self.deg_x, self.deg_y
-        total = Fraction(0)
-        for i, row in enumerate(self.coeffs):
-            xpart = x0 ** (d - i) * x1**i
-            if xpart == 0:
-                continue
-            for j, c in enumerate(row):
-                if c != 0:
-                    total += c * xpart * y0 ** (e - j) * y1**j
-        return total
+        x0, x1, y0, y1 = point
+        rows, den = _int_rows(self)
+        # Each integer row is a form in y; their values are the coefficients of one in x.
+        u0, u1, wx = _int_point(x0, x1)
+        v0, v1, wy = _int_point(y0, y1)
+        value = _horner([_horner(row, v0, v1) for row in rows], u0, u1)
+        return Fraction(value, den * wx**self.deg_x * wy**self.deg_y)
 
     def diagonal_restriction(self) -> BinaryForm:
         """The binary form f(z, z) of degree d + e cutting out the fixed points."""
@@ -575,25 +612,6 @@ class BiForm:
             for ii, u in enumerate(_partial_weights(d, i, j))
         ]
         return BiForm(nd, ne, rows)
-
-    def __add__(self, other: "BiForm") -> "BiForm":
-        if (self.deg_x, self.deg_y) != (other.deg_x, other.deg_y):
-            raise ValueError("cannot add forms of different bidegree")
-        return BiForm(
-            self.deg_x,
-            self.deg_y,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.coeffs, other.coeffs)],
-        )
-
-    def __sub__(self, other: "BiForm") -> "BiForm":
-        return self + (-other)
-
-    def __neg__(self) -> "BiForm":
-        return BiForm(self.deg_x, self.deg_y, [[-c for c in row] for row in self.coeffs])
-
-    def scale(self, c) -> "BiForm":
-        c = _frac(c)
-        return BiForm(self.deg_x, self.deg_y, [[c * v for v in row] for row in self.coeffs])
 
     def __mul__(self, other: "BiForm") -> "BiForm":
         d, e = self.deg_x + other.deg_x, self.deg_y + other.deg_y
@@ -624,11 +642,6 @@ class BiForm:
         scale = den * dx**d * dy**e
         return BiForm(
             d, e, [[Fraction(sum(map(operator.mul, t, col)), scale) for col in cols] for t in tx]
-        )
-
-    def projectively_equal(self, other: "BiForm") -> bool:
-        return (self.deg_x, self.deg_y) == (other.deg_x, other.deg_y) and projectively_equal(
-            self.flat(), other.flat()
         )
 
 

@@ -22,27 +22,26 @@ k < e contributes lc(f)^(e-k).
 Every other determinant is evaluated by fraction-free Bareiss elimination on
 plain Python integers: homogeneous_resultant, the resultant of two binary
 forms, kept as the independent route the covariant resultant is checked
-against; composition, whose entries are polynomials in two variables; and
-the Woods Hole resultant, a pencil too, but one that only feeds a
-verification identity, which is better served by a route the multiplier form
-does not take.  Rows are scaled to integer entries first and the known scale
-factor is divided back out at the end, and every division the recurrence
-performs is exact.  A matrix with
-integer-polynomial entries goes through the same integer kernel
-(evaluation/interpolation, as in Collins' resultant method): its determinant
-has degree at most D_v in each variable v, where D_v sums over the rows the
-row's largest exponent of v, so it is evaluated at every point of the integer
-grid prod_v {0..D_v} and the coefficients are recovered by exact Newton
-interpolation, one variable at a time.  Each distinct entry is evaluated once
-per value of the variables it involves (in a composition, the f-rows at each
-x1 and the g-rows at each y1), and the integer matrix at a grid point is
-gathered from those values through an index layout fixed in advance.
+against; composition, whose entries are polynomials in x1 (the f-rows) or
+in y1 (the g-rows); and the Woods Hole resultant, a pencil too, but one that
+only feeds a verification identity, which is better served by a route the
+multiplier form does not take.  Rows are scaled to integer entries first and
+the known scale factor is divided back out at the end, and every division the
+recurrence performs is exact.  A matrix with integer-polynomial entries goes
+through the same integer kernel (evaluation/interpolation, as in Collins'
+resultant method): its determinant has degree at most D_v in each variable
+v, where D_v sums over the rows the row's largest exponent of v, so it is
+evaluated at every point of the integer grid prod_v {0..D_v} and the
+coefficients are recovered by exact Newton interpolation, one variable at a
+time.  Each distinct entry is evaluated once per value of the one variable it
+involves (in a composition, the f-rows at each x1 and the g-rows at each y1),
+and the integer matrix at a grid point is gathered from those values through
+an index layout fixed in advance.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -79,13 +78,17 @@ def _interpolate_line(vals: list[int]) -> list[int]:
 
 
 def bareiss_det_poly(rows: list[list[IntPoly]]) -> IntPoly:
-    """Determinant of a square matrix of integer polynomials.
+    """Determinant of a square matrix of integer polynomials, each entry in one variable.
 
-    Evaluates the entries on the integer grid prod_v {0..D_v}, takes
-    bareiss_det_int at every point and interpolates the values back, one
-    variable at a time.  D_v sums each row's largest exponent of variable v,
-    which bounds every term of the determinant's expansion.  An entry is
-    evaluated only on the values of the variables it involves.
+    Every entry may involve at most one of the variables (in a composition,
+    x1 in the f-rows and y1 in the g-rows; in the Woods Hole pencil, t), and
+    a variable may appear in no entry at all.  Evaluates the entries on the
+    integer grid prod_v {0..D_v}, takes bareiss_det_int at every point and
+    interpolates the values back, one variable at a time.  D_v sums each
+    row's largest exponent of variable v, which bounds every term of the
+    determinant's expansion.  Each distinct entry is evaluated once per value
+    of its variable, and its value at a grid point read off that point's
+    coordinate.
     """
     n = len(rows)
     if n == 0:
@@ -100,25 +103,17 @@ def bareiss_det_poly(rows: list[list[IntPoly]]) -> IntPoly:
     distinct = {id(entry): entry for row in rows for entry in row}
     slot = {key: k for k, key in enumerate(distinct)}
     layout = [[slot[id(entry)] for entry in row] for row in rows]
-    # Evaluate each entry once per value of the variables it involves, then
-    # spread those values over the grid in itertools.product order.
+    # An entry in the variable v is evaluated at v = 0..D_v, and its value at
+    # each grid point read off the point's v; a constant entry is its value.
+    grid = list(itertools.product(*(range(b + 1) for b in bounds)))
     columns = []
     for entry in distinct.values():
-        used = [v for v in range(nvars) if any(key[v] for key in entry)]
-        table = [0] * math.prod(bounds[v] + 1 for v in used)
-        for key, c in entry.items():
-            term = [c]
-            for v in used:
-                k = key[v]
-                term = [t * x**k for t in term for x in range(bounds[v] + 1)]
-            table = [u + w for u, w in zip(table, term)]
-        spread = [0]
-        for v, b in enumerate(bounds):
-            if v in used:
-                spread = [i * (b + 1) + t for i in spread for t in range(b + 1)]
-            else:
-                spread = [i for i in spread for _ in range(b + 1)]
-        columns.append([table[i] for i in spread])
+        v = next((v for v in range(nvars) if any(key[v] for key in entry)), None)
+        if v is None:
+            columns.append([sum(entry.values())] * len(grid))
+            continue
+        table = [sum(c * x ** key[v] for key, c in entry.items()) for x in range(bounds[v] + 1)]
+        columns.append([table[point[v]] for point in grid])
     values = [bareiss_det_int([[at[k] for k in lrow] for lrow in layout]) for at in zip(*columns)]
     # values is row-major over the grid; interpolate along each axis in turn.
     stride = len(values)
@@ -130,7 +125,6 @@ def bareiss_det_poly(rows: list[list[IntPoly]]) -> IntPoly:
                 continue
             line = slice(base, base + size * stride, stride)
             values[line] = _interpolate_line(values[line])
-    grid = itertools.product(*(range(b + 1) for b in bounds))
     return {key: v for key, v in zip(grid, values) if v}
 
 

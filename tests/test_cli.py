@@ -199,11 +199,12 @@ class TestVerifyCommand:
 
     def test_unknown_identity_rejected(self, capsys):
         code, _, err = run_main(capsys, ["verify", "--only", "no-such-check"])
-        assert code == 3 and err.startswith("UsageError: argument --only")
+        assert code == 3
+        assert err.startswith("UsageError: unknown identity 'no-such-check'; choose from ")
 
     def test_cap_validation(self, capsys):
         code, _, err = run_main(capsys, ["verify", "--degree-cap", "1"])
-        assert code == 3
+        assert code == 3 and err == "UsageError: degree cap must be at least 2\n"
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         import corrdyn.multiplier as multiplier_mod

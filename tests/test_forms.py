@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -39,6 +41,21 @@ def fraction_diagonal_restriction(f):
         for j, c in enumerate(row):
             out[i + j] += c
     return BinaryForm(f.deg_x + f.deg_y, out)
+
+
+def fraction_power_sum(f, point):
+    """Reference route for f at point: the sum of its nonzero terms, in Fraction."""
+    x0, x1, y0, y1 = (F(v) for v in point)
+    d, e = f.deg_x, f.deg_y
+    total = F(0)
+    for i, row in enumerate(f.coeffs):
+        xpart = x0 ** (d - i) * x1**i
+        if xpart == 0:
+            continue
+        for j, c in enumerate(row):
+            if c != 0:
+                total += c * xpart * y0 ** (e - j) * y1**j
+    return total
 
 
 class TestEvaluate:
@@ -83,6 +100,17 @@ class TestEvaluate:
             for z0, z1 in points:
                 got = form.evaluate(z0, z1)
                 assert type(got) is F and got == fraction_sum(form, z0, z1), (trial, z0, z1)
+
+    def test_biform_matches_fraction_power_sum(self):
+        rng = random.Random(75)
+        for trial in range(200):
+            d, e = rng.randint(0, 4), rng.randint(0, 4)
+            f = BiForm(d, e, [[rand_coeff(rng) for _ in range(e + 1)] for _ in range(d + 1)])
+            for _ in range(4):
+                # Many coordinates are zero; the rest are integers and fractions.
+                point = [rng.choice([0, rng.randint(-9, 9), rand_coeff(rng)]) for _ in range(4)]
+                got = f.evaluate(point)
+                assert type(got) is F and got == fraction_power_sum(f, point), (trial, f, point)
 
 
 class TestDiagonalRestriction:
@@ -561,6 +589,22 @@ class TestRationalRoots:
         f = BinaryForm(1, [-3, 2])
         assert rational_roots(f) == [((2, 3), 1)]
 
+    def test_prime_search_is_bounded(self):
+        # With a GCD that finds no repeated factor, the "square-free part" is
+        # (z - 1)^2 (z - 2), which has a double root modulo every prime; the
+        # search must give up, not run on.
+        code = (
+            "import corrdyn.forms as forms\n"
+            "forms._gcd_int = lambda p, q: [1]\n"
+            "try:\n"
+            "    forms.rational_roots(forms.BinaryForm(3, [-2, 5, -4, 1]))\n"
+            "except ArithmeticError:\n"
+            "    print('bounded')\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=30)
+        assert proc.stdout == "bounded\n", proc.stderr
+
     def test_irrational_part_ignored(self):
         f = BinaryForm(2, [-2, 0, 1])  # z1^2 - 2 z0^2, no rational roots
         assert rational_roots(f) == []
@@ -681,6 +725,17 @@ class TestDeclaredDegrees:
     def test_float_rejected(self):
         with pytest.raises(TypeError):
             BinaryForm(1, [0.5, 1])
+
+    def test_shared_structure_keeps_types_hashes_and_messages(self):
+        f, g = BinaryForm(1, [1, 2]), BiForm(0, 1, [[1, 2]])
+        assert f.flat() == g.flat() and f != g and g != f
+        assert BinaryForm(0, [1]) != BiForm(0, 0, [[1]])
+        assert hash(f) == hash((1, (F(1), F(2))))
+        assert hash(g) == hash((0, 1, ((F(1), F(2)),)))
+        with pytest.raises(ValueError, match="^cannot add forms of different declared degree$"):
+            f + BinaryForm.zero(2)
+        with pytest.raises(ValueError, match="^cannot add forms of different bidegree$"):
+            g - BiForm.zero(1, 0)
 
     def test_projective_equality(self):
         f = BinaryForm(2, [2, -4, 6])

@@ -350,12 +350,13 @@ class TestDetPoly:
             for r in range(n):
                 row = []
                 for _ in range(n):
+                    v = rng.choice([0] + [1] * (r == n - 1) + [2] * (r == 0))
+                    tops = [2 * (v == 0), 3 * (v == 1), 1 * (v == 2)]
                     entry = {}
                     for _ in range(rng.randint(0, 2)):
-                        key = (rng.randint(0, 2), rng.randint(0, 3) * (r == n - 1),
-                               rng.randint(0, 1) * (r == 0))
+                        key = tuple(rng.randint(0, top) for top in tops)
                         entry[key] = entry.get(key, 0) + rng.randint(-9, 9)
-                    row.append({k: v for k, v in entry.items() if v})
+                    row.append({k: c for k, c in entry.items() if c})
                 rows.append(row)
             assert bareiss_det_poly(rows) == leibniz_det_poly(rows)
 
@@ -363,20 +364,20 @@ class TestDetPoly:
         rng = random.Random(29)
         for _ in range(10):
             n = rng.randint(2, 4)
-            rows = [[{(rng.randint(0, 3), rng.randint(0, 2)): rng.randint(-2**80, 2**80)}
-                     for _ in range(n)] for _ in range(n)]
+            rows = [[{rng.choice([(rng.randint(0, 3), 0), (0, rng.randint(0, 2))]):
+                      rng.randint(-2**80, 2**80)} for _ in range(n)] for _ in range(n)]
             assert bareiss_det_poly(rows) == leibniz_det_poly(rows)
 
     def test_mixed_variable_subsets_and_shared_entries(self):
         # Entries drawn from a small pool, so one entry object sits in several
-        # rows and columns; each pool entry involves its own subset of the
-        # three variables, and the last variable appears in no entry at all.
+        # rows and columns; each pool entry is a constant or involves one of
+        # the first two variables, and the last variable appears in no entry.
         rng = random.Random(30)
         for _ in range(60):
             n = rng.randint(1, 4)
             pool = []
             for _ in range(rng.randint(1, 5)):
-                used = [rng.random() < 0.5, rng.random() < 0.5, False]
+                used = rng.choice([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
                 entry = {}
                 for _ in range(rng.randint(0, 3)):
                     key = tuple(rng.randint(0, 2) * u for u in used)
