@@ -154,14 +154,8 @@ def compose(f: Correspondence, g: Correspondence) -> Correspondence:
     dp, ep = g.deg_x, g.deg_y
     fa, df = _int_rows(f.form)
     ga, dg = _int_rows(g.form)
-    fz = [{(i, 0): row[j] for i, row in enumerate(fa)} for j in range(e + 1)]
-    gz = [{(0, l): c for l, c in enumerate(row)} for row in ga]
-    if e == dp == 0:
-        # Neither form involves the middle pair: the Sylvester matrix is 0 x 0,
-        # and its determinant 1 is the bidegree (0, 0) composite.
-        det = {(0, 0): 1}
-    else:
-        det = bareiss_det_poly(sylvester_rows(fz, gz, {}))
+    # f's z-coefficients are its columns, polynomials in x1; g's are its rows, in y1.
+    det = bareiss_det_poly(sylvester_rows(list(zip(*fa)), [tuple(r) for r in ga], ()), dp)
     if not det:
         shared = _shared_linear_obstruction(f.form, g.form)
         pts = [pt for pt, _ in rational_roots(shared)]

@@ -44,7 +44,7 @@ from .forms import (
     projectively_equal,
     rational_roots,
 )
-from .resultant import IntPoly, bareiss_det_poly, covariant_resultant, sylvester_rows
+from .resultant import bareiss_det_poly, covariant_resultant, sylvester_rows
 
 
 class BadPosition(_PreconditionError):
@@ -220,11 +220,10 @@ def woods_hole_resultant(f: Sequence, g: Sequence) -> tuple[Fraction, ...]:
     gc += [Fraction(0)] * (df - len(gc))
     fi, den_f = _int_scale(fc)
     dgi, den_g = _int_scale(deriv + gc)
-    rows_f: list[IntPoly] = [{(0,): c} for c in fi]
-    rows_g: list[IntPoly] = [{(0,): di, (1,): gi} for di, gi in zip(dgi[:df], dgi[df:])]
-    det = bareiss_det_poly(sylvester_rows(rows_f, rows_g, {}))
+    rows_g = list(zip(dgi[:df], dgi[df:]))
+    det = bareiss_det_poly(sylvester_rows([(c,) for c in fi], rows_g, ()), df - 1)
     scale = den_f ** (df - 1) * den_g**df
-    return tuple(Fraction(det.get((k,), 0), scale) for k in range(df + 1))
+    return tuple(Fraction(det.get((0, k), 0), scale) for k in range(df + 1))
 
 
 def rho_compatibility_check(f: Correspondence, scale=(1, 1)) -> bool:

@@ -22,36 +22,29 @@ k < e contributes lc(f)^(e-k).
 Every other determinant is evaluated by fraction-free Bareiss elimination on
 plain Python integers: homogeneous_resultant, the resultant of two binary
 forms, kept as the independent route the covariant resultant is checked
-against; composition, whose entries are polynomials in x1 (the f-rows) or
-in y1 (the g-rows); and the Woods Hole resultant, a pencil too, but one that
+against; composition, whose f-rows are polynomials in x1 and whose g-rows are
+polynomials in y1; and the Woods Hole resultant, a pencil too, but one that
 only feeds a verification identity, which is better served by a route the
 multiplier form does not take.  Rows are scaled to integer entries first and
 the known scale factor is divided back out at the end, and every division the
-recurrence performs is exact.  A matrix with integer-polynomial entries goes
-through the same integer kernel (evaluation/interpolation, as in Collins'
-resultant method): its determinant has degree at most D_v in each variable
-v, where D_v sums over the rows the row's largest exponent of v, so it is
-evaluated at every point of the integer grid prod_v {0..D_v} and the
-coefficients are recovered by exact Newton interpolation, one variable at a
-time.  Each distinct entry is evaluated once per value of the one variable it
-involves (in a composition, the f-rows at each x1 and the g-rows at each y1),
-and the integer matrix at a grid point is gathered from those values through
-an index layout fixed in advance.
+recurrence performs is exact.  The last two are two-block matrices: the rows
+above a split are polynomials in u, the rest polynomials in v.  Their
+determinant goes through the same integer kernel (evaluation/interpolation,
+as in Collins' resultant method, J. ACM 18 (1971)): its degree in u is at
+most D_u, the sum of the u-rows' largest degrees, and likewise in v, so it is
+taken at every point of the grid {0..D_u} x {0..D_v} and its coefficients are
+recovered by exact Newton interpolation along u and then along v.  Each block
+is evaluated once per value of its variable, each distinct entry object once,
+and the integer matrix at a grid point is the u-block's rows at that u
+followed by the v-block's rows at that v.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from .forms import BinaryForm, _int_scale, _prem
-
-# Sparse polynomial with integer coefficients: exponent tuple -> coefficient.
-# Inputs may store zero coefficients; results never do, so the zero result is
-# the empty dict.  Within one matrix every key has the same length; () is the
-# scalar case.
-IntPoly = dict[tuple[int, ...], int]
+from .forms import BinaryForm, _horner, _int_scale, _prem
 
 
 def _interpolate_line(vals: list[int]) -> list[int]:
@@ -77,55 +70,32 @@ def _interpolate_line(vals: list[int]) -> list[int]:
     return out
 
 
-def bareiss_det_poly(rows: list[list[IntPoly]]) -> IntPoly:
-    """Determinant of a square matrix of integer polynomials, each entry in one variable.
+def bareiss_det_poly(rows: list[list[tuple[int, ...]]], split: int) -> dict[tuple[int, int], int]:
+    """Determinant of a two-block matrix of integer polynomials, as {(i, j): c} for c*u^i*v^j.
 
-    Every entry may involve at most one of the variables (in a composition,
-    x1 in the f-rows and y1 in the g-rows; in the Woods Hole pencil, t), and
-    a variable may appear in no entry at all.  Evaluates the entries on the
-    integer grid prod_v {0..D_v}, takes bareiss_det_int at every point and
-    interpolates the values back, one variable at a time.  D_v sums each
-    row's largest exponent of variable v, which bounds every term of the
-    determinant's expansion.  Each distinct entry is evaluated once per value
-    of its variable, and its value at a grid point read off that point's
-    coordinate.
+    rows[:split] are polynomials in u and rows[split:] polynomials in v; each
+    entry is the ascending tuple of its integer coefficients, () for zero.
+    The determinant is taken with bareiss_det_int at every (u, v) in
+    {0..D_u} x {0..D_v}, where D_u sums the u-rows' largest degrees (a bound
+    on every term of the expansion) and D_v the v-rows', and interpolated
+    along u and then along v.  Zero coefficients are left out, so the zero
+    determinant is {} and the empty matrix gives {(0, 0): 1}.
     """
-    n = len(rows)
-    if n == 0:
-        return {(): 1}
-    nvars = next((len(key) for row in rows for entry in row for key in entry), 0)
-    bounds = [
-        sum(max((key[v] for entry in row for key in entry), default=0) for row in rows)
-        for v in range(nvars)
-    ]
-    # Sylvester rows repeat the same entry objects: number the distinct ones
-    # and lay the matrix out as indices into that numbering.
-    distinct = {id(entry): entry for row in rows for entry in row}
-    slot = {key: k for k, key in enumerate(distinct)}
-    layout = [[slot[id(entry)] for entry in row] for row in rows]
-    # An entry in the variable v is evaluated at v = 0..D_v, and its value at
-    # each grid point read off the point's v; a constant entry is its value.
-    grid = list(itertools.product(*(range(b + 1) for b in bounds)))
-    columns = []
-    for entry in distinct.values():
-        v = next((v for v in range(nvars) if any(key[v] for key in entry)), None)
-        if v is None:
-            columns.append([sum(entry.values())] * len(grid))
-            continue
-        table = [sum(c * x ** key[v] for key, c in entry.items()) for x in range(bounds[v] + 1)]
-        columns.append([table[point[v]] for point in grid])
-    values = [bareiss_det_int([[at[k] for k in lrow] for lrow in layout]) for at in zip(*columns)]
-    # values is row-major over the grid; interpolate along each axis in turn.
-    stride = len(values)
-    for b in bounds:
-        size = b + 1
-        stride //= size
-        for base in range(len(values)):
-            if base // stride % size:
-                continue
-            line = slice(base, base + size * stride, stride)
-            values[line] = _interpolate_line(values[line])
-    return {key: v for key, v in zip(grid, values) if v}
+    grids = []
+    for block in (rows[:split], rows[split:]):
+        top = sum(max(1, *map(len, row)) - 1 for row in block)
+        # Sylvester rows repeat the same entry objects: evaluate each one once per point.
+        entries = {id(entry): entry for row in block for entry in row}
+        grid = []
+        for x in range(top + 1):
+            value = {key: _horner(entry, 1, x) for key, entry in entries.items()}
+            grid.append([[value[id(entry)] for entry in row] for row in block])
+        grids.append(grid)
+    us, vs = grids
+    dets = [[bareiss_det_int(at_u + at_v) for at_v in vs] for at_u in us]
+    along_u = [_interpolate_line(list(line)) for line in zip(*dets)]
+    coeffs = [_interpolate_line(list(line)) for line in zip(*along_u)]
+    return {(i, j): c for i, line in enumerate(coeffs) for j, c in enumerate(line) if c}
 
 
 def bareiss_det_int(rows: list[list[int]]) -> int:
@@ -153,7 +123,11 @@ def bareiss_det_int(rows: list[list[int]]) -> int:
 
 
 def sylvester_rows(f: Sequence, g: Sequence, zero):
-    """The (d+e) x (d+e) Sylvester matrix for coefficient vectors f, g (ascending)."""
+    """The (d+e) x (d+e) Sylvester matrix for coefficient vectors f, g (ascending).
+
+    Its first e = len(g) - 1 rows carry f and the d = len(f) - 1 after them
+    carry g, each row holding the same coefficient objects.
+    """
     d, e = len(f) - 1, len(g) - 1
     n = d + e
     rows = []

@@ -346,14 +346,6 @@ class TestSubprocess:
         assert "2*y0 - 1*y1" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_verify_reports_are_byte_identical(self):
-        cmd = [sys.executable, "-m", "corrdyn", "verify", "--seed", "7", "--degree-cap", "2",
-               "--only", "resultant-equivariance"]
-        first = subprocess.run(cmd, capture_output=True)
-        second = subprocess.run(cmd, capture_output=True)
-        assert first.returncode == 0
-        assert first.stdout == second.stdout
-
 
 # For each subcommand: (option strings, required, default, metavar) of every
 # option after --help, in the order of the help text.

@@ -7,6 +7,7 @@ import pytest
 
 from corrdyn.forms import BinaryForm, binary_gcd
 from corrdyn.resultant import (
+    _interpolate_line,
     _resultant_prs,
     bareiss_det_int,
     bareiss_det_poly,
@@ -157,10 +158,10 @@ def sylvester_covariant(f, p, q):
     n = f.degree
     df = math.lcm(*(c.denominator for c in f.coeffs))
     den = math.lcm(*(c.denominator for c in p.coeffs + q.coeffs))
-    frow = [{(0,): int(c * df)} for c in f.coeffs]
-    grow = [{(1,): int(a * den), (0,): int(b * den)} for a, b in zip(p.coeffs, q.coeffs)]
-    det = bareiss_det_poly(sylvester_rows(frow, grow, {}))
-    return [F(det.get((k,), 0), df**n * den**n) for k in range(n + 1)]
+    frow = [(int(c * df),) for c in f.coeffs]
+    grow = [(int(b * den), int(a * den)) for a, b in zip(p.coeffs, q.coeffs)]
+    det = bareiss_det_poly(sylvester_rows(frow, grow, ()), n)
+    return [F(det.get((0, k), 0), df**n * den**n) for k in range(n + 1)]
 
 
 class TestCovariant:
@@ -312,24 +313,33 @@ def leibniz_det_poly(rows):
     return {k: v for k, v in total.items() if v}
 
 
+def as_dict_rows(rows, split):
+    """Two-block tuple rows as leibniz_det_poly entries {(i, j): c} of c*u^i*v^j."""
+    return [[{(k, 0) if r < split else (0, k): c for k, c in enumerate(entry)} for entry in row]
+            for r, row in enumerate(rows)]
+
+
 class TestDetPoly:
     def test_empty_matrix(self):
-        assert bareiss_det_poly([]) == {(): 1}
+        assert bareiss_det_poly([], 0) == {(0, 0): 1}
 
     def test_identically_zero(self):
-        # second row is (x + 1) times the first; every grid point is singular
-        row = [{(0,): 2, (1,): 1}, {(2,): -3}]
-        scaled = [{(0,): 2, (1,): 3, (2,): 1}, {(2,): -3, (3,): -3}]
-        assert bareiss_det_poly([row, scaled]) == {}
-        assert bareiss_det_poly([[{}, {}], [{(1, 0): 1}, {(0, 1): 1}]]) == {}
+        # second row is (u + 1) times the first; every grid point is singular
+        row = [(2, 1), (0, 0, -3)]
+        scaled = [(2, 3, 1), (0, 0, -3, -3)]
+        assert bareiss_det_poly([row, scaled], 2) == {}
+        assert bareiss_det_poly([[(), ()], [(0, 1), (1,)]], 1) == {}
 
     def test_singular_at_some_grid_points(self):
-        # det = x^2 - 1: the (0, 0) pivot vanishes at x = 0 and needs a row
-        # swap, and the whole matrix is singular at x = 1.
-        x, one = {(1,): 1}, {(0,): 1}
-        assert bareiss_det_poly([[x, one], [one, x]]) == {(2,): 1, (0,): -1}
-        rows = [[x, one, {}], [one, x, one], [{}, one, x]]
-        assert bareiss_det_poly(rows) == leibniz_det_poly(rows) == {(3,): 1, (1,): -2}
+        # det = x^2 - 1 in either block: the (0, 0) pivot vanishes at x = 0 and
+        # needs a row swap, and the whole matrix is singular at x = 1.
+        x, one = (0, 1), (1,)
+        assert bareiss_det_poly([[x, one], [one, x]], 2) == {(2, 0): 1, (0, 0): -1}
+        assert bareiss_det_poly([[x, one], [one, x]], 0) == {(0, 2): 1, (0, 0): -1}
+        rows = [[x, one, ()], [one, x, one], [(), one, x]]
+        for split in range(4):
+            assert bareiss_det_poly(rows, split) == leibniz_det_poly(as_dict_rows(rows, split))
+        assert bareiss_det_poly(rows, 1) == {(1, 2): 1, (1, 0): -1, (0, 1): -1}
 
     def test_scalar_matrix_matches_integer_kernel(self):
         rng = random.Random(27)
@@ -337,54 +347,41 @@ class TestDetPoly:
             n = rng.randint(1, 5)
             ints = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             det = bareiss_det_int(ints)
-            got = bareiss_det_poly([[{(): v} if v else {} for v in row] for row in ints])
-            assert got == ({(): det} if det else {})
-
-    def test_variable_in_some_rows_only(self):
-        # y enters only the last row, z only the first; the degree bound in
-        # each variable comes from the rows that carry it.
-        rng = random.Random(28)
-        for _ in range(30):
-            n = rng.randint(1, 4)
-            rows = []
-            for r in range(n):
-                row = []
-                for _ in range(n):
-                    v = rng.choice([0] + [1] * (r == n - 1) + [2] * (r == 0))
-                    tops = [2 * (v == 0), 3 * (v == 1), 1 * (v == 2)]
-                    entry = {}
-                    for _ in range(rng.randint(0, 2)):
-                        key = tuple(rng.randint(0, top) for top in tops)
-                        entry[key] = entry.get(key, 0) + rng.randint(-9, 9)
-                    row.append({k: c for k, c in entry.items() if c})
-                rows.append(row)
-            assert bareiss_det_poly(rows) == leibniz_det_poly(rows)
-
-    def test_large_coefficients(self):
-        rng = random.Random(29)
-        for _ in range(10):
-            n = rng.randint(2, 4)
-            rows = [[{rng.choice([(rng.randint(0, 3), 0), (0, rng.randint(0, 2))]):
-                      rng.randint(-2**80, 2**80)} for _ in range(n)] for _ in range(n)]
-            assert bareiss_det_poly(rows) == leibniz_det_poly(rows)
+            rows = [[(v,) if v else () for v in row] for row in ints]
+            got = bareiss_det_poly(rows, rng.randint(0, n))
+            assert got == ({(0, 0): det} if det else {})
 
     def test_mixed_variable_subsets_and_shared_entries(self):
-        # Entries drawn from a small pool, so one entry object sits in several
-        # rows and columns; each pool entry is a constant or involves one of
-        # the first two variables, and the last variable appears in no entry.
+        # Entries drawn from a small pool of tuple objects, so one entry sits in
+        # several rows and columns of both blocks; a block may be empty (split
+        # 0 or n), and every third u-block holds only constants.
         rng = random.Random(30)
-        for _ in range(60):
+
+        def coeff():
+            return rng.choice([rng.randint(-9, 9), rng.randint(-(2**80), 2**80)])
+
+        for trial in range(90):
             n = rng.randint(1, 4)
-            pool = []
-            for _ in range(rng.randint(1, 5)):
-                used = rng.choice([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
-                entry = {}
-                for _ in range(rng.randint(0, 3)):
-                    key = tuple(rng.randint(0, 2) * u for u in used)
-                    c = rng.choice([rng.randint(-9, 9), rng.randint(-(2**70), 2**70)])
-                    entry[key] = entry.get(key, 0) + c
-                pool.append(entry)
-            rows = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
-            got = bareiss_det_poly(rows)
-            assert got == leibniz_det_poly(rows), rows
-            assert all(key[2] == 0 for key in got)
+            split = rng.randint(0, n)
+            pool = [(), (coeff(),)] + [tuple(coeff() for _ in range(rng.randint(1, 3)))
+                                       for _ in range(rng.randint(1, 4))]
+            upool = [entry for entry in pool if len(entry) < 2] if trial % 3 == 0 else pool
+            rows = [[rng.choice(upool if r < split else pool) for _ in range(n)] for r in range(n)]
+            want = leibniz_det_poly(as_dict_rows(rows, split))
+            assert bareiss_det_poly(rows, split) == want, rows
+
+
+class TestInterpolateLine:
+    def test_round_trip(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            coeffs = [rng.choice([rng.randint(-9, 9), rng.randint(-(2**80), 2**80)])
+                      for _ in range(rng.randint(1, 8))]
+            m = len(coeffs) + rng.randint(0, 2)
+            vals = [sum(c * x**k for k, c in enumerate(coeffs)) for x in range(m)]
+            assert _interpolate_line(vals) == coeffs + [0] * (m - len(coeffs))
+
+    def test_inexact_difference_raises(self):
+        # x(x - 1)/2 takes the values 0, 0, 1; its second divided difference is 1/2
+        with pytest.raises(ArithmeticError):
+            _interpolate_line([0, 0, 1])
