@@ -351,6 +351,32 @@ class TestDetPoly:
             got = bareiss_det_poly(rows, rng.randint(0, n))
             assert got == ({(0, 0): det} if det else {})
 
+    def test_variable_in_some_rows_only(self):
+        # u enters only the last u-row, v only the first v-row; every other row
+        # is constant, so the degree bound in each variable comes from one row.
+        rng = random.Random(28)
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            split = rng.randint(0, n)
+            rows = []
+            for r in range(n):
+                carries = r == split - 1 or r == split
+                top = (3 if r < split else 2) if carries else 0
+                rows.append([tuple(rng.randint(-9, 9) for _ in range(rng.randint(0, top + 1)))
+                             for _ in range(n)])
+            got = bareiss_det_poly(rows, split)
+            assert got == leibniz_det_poly(as_dict_rows(rows, split)), rows
+            assert all(i <= 3 and j <= 2 for i, j in got)
+
+    def test_large_coefficients(self):
+        rng = random.Random(29)
+        for _ in range(10):
+            n = rng.randint(2, 4)
+            split = rng.randint(0, n)
+            rows = [[(0,) * rng.randint(0, 3 if r < split else 2) + (rng.randint(-2**80, 2**80),)
+                     for _ in range(n)] for r in range(n)]
+            assert bareiss_det_poly(rows, split) == leibniz_det_poly(as_dict_rows(rows, split))
+
     def test_mixed_variable_subsets_and_shared_entries(self):
         # Entries drawn from a small pool of tuple objects, so one entry sits in
         # several rows and columns of both blocks; a block may be empty (split
