@@ -19,12 +19,12 @@ from ``_int_scale`` and make one ``Fraction`` per output coefficient at the
 end: linear substitution, the homogeneous GCD (``_gcd_int_forms``), exact
 division (``divide_exact``) and ``_diagonal_sum``, the weighted
 anti-diagonal sum of ``_int_rows`` that gives the diagonal restrictions of f,
-of the multiplier's diagonal derivatives and of the stability partials (the
-Cayley powers of ``clebsch`` read their summed weights from a cached table
-instead).  ``rational_roots`` finds the roots of an integer core by
-p-adic lifting and rational reconstruction (Loos 1983), in time polynomial in
-the coefficients' bit size, and keeps a root only when an exact integer
-division confirms it.
+of the multiplier's diagonal derivatives and of the y-partials d_{y1}^l f
+from which stability derives the rest along the diagonal (the Cayley powers
+of ``clebsch`` read their summed weights from a cached table instead).
+``rational_roots`` finds the roots of an integer core by p-adic lifting and
+rational reconstruction (Loos 1983), in time polynomial in the coefficients'
+bit size, and keeps a root only when an exact integer division confirms it.
 
 Linear substitution of a degree-n form is one integer matrix: the
 ``_substitution_table`` of the 2x2 matrix cleared to integers, whose column j

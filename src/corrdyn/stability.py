@@ -23,8 +23,8 @@ algebraic closure, and W = 0 means every diagonal point qualifies (the
 partials vanish along the whole diagonal).  W is returned as a witness; its
 roots are the offending diagonal points.
 
-W is computed from about m^2/2 restrictions instead of the ~m^3/6 partials
-of order m-1.  On the diagonal the x identity reads
+W is computed from at most min(m, e+1) restrictions instead of the ~m^3/6
+partials of order m-1.  On the diagonal the x identity reads
 
     z0*(d_{x0}h)|D + z1*(d_{x1}h)|D = p*h|D,
 
@@ -42,6 +42,17 @@ partial vanishes there when a_de = 0), and the mirrored partials
 d_{x0}^i d_{y0}^k f settle it the same way, so they are read only while the
 GCD is nonzero and still vanishes at [0:1], and only for their order there.
 
+Restriction to the diagonal D turns d_{x1} + d_{y1} into d_{z1}: by the
+chain rule, ((d_{x1} + d_{y1})h)|D = d_{z1}(h|D).  So for l <= min(k, e) the
+form d_{z1}^(k-l) (d_{y1}^l f)|D is (d_{x1}^(k-l) d_{y1}^l f)|D plus multiples
+of the restrictions of the order-k chart partials of higher y-order (the first
+term is 0 when k-l > d).  Ordered by l, these forms are a unitriangular change
+of basis of the order-k chart restrictions, together with forms in their
+span: the same span, the same GCD and the same least order at each point.
+Order k is read as that family: the z1-derivatives of order k-1's, O(n)
+integer operations each, and for k <= e one new restriction, of d_{y1}^k f.
+The mirrored partials are read the same way.
+
 The chart partials of orders <= k are the chart partials of order k and
 those below, so one upward scan finds the largest multiplicity.  Order k
 takes the GCD of the GCD carried from order k-1 and the restrictions of order
@@ -49,21 +60,22 @@ k; corrected at [0:1], that is the witness W of m = k+1.  The scan stops at
 the first order whose witness is constant: "some diagonal point has
 multiplicity >= m" is monotone in m, which the ``multiplicity-monotonicity``
 identity of ``corrdyn verify`` checks, so no order above it can hold.  Each
-chart partial is therefore restricted at most once per call, the restrictions
-of an order are produced lazily and the GCD stops reading them once it is 1,
-and the mirrored partials read for one [0:1] correction serve every order
-above it.  On a form without a double point the scan usually ends at order
-1, after two restrictions.  ``classify_stability`` scans up to m = d+e and
-returns the last hit with its witness in the verdict;
-``diagonal_multiplicity_at_least`` scans up to its m.
+y-order is therefore restricted at most once per chart and call, the GCD stops
+reading an order's family once it is 1, and the mirrored family read for one
+[0:1] correction serves every order above it; the mirrored chart is first
+read when that correction first needs an order above 0.  On a form without a
+double point the scan usually ends at order 1, after two restrictions.
+``classify_stability`` scans up to m = d+e and returns the last hit with its
+witness in the verdict; ``diagonal_multiplicity_at_least`` scans up to its m.
 
 The restrictions are computed on integers.  The coefficients of f are
 cleared once per call to integer rows over their common denominator D, and the
-restriction of each partial is summed straight from them by the anti-diagonal
-kernel of ``forms``, with no intermediate form.  Every restriction is D times
-the true one, which does not move the witness: a GCD is unique up to a
-scalar, and the witness is normalized to be integer-primitive with positive
-first nonzero coefficient.  The GCDs and the [0:1] correction stay on
+restriction of each d_{y1}^l f is summed straight from them by the
+anti-diagonal kernel of ``forms``, with no intermediate form.  Every
+restriction, and so every z1-derivative of one, is D times the true one,
+which does not move the witness: a GCD is unique up to a scalar, and the
+witness is normalized to be integer-primitive with positive first nonzero
+coefficient.  The GCDs and the [0:1] correction stay on
 integers too; only the witness of the last hit becomes a form.
 """
 
@@ -71,7 +83,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 from .correspondence import Correspondence
 from .forms import BinaryForm, _diagonal_sum, _gcd_int_forms, _int_rows, _partial_weights
@@ -96,7 +108,9 @@ def diagonal_multiplicity_at_least(f: Correspondence, m: int) -> tuple[bool, Bin
     The witness is the homogeneous GCD of all order-(m-1) mixed partials
     restricted to the diagonal; it is nonconstant or zero exactly when the
     answer is true, and its roots are the offending points.  It is computed
-    from the chart partials of orders < m, which give the same GCD.
+    from the restrictions of d_{y1}^l f for l < min(m, e+1) and their
+    z1-derivatives, which span those of the chart partials of orders < m and
+    give the same GCD.
     """
     n = f.deg_x + f.deg_y
     if not 1 <= m <= n:
@@ -113,19 +127,21 @@ def _scan(f: Correspondence, top: int) -> tuple[int, BinaryForm]:
     d, e = f.deg_x, f.deg_y
     n = d + e
     rows = _int_rows(f.form)[0]
-    mirrored = [row[::-1] for row in reversed(rows)]
-    wxs = [_partial_weights(d, 0, j) for j in range(d + 1)]
-    wys = [_partial_weights(e, 0, l) for l in range(e + 1)]
 
-    def chart(rows, k):
-        # Restrictions of d_{x1}^j d_{y1}^(k-j) for the form with these rows.
-        for j in range(max(k - e, 0), min(k, d) + 1):
-            yield n - k, _diagonal_sum(rows, wxs[j], wys[k - j], j, k - j)
+    def orders(rows):
+        # Order k: d_{z1}^(k-l) (d_{y1}^l f)|D for l <= min(k, e), f the form with these rows.
+        rs = []
+        for k in range(n):
+            rs = [[i * c for i, c in enumerate(r)][1:] for r in rs]
+            if k <= e:
+                rs.append(_diagonal_sum(rows, [1] * (d + 1), _partial_weights(e, 0, k), 0, k))
+            yield rs
 
+    mirrored = islice(orders([row[::-1] for row in reversed(rows)]), 1, None)
     mult, witness, carried = 0, [1], ()
     low, seen = n, 0  # the least order at [0:1] among the mirrored partials of orders 1..seen
-    for k in range(top):
-        w = _gcd_int_forms(chain(carried, chart(rows, k)))
+    for k, rs in zip(range(top), orders(rows)):
+        w = _gcd_int_forms(chain(carried, ((n - k, r) for r in rs)))
         carried = [(len(w) - 1, w)]
         if w[-1] == 0 and any(w):
             # The witness vanishes at [0:1], where the chart z0 != 0 sees only
@@ -134,8 +150,7 @@ def _scan(f: Correspondence, top: int) -> tuple[int, BinaryForm]:
             # [0:1] is the least number of leading zeros among them.
             v0 = next(i for i, c in enumerate(reversed(w)) if c)
             if low:
-                orders = range(seen + 1, k + 1)
-                for _, r in chain.from_iterable(chart(mirrored, s) for s in orders):
+                for r in chain.from_iterable(islice(mirrored, k - seen)):
                     low = min(low, next((i for i, c in enumerate(r) if c), low))
                     if not low:
                         break

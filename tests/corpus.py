@@ -24,12 +24,14 @@ with 10**20 denominators, irreducible quadratic and cubic cofactors, constants
 and zero forms) keeps root heights at most 10**6.  The stability corpus adds
 planted diagonal multiplicities, bidegrees with d = 0 or e = 0 (so high
 derivative orders clamp) and forms divisible by x0*y1 - x1*y0, whose diagonal
-restriction is zero.  conjugate reaches bidegree (9, 9) under integer and
-determinant-one rational Moebius maps; substitute_pair_square sends both
-pairs through one matrix, singular and zero ones included; dz_coordinates
-reaches degree 16 and mismatched or negative bases; the fixed-point oracle
-runs on split, non-split and conjugated map graphs and on forms with a fixed
-point at [1:0].
+restriction is zero; classify_stability_large plants points at bidegrees
+(6, 6) to (16, 16), moved by a Moebius map or mirrored to ([0:1], [0:1]),
+where a_de = 0 and the scan's [0:1] correction decides.  conjugate reaches
+bidegree (9, 9) under integer and determinant-one rational Moebius maps;
+substitute_pair_square sends both pairs through one matrix, singular and zero
+ones included; dz_coordinates reaches degree 16 and mismatched or negative
+bases; the fixed-point oracle runs on split, non-split and conjugated map
+graphs and on forms with a fixed point at [1:0].
 
 Only the standard library and corrdyn are imported, so the stdlib-only
 ``tools/sameness.py`` can load this module from the checkout it sits in.
@@ -291,6 +293,18 @@ def _case_classify_stability(rng):
     return f"{res.verdict.value}:{res.max_multiplicity}:{_form(res.witness)}"
 
 
+def _case_classify_stability_large(rng):
+    d, e = rng.randint(6, 16), rng.randint(6, 16)
+    f = rand_planted_corner(rng, d, e, rng.randint(0, d + e))
+    kind = rng.randrange(4)
+    if kind % 2:
+        f = conjugate(f, rand_moebius(rng))
+    elif kind == 2:
+        f = Correspondence.from_matrix(d, e, [row[::-1] for row in reversed(f.form.coeffs)])
+    res = classify_stability(f)
+    return f"{res.verdict.value}:{res.max_multiplicity}:{_form(res.witness)}"
+
+
 def _case_diagonal_multiplicity_at_least(rng):
     f = _stability_corr(rng)
     out = []
@@ -437,6 +451,7 @@ CASES = {
     "multiplier_form": (_case_multiplier_form, 120),
     "woods_hole_resultant": (_case_woods_hole_resultant, 80),
     "classify_stability": (_case_classify_stability, 150),
+    "classify_stability_large": (_case_classify_stability_large, 200),
     "diagonal_multiplicity_at_least": (_case_diagonal_multiplicity_at_least, 120),
     "binary_gcd": (_case_binary_gcd, 400),
     "substitute_pair": (_case_substitute_pair, 250),

@@ -9,7 +9,8 @@ restrictions and Cayley powers moved onto one integer kernel; cg_reconstruct
 and rho_embed_scaled before the Clebsch-Gordan layer moved onto integers);
 rational_roots was recorded while roots were still found by trial division.
 conjugate, substitute_pair_square, dz_coordinates and
-rational_fixed_point_oracle were recorded on the integer Moebius tables.
+rational_fixed_point_oracle were recorded on the integer Moebius tables, and
+classify_stability_large while stability still restricted every chart partial.
 tools/sameness.py records the same draws one case at a time.
 
 To re-record after a deliberate change of output, print `_digest(name)` for
@@ -30,6 +31,7 @@ GOLDEN = {
     "multiplier_form": "c1536876b571097bfa2164e3ef5588abeb216e6f8379a6fdfd7e5b12cbc8fd0a",
     "woods_hole_resultant": "44fb39ffae1f66c3c30d19e1894a15a9f0894c2a33003547e504e217eb88785f",
     "classify_stability": "d9cb91861de4aa41626ed10ffb6d70025ccc646f0e9990586faebf12077693f3",
+    "classify_stability_large": "d28eddca9fb8ba062d9e40c3a3b7a7f1584604a9899c9a1bfd28d77efed3c824",
     "diagonal_multiplicity_at_least": "7f51c1ccfdb534e3117b8d637168fc579dfd8e8666a728541ab80e002247f5aa",
     "binary_gcd": "9d2ea35443a5de21e205ebad68a1456daf8d56a60aa62f02694c4fc1bcc81513",
     "substitute_pair": "c6c4520e45ffc25acca0f38c05926dfc23257c7eeac2ac7f5c74cb21b2d94f9a",

@@ -5,7 +5,15 @@ from fractions import Fraction as F
 import pytest
 
 from corrdyn.correspondence import Correspondence, MoebiusMap, conjugate
-from corrdyn.forms import BiForm, BinaryForm, rational_roots
+from corrdyn.forms import (
+    BiForm,
+    BinaryForm,
+    _diagonal_sum,
+    _gcd_int_forms,
+    _int_rows,
+    _partial_weights,
+    rational_roots,
+)
 import corrdyn.stability
 from corrdyn.stability import Verdict, classify_stability, diagonal_multiplicity_at_least
 from corrdyn.verify import rand_correspondence, rand_moebius, rand_planted_corner
@@ -109,12 +117,12 @@ class TestMultiplicity:
                 assert earlier or not later
 
 
-def planted_at_infinity(rng, d: int, e: int, k: int):
+def planted_at_infinity(rng, d: int, e: int, k: int, coeff=rand_coeff):
     """Rows of a random nonzero (d, e) form with a_ij = 0 for (d-i) + (e-j) < k.
 
     Its multiplicity at ([0:1], [0:1]) is at least k.
     """
-    rows = [[0 if (d - i) + (e - j) < k else rand_coeff(rng) for j in range(e + 1)]
+    rows = [[0 if (d - i) + (e - j) < k else coeff(rng) for j in range(e + 1)]
             for i in range(d + 1)]
     rows[0][0] = rows[0][0] or 1  # (d-0) + (e-0) >= k, so the form stays nonzero
     return rows
@@ -137,7 +145,45 @@ def partial_route_multiplicity(f: Correspondence, m: int):
     return witness.is_zero() or witness.degree >= 1, witness
 
 
+def chart_route_multiplicity(f: Correspondence, m: int):
+    """Reference route: the GCD of the restrictions of every chart partial of order < m.
+
+    That is the family the scan read before it differentiated along the
+    diagonal; the GCD of the mirrored form's family gives the order at [0:1].
+    """
+    d, e = f.deg_x, f.deg_y
+
+    def chart_gcd(a):
+        return _gcd_int_forms(
+            (d + e - j - l,
+             _diagonal_sum(a, _partial_weights(d, 0, j), _partial_weights(e, 0, l), j, l))
+            for j in range(d + 1) for l in range(e + 1) if j + l < m)
+
+    rows = _int_rows(f.form)[0]
+    w = chart_gcd(rows)
+    if w[-1] == 0 and any(w):
+        v0 = next(i for i, c in enumerate(reversed(w)) if c)
+        low = next(i for i, c in enumerate(chart_gcd([r[::-1] for r in reversed(rows)])) if c)
+        w = w[: len(w) - v0] + [0] * low
+    hit = len(w) > 1 or not w[0]
+    return hit, BinaryForm(len(w) - 1, w) if hit else BinaryForm(0, [1])
+
+
 class TestIntegerRestrictions:
+    def test_restriction_turns_the_diagonal_derivative_into_d_z1(self):
+        # R(d_{x1} h + d_{y1} h) = d_{z1} R(h) for R the restriction to the
+        # diagonal, in Fraction; a partial past its degree (d = 0 or e = 0) is zero.
+        rng = random.Random(78)
+        for trial in range(60):
+            d, e = [(0, rng.randint(1, 6)), (rng.randint(1, 6), 0),
+                    (rng.randint(1, 6), rng.randint(1, 6))][trial % 3]
+            h = BiForm(d, e, [[rand_coeff(rng) for _ in range(e + 1)] for _ in range(d + 1)])
+            parts = [fraction_diagonal_restriction(h.mixed_partial(orders))
+                     for orders, degree in (((0, 1, 0, 0), d), ((0, 0, 0, 1), e)) if degree]
+            r = fraction_diagonal_restriction(h).coeffs
+            expected = BinaryForm(d + e - 1, [i * c for i, c in enumerate(r)][1:])
+            assert sum(parts[1:], parts[0]) == expected, (d, e)
+
     def test_matches_partial_route_at_every_order(self):
         rng = random.Random(64)
         for trial in range(120):
@@ -159,6 +205,22 @@ class TestIntegerRestrictions:
             for m in range(1, d + e + 1):
                 assert diagonal_multiplicity_at_least(f, m) == partial_route_multiplicity(f, m)
 
+    def test_matches_the_chart_route_at_large_bidegree(self):
+        # Above (5, 5), where the partial route is too slow, against every
+        # chart restriction: planted forms, moved along the diagonal, or
+        # planted at ([0:1], [0:1]) with a_de = 0 (small coefficients, so that
+        # the common denominator of (16, 16) rows stays small).
+        rng = random.Random(79)
+        for d, e in [(12, 12), (16, 16)]:
+            for k in (d // 2, d + 1, d + e):
+                at_infinity = planted_at_infinity(rng, d, e, k, lambda r: r.randint(-9, 9))
+                for f in (rand_planted_corner(rng, d, e, k),
+                          conjugate(rand_planted_corner(rng, d, e, k), rand_moebius(rng)),
+                          Correspondence.from_matrix(d, e, at_infinity)):
+                    for m in range(1, d + e + 1):
+                        got = diagonal_multiplicity_at_least(f, m)
+                        assert got == chart_route_multiplicity(f, m), (d, e, k, m)
+
     def test_matches_partial_route_off_the_corner(self):
         # Forms planted at ([0:1], [0:1]), the only inputs whose witness the
         # chart z0 != 0 cannot settle, and planted forms moved along the diagonal.
@@ -175,11 +237,6 @@ class TestIntegerRestrictions:
             for m in range(1, d + e + 1):
                 got = diagonal_multiplicity_at_least(f, m)
                 assert got == partial_route_multiplicity(f, m), (trial, m)
-
-
-def chart_size(d: int, e: int, m: int) -> int:
-    """The number of chart partials d_{x1}^j d_{y1}^l f with j + l < m."""
-    return sum(1 for j in range(d + 1) for l in range(e + 1) if j + l < m)
 
 
 def linear_scan_multiplicity(f: Correspondence, at_least=diagonal_multiplicity_at_least):
@@ -256,9 +313,10 @@ class TestBisection:
                     assert max_multiplicity(f) == linear_scan_multiplicity(f), (d, e, k)
 
     def test_confirmed_order_reads_the_chart_only(self, monkeypatch):
-        # A confirmed order m reads the chart partials d_{x1}^j d_{y1}^l with
-        # j + l < m, about m^2/2 of them; the chart z0 = 0 is read only when
-        # a_de = 0 leaves [0:1] undecided.
+        # A confirmed order m reads one restriction per y-order l < min(m, e+1),
+        # d_{y1}^l f restricted, and derives the rest along the diagonal; the
+        # chart z0 = 0 is read only when a_de = 0 leaves [0:1] undecided, at
+        # most e+1 restrictions more.
         reads = []
         inner = corrdyn.stability._diagonal_sum
 
@@ -275,7 +333,8 @@ class TestBisection:
             for m in range(1, k + 1):
                 reads.clear()
                 assert diagonal_multiplicity_at_least(f, m)[0]
-                assert len(reads) <= m * (m + 1) // 2, (k, m, len(reads))
+                assert len(reads) == min(m, 13), (k, m, len(reads))
+                assert all(args[0] is reads[0][0] for args in reads)
         for trial in range(24):
             d, e = rng.randint(2, 6), rng.randint(1, 6)
             k = rng.randint(3, d + e)
@@ -286,16 +345,19 @@ class TestBisection:
                 f = conjugate(rand_planted_corner(rng, d, e, k), rand_moebius(rng))
                 if f.form.coeffs[d][e] == 0:
                     continue
-            for m in range(3, k + 1):
+            for m in range(1, k + 1):
                 reads.clear()
                 assert diagonal_multiplicity_at_least(f, m)[0]
-                chart = chart_size(d, e, m)
-                assert len(reads) > chart if at_infinity else len(reads) == chart, (trial, m)
+                chart = min(m, e + 1)
+                if at_infinity and m > 1:
+                    assert chart < len(reads) <= 2 * (e + 1), (trial, m)
+                else:
+                    assert len(reads) == chart, (trial, m)
 
     def test_classify_reads_each_chart_partial_once(self, monkeypatch):
-        # With a_de != 0 the scan reads no mirrored partial and each chart
-        # partial of order <= mult at most once: orders 0..mult-1 hold and the
-        # miss at order mult stops at its first restriction with GCD 1.
+        # With a_de != 0 the scan reads no mirrored partial and one restriction
+        # per y-order l <= min(mult, e): orders 0..mult-1 hold and the miss at
+        # order mult reads its own before its GCD is 1.
         reads = []
         inner = corrdyn.stability._diagonal_sum
 
@@ -314,7 +376,7 @@ class TestBisection:
                 reads.clear()
                 mult = max_multiplicity(f)[0]
                 assert mult >= k
-                assert len(reads) <= chart_size(d, e, mult + 1), (d, e, k, len(reads))
+                assert len(reads) <= e + 1, (d, e, k, len(reads))
         # Without a double point the scan ends at order 1.
         for _ in range(12):
             f = rand_correspondence(rng, 12, 12)
