@@ -21,7 +21,11 @@ Gordan's series (Grace and Young, The Algebra of Invariants, 1903) writes f
 back from its Cayley powers in closed form, so each block's weights are read
 off binomial coefficients and cached as integer rows over one denominator;
 ``cg_reconstruct`` clears all components to one denominator and takes integer
-dot products with those rows, one ``Fraction`` per coefficient.
+dot products with those rows, one ``Fraction`` per coefficient.  Each dot
+product is divided by its row's denominator times the common one with one
+``divmod``: an exact quotient, as at every entry of the image of an integer
+form, becomes an integer ``Fraction`` with no gcd, and only a nonzero
+remainder pays for reducing the quotient to lowest terms.
 """
 
 from __future__ import annotations
@@ -144,7 +148,11 @@ def _block_inverse(d: int, e: int, s: int):
 
 
 def cg_reconstruct(components: CgComponents) -> BiForm:
-    """The unique bidegree (d, e) form with the given Cayley powers."""
+    """The unique bidegree (d, e) form with the given Cayley powers.
+
+    Each entry is one integer dot product over row_den * den; an exact
+    quotient is taken as it is, and only an inexact one is reduced by a gcd.
+    """
     d, e = components.deg_x, components.deg_y
     # All components as integers over one denominator; part m starts at start[m].
     flat, den = _int_scale([c for part in components.parts for c in part.coeffs])
@@ -156,7 +164,9 @@ def cg_reconstruct(components: CgComponents) -> BiForm:
         orders, pairs, inv_rows = _block_inverse(d, e, s)
         rhs = [flat[start[m] + s - m] for m in orders]
         for (nums, row_den), (i, j) in zip(inv_rows, pairs):
-            rows[i][j] = Fraction(sum(n * v for n, v in zip(nums, rhs)), row_den * den)
+            dot, scale = sum(map(operator.mul, nums, rhs)), row_den * den
+            q, r = divmod(dot, scale)
+            rows[i][j] = Fraction(dot, scale) if r else Fraction(q)
     return BiForm(d, e, rows)
 
 

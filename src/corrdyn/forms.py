@@ -236,7 +236,7 @@ class BinaryForm(_Form):
     def __init__(self, degree: int, coeffs: Iterable):
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        cs = tuple(_frac(c) for c in coeffs)
+        cs = tuple(map(_frac, coeffs))
         if len(cs) != degree + 1:
             raise ValueError(f"degree {degree} needs {degree + 1} coefficients, got {len(cs)}")
         self.degree = degree
@@ -545,7 +545,7 @@ class BiForm(_Form):
     def __init__(self, deg_x: int, deg_y: int, rows: Iterable[Iterable]):
         if deg_x < 0 or deg_y < 0:
             raise ValueError("bidegree must be nonnegative")
-        cs = tuple(tuple(_frac(c) for c in row) for row in rows)
+        cs = tuple(tuple(map(_frac, row)) for row in rows)
         if len(cs) != deg_x + 1 or any(len(row) != deg_y + 1 for row in cs):
             raise ValueError(f"coefficient matrix must be {deg_x + 1} x {deg_y + 1}")
         self.deg_x = deg_x

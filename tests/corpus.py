@@ -17,9 +17,11 @@ degenerate compositions.  The Cayley corpus has bidegrees with d = 0 or
 e = 0, where the projection rho_embed(Omega^0, Omega^1) has no first power
 and fails.  The cg_reconstruct corpus takes arbitrary component lists, not only
 images of cg_decompose: zero parts, all-zero lists, d = 0 or e = 0 and the
-asymmetric bidegrees (9, 4) and (4, 9); rho_embed_scaled embeds arbitrary
-component pairs with non-unit scale pairs such as (2/3, -5).  The rational_roots
-corpus (splits with multiplicities up to 3, roots at [1:0] and [0:1], scales
+asymmetric bidegrees (9, 4) and (4, 9); cg_roundtrip_large takes integer
+forms, rational forms and arbitrary component lists both ways at bidegrees
+(8, 8) to (14, 14), (12, 7), (7, 12) and (14, 9).  rho_embed_scaled embeds
+arbitrary component pairs with non-unit scale pairs such as (2/3, -5).  The
+rational_roots corpus (splits with multiplicities up to 3, roots at [1:0] and [0:1], scales
 with 10**20 denominators, irreducible quadratic and cubic cofactors, constants
 and zero forms) keeps root heights at most 10**6.  The stability corpus adds
 planted diagonal multiplicities, bidegrees with d = 0 or e = 0 (so high
@@ -172,6 +174,26 @@ def _case_cg_reconstruct(rng):
     parts = tuple(BinaryForm.zero(d + e - 2 * m) if zero else _binary(rng, d + e - 2 * m)
                   for m in range(min(d, e) + 1))
     return _rows_text(cg_reconstruct(CgComponents(d, e, parts)))
+
+
+CG_LARGE = [(n, n) for n in range(8, 15)] + [(12, 7), (7, 12), (14, 9)]
+
+
+def _case_cg_roundtrip_large(rng):
+    # Integer forms, whose every reconstructed entry is an exact quotient,
+    # rational forms and arbitrary component lists, each taken both ways.
+    d, e = rng.choice(CG_LARGE)
+    kind = rng.randrange(3)
+    if kind == 2:
+        f = cg_reconstruct(CgComponents(d, e, tuple(_binary(rng, d + e - 2 * m)
+                                                    for m in range(min(d, e) + 1))))
+        comp = cg_decompose(f)
+    else:
+        f = (BiForm(d, e, [[rng.randint(-9, 9) for _ in range(e + 1)] for _ in range(d + 1)])
+             if kind == 0 else _biform(rng, d, e))
+        comp = cg_decompose(f)
+        f = cg_reconstruct(comp)
+    return "|".join(_form(part) for part in comp.parts) + "=" + _rows_text(f)
 
 
 def _case_rho_embed_scaled(rng):
@@ -444,6 +466,7 @@ CASES = {
     "rho_embed": (_case_rho_embed, 250),
     "cg_reconstruct": (_case_cg_reconstruct, 250),
     "rho_embed_scaled": (_case_rho_embed_scaled, 200),
+    "cg_roundtrip_large": (_case_cg_roundtrip_large, 150),
     "substitute_linear": (_case_substitute_linear, 300),
     "diagonal_derivative_forms": (_case_diagonal_derivative_forms, 200),
     "compose": (_case_compose, 120),

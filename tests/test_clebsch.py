@@ -90,6 +90,15 @@ def rand_biform(rng, d, e):
     return BiForm(d, e, [[rng.randint(-9, 9) for _ in range(e + 1)] for _ in range(d + 1)])
 
 
+def rand_parts(rng, d, e):
+    """Arbitrary Cayley components of bidegree (d, e), some of them zero."""
+    return tuple(
+        BinaryForm.zero(d + e - 2 * m) if rng.random() < 0.15 else
+        BinaryForm(d + e - 2 * m, [rand_coeff(rng) for _ in range(d + e - 2 * m + 1)])
+        for m in range(min(d, e) + 1)
+    )
+
+
 class TestCayleyOmega:
     def test_explicit_monomial_value(self):
         for d in range(6):
@@ -236,14 +245,16 @@ class TestBlockInverse:
 
     def test_reconstruct_matches_fraction_oracle(self):
         rng = random.Random(52)
+        comps = []
         for trial in range(200):
             d, e = (9, 4) if trial % 20 == 0 else (rng.randint(0, 6), rng.randint(0, 6))
-            parts = tuple(
-                BinaryForm.zero(d + e - 2 * m) if rng.random() < 0.15 else
-                BinaryForm(d + e - 2 * m, [rand_coeff(rng) for _ in range(d + e - 2 * m + 1)])
-                for m in range(min(d, e) + 1)
-            )
-            comp = CgComponents(d, e, parts)
+            comps.append(CgComponents(d, e, rand_parts(rng, d, e)))
+        # At large bidegree: images of integer forms, whose every entry is an
+        # exact quotient, and arbitrary parts, whose entries need a gcd.
+        for d, e in [(12, 12), (3, 11)] * 3:
+            comps.append(cg_decompose(rand_biform(rng, d, e)))
+            comps.append(CgComponents(d, e, rand_parts(rng, d, e)))
+        for comp in comps:
             assert cg_reconstruct(comp) == fraction_cg_reconstruct(comp)
 
 

@@ -9,8 +9,9 @@ restrictions and Cayley powers moved onto one integer kernel; cg_reconstruct
 and rho_embed_scaled before the Clebsch-Gordan layer moved onto integers);
 rational_roots was recorded while roots were still found by trial division.
 conjugate, substitute_pair_square, dz_coordinates and
-rational_fixed_point_oracle were recorded on the integer Moebius tables, and
-classify_stability_large while stability still restricted every chart partial.
+rational_fixed_point_oracle were recorded on the integer Moebius tables,
+classify_stability_large while stability still restricted every chart partial
+and cg_roundtrip_large while cg_reconstruct still reduced every entry by a gcd.
 tools/sameness.py records the same draws one case at a time.
 
 To re-record after a deliberate change of output, print `_digest(name)` for
@@ -40,6 +41,7 @@ GOLDEN = {
     "rho_embed": "727ed68121ebbe2b503551db0f9eb0c49be464dce929ddc7e3638ac0383d098d",
     "cg_reconstruct": "efef913183d7479bcb90f257dff8268325556a66be791dbdd5818c7c20d75ec5",
     "rho_embed_scaled": "3daa806cc566b0b85eb85b3642b18af40be62ec0147c143eaa43b66f5a1d265f",
+    "cg_roundtrip_large": "145cc1d77ee942e9b2774d7f5455bc4cde4ac00245393734cb4c1231c67fed82",
     "rational_roots": "4368dc2ff44b1d6eb60aae1597e232ae2a420d3c16318bf3497a8a8a833e62fa",
     "conjugate": "a91991763d880905c21fdc17e31918e34b215ac242a40ec026c0065cf0b059fa",
     "substitute_pair_square": "e22b03b5b420338acf06e41fe14f3c18bdbae53165c486fd641a3d3314cb2e55",
