@@ -452,7 +452,7 @@ def _eval_mod(p: Sequence[int], x: int, m: int) -> int:
 def _lifted_root_candidates(core: Sequence[int]) -> list[tuple[int, int]]:
     """Pairs (a, b), b > 0, among which are all rational roots a/b of core.
 
-    core is an ascending primitive integer list of degree >= 2 with nonzero
+    core is an ascending primitive integer list of degree >= 1 with nonzero
     ends.  Its square-free part s has the same rational roots, each a/b with
     a | s(0) and b | lc(s).  At the smallest odd prime p not dividing lc(s)
     at which every root of s mod p is simple, each root mod p is Newton-lifted
@@ -502,11 +502,10 @@ def rational_roots(form: BinaryForm) -> list[tuple[tuple[int, int], int]]:
 
     Points are returned as coprime integer pairs (p0, p1) with p0 > 0, or
     (0, 1) for the point at infinity of the z1/z0 chart; the list is sorted.
-    Roots at [1:0] and [0:1] are read off the z1- and z0-valuations and a
-    linear remainder gives its root directly.  A longer remainder, the
-    primitive integer core, goes through p-adic lifting (Loos, "Computing
-    rational zeros of integral polynomials by p-adic expansion", SIAM J.
-    Comput. 12, 1983; see _lifted_root_candidates): the roots mod a small
+    Roots at [1:0] and [0:1] are read off the z1- and z0-valuations, and the
+    remainder, the primitive integer core, goes through p-adic lifting (Loos,
+    "Computing rational zeros of integral polynomials by p-adic expansion",
+    SIAM J. Comput. 12, 1983; see _lifted_root_candidates): the roots mod a small
     prime of its square-free part s are lifted past 2 |s(0)| |lc(s)| and
     reconstructed as fractions, in time polynomial in the bit size of the
     coefficients.  A candidate a/b is a root when b*z - a divides the core
@@ -524,10 +523,7 @@ def rational_roots(form: BinaryForm) -> list[tuple[tuple[int, int], int]]:
     if hi < form.degree:
         roots.append(((0, 1), form.degree - hi))
     core = ints[lo : hi + 1]
-    if len(core) == 2:
-        r = Fraction(-core[0], core[1])
-        roots.append(((r.denominator, r.numerator), 1))
-    elif len(core) > 2:
+    if len(core) > 1:
         for a, b in _lifted_root_candidates(core):
             mult = 0
             while (q := _divide_int(core, [-a, b])) is not None:
@@ -648,9 +644,6 @@ class BiForm(_Form):
 def _convolve(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, u in enumerate(a):
-        if u == 0:
-            continue
         for j, v in enumerate(b):
-            if v != 0:
-                out[i + j] += u * v
+            out[i + j] += u * v
     return out

@@ -28,8 +28,6 @@ dz0^(d+e-1)*dz1] = 0 lives.
 
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -42,7 +40,6 @@ from .forms import (
     _horner,
     _int_rows,
     _int_scale,
-    _substitution_table,
     _times_linear,
     projectively_equal,
     rational_roots,
@@ -174,28 +171,18 @@ def rational_fixed_point_oracle(f: Correspondence) -> MultiplierSpectrum:
     return MultiplierSpectrum(tuple(Fraction(c, den) for c in product))
 
 
-@functools.lru_cache(maxsize=64)
-def _dz_table(deg_x: int, deg_y: int) -> list[list[int]]:
-    """The substitution table of twice the dz basis matrix; shared, so read-only."""
-    return _substitution_table(2, -deg_x, 2, deg_y, deg_x + deg_y)
-
-
 def dz_coordinates(r: BinaryForm, deg_x: int, deg_y: int) -> tuple[Fraction, ...]:
     """Coefficients of r in the (dz0, dz1) basis attached to (deg_x, deg_y).
 
-    Entry k multiplies dz0^(n-k) * dz1^k; the rewrite uses the exact inverse
-    substitution dx = dz0 + (e'/2)*dz1, dy = dz0 - (d'/2)*dz1 and requires
-    d' + e' to equal the degree of r.  It is r.substitute_linear of that
-    matrix, with the table of the doubled matrix cached per basis.
+    Entry k multiplies dz0^(n-k) * dz1^k; the rewrite is r.substitute_linear
+    of the exact inverse substitution dx = dz0 + (e'/2)*dz1,
+    dy = dz0 - (d'/2)*dz1 and requires d' + e' to equal the degree of r.
     """
-    n = r.degree
     if deg_x < 0 or deg_y < 0:
         raise ValueError("basis degrees must be nonnegative")
-    if deg_x + deg_y != n or n < 1:
+    if deg_x + deg_y != r.degree or r.degree < 1:
         raise ValueError("basis bidegree must sum to the form degree")
-    ints, den = _int_scale(r.coeffs)
-    scale, table = den * 2**n, _dz_table(deg_x, deg_y)
-    return tuple(Fraction(sum(map(operator.mul, row, ints)), scale) for row in table)
+    return r.substitute_linear(((1, Fraction(-deg_x, 2)), (1, Fraction(deg_y, 2)))).coeffs
 
 
 def index_residual(spectrum: MultiplierSpectrum) -> Fraction:

@@ -34,9 +34,8 @@ as in Collins' resultant method, J. ACM 18 (1971)): its degree in u is at
 most D_u, the sum of the u-rows' largest degrees, and likewise in v, so it is
 taken at every point of the grid {0..D_u} x {0..D_v} and its coefficients are
 recovered by exact Newton interpolation along u and then along v.  Each block
-is evaluated once per value of its variable, each distinct entry object once,
-and the integer matrix at a grid point is the u-block's rows at that u
-followed by the v-block's rows at that v.
+is evaluated once per value of its variable, and the integer matrix at a grid
+point is the u-block's rows at that u followed by the v-block's rows at that v.
 """
 
 from __future__ import annotations
@@ -84,13 +83,9 @@ def bareiss_det_poly(rows: list[list[tuple[int, ...]]], split: int) -> dict[tupl
     grids = []
     for block in (rows[:split], rows[split:]):
         top = sum(max(1, *map(len, row)) - 1 for row in block)
-        # Sylvester rows repeat the same entry objects: evaluate each one once per point.
-        entries = {id(entry): entry for row in block for entry in row}
-        grid = []
-        for x in range(top + 1):
-            value = {key: _horner(entry, 1, x) for key, entry in entries.items()}
-            grid.append([[value[id(entry)] for entry in row] for row in block])
-        grids.append(grid)
+        grids.append(
+            [[[_horner(entry, 1, x) for entry in row] for row in block] for x in range(top + 1)]
+        )
     us, vs = grids
     dets = [[bareiss_det_int(at_u + at_v) for at_v in vs] for at_u in us]
     along_u = [_interpolate_line(list(line)) for line in zip(*dets)]
@@ -126,7 +121,7 @@ def sylvester_rows(f: Sequence, g: Sequence, zero):
     """The (d+e) x (d+e) Sylvester matrix for coefficient vectors f, g (ascending).
 
     Its first e = len(g) - 1 rows carry f and the d = len(f) - 1 after them
-    carry g, each row holding the same coefficient objects.
+    carry g.
     """
     d, e = len(f) - 1, len(g) - 1
     n = d + e

@@ -539,7 +539,8 @@ def _check_stability_odd_parity(rng, cap, c: CheckResult):
 
 def _check_stability_matrix_crosscheck(rng, cap, c: CheckResult):
     # A point of multiplicity above (d+e)/2 makes f Unstable; it is the one
-    # root of the witness, and moving it to [1:0] clears every a_ij with
+    # root of the witness, a root of f(z, z) of at least that multiplicity
+    # unless f(z, z) vanishes, and moving it to [1:0] clears every a_ij with
     # 2(i+j) <= d+e.
     for k in range(10):
         f = _planted_instance(rng, cap, k % 2 == 1, unstable=True)
@@ -548,6 +549,9 @@ def _check_stability_matrix_crosscheck(rng, cap, c: CheckResult):
         unstable = res.verdict == stability.Verdict.UNSTABLE and not res.witness.is_zero()
         pts = [pt for pt, _ in rational_roots(res.witness)] if unstable else []
         ok = len(pts) == 1
+        if ok:
+            diag = f.form.diagonal_restriction()
+            ok = diag.is_zero() or dict(rational_roots(diag)).get(pts[0], 0) >= res.max_multiplicity
         if ok:
             p0, p1 = pts[0]
             g = MoebiusMap(1, p1, 0, p0) if p0 != 0 else MoebiusMap(0, 1, 1, 0)

@@ -11,6 +11,7 @@ from corrdyn.forms import (
     BinaryForm,
     _gcd_int,
     _gcd_int_forms,
+    _lifted_root_candidates,
     _substitution_table,
     binary_gcd,
     rational_roots,
@@ -588,6 +589,24 @@ class TestRationalRoots:
         # 2*z1 - 3*z0 vanishes at [2:3]
         f = BinaryForm(1, [-3, 2])
         assert rational_roots(f) == [((2, 3), 1)]
+
+    def test_linear_cores_of_large_height(self):
+        # A linear core goes through p-adic lifting too; with every one of the
+        # first 200 odd primes dividing the leading coefficient, the prime
+        # search runs past all of them.
+        rng = random.Random(1)
+        odd = range(3, 1230, 2)  # 1229 is the 200th odd prime
+        blocked = math.prod(p for p in odd if all(p % q for q in range(3, math.isqrt(p) + 1, 2)))
+        for _ in range(60):
+            c0 = rng.choice([-1, 1]) * rng.randint(1, 10**300)
+            c1 = rng.choice([-1, 1]) * rng.randint(1, 10**300)
+            if rng.random() < 0.5:
+                c1 *= blocked
+            r = F(-c0, c1)
+            assert rational_roots(BinaryForm(1, [c0, c1])) == [((r.denominator, r.numerator), 1)]
+
+    def test_lifted_candidates_of_a_linear_core(self):
+        assert _lifted_root_candidates([-3, 2]) == [(3, 2)]
 
     def test_prime_search_is_bounded(self):
         # With a GCD that finds no repeated factor, the "square-free part" is

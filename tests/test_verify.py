@@ -163,7 +163,13 @@ class TestPlantedFaults:
                 "stability.py",
                 "        mult, witness = k + 1, w\n",
                 "        mult, witness = k + 2, w\n",
-                {"stability-odd-parity": None, "multiplicity-monotonicity": None},
+                dict.fromkeys(
+                    (
+                        "stability-odd-parity",
+                        "multiplicity-monotonicity",
+                        "stability-matrix-crosscheck",
+                    )
+                ),
                 id="order-m-minus-2-partials",
             ),
             pytest.param(
@@ -202,9 +208,8 @@ class TestPlantedFaults:
                 "forms.py",
                 "roots.append(((b, a), mult))",
                 "roots.append(((b, a), 1))",
-                None,
+                {"stability-matrix-crosscheck": None},
                 id="rational-roots-multiplicity-1",
-                marks=_BLIND_SPOT,
             ),
             pytest.param(
                 "forms.py",
@@ -265,7 +270,13 @@ class TestStabilityCoverage:
         seen = self.verdicts(monkeypatch)
         roots = []
         inner = verify_mod.rational_roots
-        monkeypatch.setattr(verify_mod, "rational_roots", lambda w: roots.append(w) or inner(w))
+
+        def recording(form):
+            if any(form is r.witness for r in seen):
+                roots.append(form)
+            return inner(form)
+
+        monkeypatch.setattr(verify_mod, "rational_roots", recording)
         for cap in (2, 3, 4):
             seen.clear()
             roots.clear()
