@@ -29,7 +29,7 @@ _EXPORTS = {
     "multiplier": ("BadPosition", "DiagonalDerivatives", "IndeterminateMultiplier",
                    "MultiplierSpectrum", "diagonal_derivative_forms", "dz_coordinates",
                    "index_residual", "multiplier_form", "rational_fixed_point_oracle",
-                   "rho_compatibility_check", "sigma_spectrum", "woods_hole_resultant"),
+                   "sigma_spectrum", "woods_hole_resultant"),
     "resultant": ("covariant_resultant", "homogeneous_resultant"),
     "serialization": ("SchemaError", "parse_correspondence", "serialize_correspondence"),
     "stability": ("StabilityVerdict", "Verdict", "classify_stability",

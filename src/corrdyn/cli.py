@@ -43,7 +43,7 @@ def _load(path: str, from_doc=None):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     return (from_doc or correspondence_from_doc)(_loads(text))
 

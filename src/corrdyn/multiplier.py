@@ -41,7 +41,6 @@ from .forms import (
     _int_rows,
     _int_scale,
     _times_linear,
-    projectively_equal,
     rational_roots,
 )
 from .resultant import bareiss_det_poly, covariant_resultant, sylvester_rows
@@ -223,24 +222,3 @@ def woods_hole_resultant(f: Sequence, g: Sequence) -> tuple[Fraction, ...]:
     scale = den_f ** (df - 1) * den_g**df
     return tuple(Fraction(det.get((0, k), 0), scale) for k in range(df + 1))
 
-
-def rho_compatibility_check(f: Correspondence, scale=(1, 1)) -> bool:
-    """Whether reducing to bidegree (1, d+e-1) commutes with the multiplier map.
-
-    The image correspondence keeps f's first two Cayley powers up to the
-    scale pair (c0, c1); its multiplier form, read in the (1, d+e-1) basis,
-    must agree projectively with f's multiplier form read in the (d, e)
-    basis after rescaling coordinate k by c0^(n-k) * c1^k.
-    """
-    from .clebsch import cayley_omega, rho_embed  # its only user in this module
-
-    d, e = f.deg_x, f.deg_y
-    n = d + e
-    c0, c1 = (_frac(c) for c in scale)
-    w0 = cayley_omega(f.form, 0)
-    w1 = cayley_omega(f.form, 1)
-    image = Correspondence(rho_embed(w0, w1, 1, n - 1, (c0, c1)))
-    r_image = dz_coordinates(multiplier_form(image), 1, n - 1)
-    r_base = dz_coordinates(multiplier_form(f), d, e)
-    rescaled = tuple(c0 ** (n - k) * c1**k * r_base[k] for k in range(n + 1))
-    return projectively_equal(r_image, rescaled)

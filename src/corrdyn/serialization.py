@@ -139,7 +139,7 @@ def parse_moebius(text: str) -> MoebiusMap:
 def _loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise SchemaError(f"invalid JSON: {exc}") from exc
 
 

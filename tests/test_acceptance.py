@@ -24,13 +24,13 @@ from corrdyn.multiplier import (
     index_residual,
     multiplier_form,
     rational_fixed_point_oracle,
-    rho_compatibility_check,
     sigma_spectrum,
     woods_hole_resultant,
 )
 from corrdyn.resultant import homogeneous_resultant
 from corrdyn.stability import Verdict, classify_stability
 from corrdyn.verify import (
+    _projection_agrees,
     conjugated_square_map,
     rand_binary_form,
     rand_correspondence,
@@ -221,12 +221,12 @@ def test_criterion_09_hyperplane_theorem():
 
 def test_criterion_10_rho_compatibility():
     rng = random.Random(1010)
-    for d, e in [(2, 2), (2, 3)]:
-        for scale in [(1, 1), (2, 3)]:
-            for _ in range(25):
+    for d, e in [(1, 3), (3, 1), (2, 3), (3, 2)]:
+        for scale in [(1, 1), (2, 3), (F(-1, 2), 5)]:
+            for _ in range(10):
                 f = rand_good_position(rng, d, e)
-                assert rho_compatibility_check(f, scale)
-    report(10, "projection commutes with the multiplier map, 25 instances x 2 scales x 2 bidegrees")
+                assert _projection_agrees(f, multiplier_form(f), scale)
+    report(10, "projection commutes with the multiplier map, 10 instances x 3 scales x 4 bidegrees")
 
 
 def test_criterion_11_woods_hole():

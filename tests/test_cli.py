@@ -266,6 +266,25 @@ class TestSubprocess:
         assert proc.stderr.startswith("SchemaError")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"[" * 200_000 + b"]" * 200_000, b'{"d": ' + b"1" * 5000 + b', "e": 0, "coeffs": []}',
+         b"\xff\xfe"],
+        ids=["nested-200000-deep", "integer-literal-5000-digits", "not-utf-8"],
+    )
+    def test_malformed_file_is_a_schema_error(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        proc = subprocess.run(
+            [sys.executable, "-m", "corrdyn", "stability", "--input", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("SchemaError")
+        assert "Traceback" not in proc.stderr
+
     def test_non_ascii_digits_are_a_schema_error(self, tmp_path):
         # Arabic-Indic digits: \d and Fraction() accept them, the format does not.
         path = write(tmp_path, "a.json", {"d": 1, "e": 1, "coeffs": [

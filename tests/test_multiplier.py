@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from corrdyn import clebsch
 from corrdyn.clebsch import cayley_omega
 from corrdyn.correspondence import (
     Correspondence,
@@ -22,12 +24,12 @@ from corrdyn.multiplier import (
     index_residual,
     multiplier_form,
     rational_fixed_point_oracle,
-    rho_compatibility_check,
     sigma_spectrum,
     woods_hole_resultant,
 )
 from corrdyn.resultant import covariant_resultant
 from corrdyn.verify import (
+    _projection_agrees,
     conjugated_square_map,
     rand_correspondence,
     rand_good_position,
@@ -463,17 +465,25 @@ class TestDzCoordinates:
             r = BinaryForm(d + e, [rng.randint(-9, 9) for _ in range(d + e + 1)])
             assert dz_to_covariant(dz_coordinates(r, d, e), d, e) == r
 
-    def test_basis_matches_substitute_linear(self):
-        # Every answer is substitute_linear of the basis matrix.
+    def test_basis_matches_binomial_expansion(self):
+        # Coefficient k multiplies dx^k * dy^(n-k); expanding
+        # dx = dz0 + (e/2)*dz1 and dy = dz0 - (d/2)*dz1 by the binomial
+        # theorem sends the term with dz1^a from dx^k and dz1^b from dy^(n-k)
+        # to dz coordinate a + b.
         rng = random.Random(80)
         for _ in range(80):
             d, e = rng.randint(0, 9), rng.randint(1, 9)
             if rng.random() < 0.5:
                 d, e = e, d
-            coeffs = [F(rng.randint(-10**6, 10**6), rng.randint(1, 30)) for _ in range(d + e + 1)]
-            r = BinaryForm(d + e, coeffs)
-            m = ((1, F(-d, 2)), (1, F(e, 2)))
-            assert dz_coordinates(r, d, e) == r.substitute_linear(m).coeffs
+            n = d + e
+            coeffs = [F(rng.randint(-10**6, 10**6), rng.randint(1, 30)) for _ in range(n + 1)]
+            expected = [F(0)] * (n + 1)
+            for k, c in enumerate(coeffs):
+                for a in range(k + 1):
+                    for b in range(n - k + 1):
+                        expected[a + b] += (c * math.comb(k, a) * F(e, 2) ** a
+                                            * math.comb(n - k, b) * F(-d, 2) ** b)
+            assert dz_coordinates(BinaryForm(n, coeffs), d, e) == tuple(expected)
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
@@ -598,19 +608,33 @@ class TestWoodsHole:
 
 
 class TestRhoCompatibility:
+    # The projection onto (Omega^0 f, Omega^1 f) commutes with the multiplier map.
+    SCALES = [(1, 1), (2, 3), (F(-1, 2), 5)]
+
     def test_two_component_bidegrees_trivially_commute(self):
         rng = random.Random(82)
-        assert rho_compatibility_check(rand_good_position(rng, 1, 3))
-        assert rho_compatibility_check(rand_good_position(rng, 3, 1))
+        for d, e in [(1, 3), (3, 1)]:
+            for scale in self.SCALES:
+                f = rand_good_position(rng, d, e)
+                assert _projection_agrees(f, multiplier_form(f), scale)
 
     def test_square_bidegrees(self):
         rng = random.Random(83)
-        for d, e in [(2, 2), (2, 3)]:
-            for scale in [(1, 1), (2, 3)]:
+        for d, e in [(2, 2), (2, 3), (3, 2)]:
+            for scale in self.SCALES:
                 f = rand_good_position(rng, d, e)
-                assert rho_compatibility_check(f, scale)
+                assert _projection_agrees(f, multiplier_form(f), scale)
 
-    def test_error_propagation(self):
-        square = Correspondence.from_matrix(2, 1, [[0, -1], [0, 0], [1, 0]])
-        with pytest.raises(BadPosition):
-            rho_compatibility_check(square)
+    def test_swapped_scale_pair_disagrees(self, monkeypatch):
+        # An embedding that swaps (c0, c1) rescales coordinate k by an extra
+        # (c0/c1)^(2k-n), which no single scalar absorbs once two coordinates
+        # are nonzero.
+        rng = random.Random(84)
+        f = rand_good_position(rng, 2, 3)
+        r = multiplier_form(f)
+        assert sum(c != 0 for c in dz_coordinates(r, 2, 3)) >= 2
+        assert _projection_agrees(f, r, (2, 3))
+        embed = clebsch.rho_embed
+        monkeypatch.setattr(clebsch, "rho_embed",
+                            lambda w0, w1, d, e, scale: embed(w0, w1, d, e, scale[::-1]))
+        assert not _projection_agrees(f, r, (2, 3))

@@ -147,7 +147,12 @@ class TestPlantedFaults:
                 "    if m < 0 or m > min(d, e):\n",
                 "    if m < 0 or m > min(d, e) or m == 1:\n",
                 dict.fromkeys(
-                    ("cayley-linearity", "cayley-explicit-monomial", "derivative-linear-relations"),
+                    (
+                        "cayley-linearity",
+                        "cayley-explicit-monomial",
+                        "derivative-linear-relations",
+                        "hyperplane-residual",
+                    ),
                     "ValueError",
                 ),
                 id="cayley-omega-refuses-order-1",
@@ -184,9 +189,8 @@ class TestPlantedFaults:
                 "clebsch.py",
                 "w1.scale(c1)",
                 "w1.scale(c0)",
-                None,
+                {"hyperplane-residual": None},
                 id="rho-embed-scales-omega1-by-c0",
-                marks=_BLIND_SPOT,
             ),
             pytest.param(
                 "correspondence.py",
