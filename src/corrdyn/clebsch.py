@@ -197,3 +197,9 @@ def rho_embed(
     parts += [BinaryForm.zero(n - 2 * m) for m in range(2, min(d, e) + 1)]
     return cg_reconstruct(CgComponents(d, e, tuple(parts)))
 
+
+def _project(f: BiForm, scale=(1, 1)) -> BiForm:
+    """f projected onto bidegree (1, d+e-1): rho_embed of its Cayley powers 0 and 1."""
+    d, e = f.deg_x, f.deg_y
+    return rho_embed(cayley_omega(f, 0), cayley_omega(f, 1), 1, d + e - 1, scale)
+

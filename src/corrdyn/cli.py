@@ -95,7 +95,7 @@ def _cmd_reconstruct(args):
 
 
 def _cmd_project(args):
-    from .clebsch import cayley_omega, rho_embed
+    from .clebsch import _project
     from .correspondence import Correspondence
     from .serialization import SchemaError, correspondence_to_doc, parse_rational
 
@@ -105,8 +105,7 @@ def _cmd_project(args):
     c0, c1 = parse_rational(args.c0), parse_rational(args.c1)
     if c0 == 0 or c1 == 0:
         raise SchemaError("scale pair must be nonzero")
-    n = f.deg_x + f.deg_y
-    image = rho_embed(cayley_omega(f.form, 0), cayley_omega(f.form, 1), 1, n - 1, (c0, c1))
+    image = _project(f.form, (c0, c1))
     if image.is_zero():
         raise SchemaError("projected form is zero (both leading components vanish)")
     return correspondence_to_doc(Correspondence(image))
@@ -135,13 +134,13 @@ def _cmd_multipliers(args):
     f = _load(args.input)
     if f.deg_x + f.deg_y < 1:
         raise SchemaError("the multiplier form needs total degree d + e at least 1")
-    from .multiplier import dz_coordinates, multiplier_form, sigma_spectrum  # likewise
+    from .multiplier import (_invariant_coefficients, dz_coordinates,  # likewise
+                             multiplier_form, sigma_spectrum)
 
     iterated = iterate(f, args.n)
     d, e = iterated.bidegree
     r = multiplier_form(iterated)
     spectrum = sigma_spectrum(r)
-    norm = iterated.form.coeffs[0][0] * iterated.form.coeffs[d][e]
     return {
         "d": f.deg_x,
         "e": f.deg_y,
@@ -151,7 +150,7 @@ def _cmd_multipliers(args):
             "degree": r.degree,
             "dx_dy": [format_rational(c) for c in r.coeffs],
             "dz": [format_rational(c) for c in dz_coordinates(r, d, e)],
-            "normalized": [format_rational(c / norm) for c in r.coeffs],
+            "normalized": [format_rational(c) for c in _invariant_coefficients(iterated, r)],
         },
         "sigma": [format_rational(s) for s in spectrum.sigma],
     }

@@ -170,19 +170,6 @@ def _diagonal_sum(a, wx: Sequence[int], wy: Sequence[int], i0: int, j0: int) -> 
     return r
 
 
-def projectively_equal(a: Sequence[Fraction], b: Sequence[Fraction]) -> bool:
-    """True when one coefficient vector is a nonzero rational multiple of the other."""
-    if len(a) != len(b):
-        return False
-    pivot = next((k for k, c in enumerate(a) if c != 0), None)
-    if pivot is None:
-        return all(c == 0 for c in b)
-    if b[pivot] == 0:
-        return False
-    lhs, rhs = b[pivot], a[pivot]
-    return all(lhs * a[k] == rhs * b[k] for k in range(len(a)))
-
-
 class _Form:
     """What BinaryForm and BiForm share: equality, hashing and the linear structure.
 
@@ -225,7 +212,14 @@ class _Form:
         return self._from_flat([c * x for x in self.flat()])
 
     def projectively_equal(self, other) -> bool:
-        return self._shape() == other._shape() and projectively_equal(self.flat(), other.flat())
+        """True when other has this shape and its coefficients are a nonzero multiple of these."""
+        if self._shape() != other._shape():
+            return False
+        a, b = self.flat(), other.flat()
+        pivot = next((k for k, c in enumerate(a) if c != 0), None)
+        if pivot is None:
+            return other.is_zero()
+        return b[pivot] != 0 and all(b[pivot] * x == a[pivot] * y for x, y in zip(a, b))
 
 
 class BinaryForm(_Form):
@@ -314,16 +308,6 @@ class BinaryForm(_Form):
         if q is None:
             raise ValueError("not exactly divisible")
         return BinaryForm(len(q) - 1, [Fraction(c * dscale, nscale * content) for c in q])
-
-    def primitive_normalized(self) -> "BinaryForm":
-        """Integer-primitive representative with positive first nonzero coefficient."""
-        if self.is_zero():
-            return self
-        ints = _primitive(_int_scale(self.coeffs)[0])
-        first = next(v for v in ints if v != 0)
-        if first < 0:
-            ints = [-v for v in ints]
-        return BinaryForm(self.degree, ints)
 
 
 def _prem(a: list[int], b: list[int]) -> list[int]:

@@ -126,6 +126,13 @@ def multiplier_form(f: Correspondence) -> BinaryForm:
     return r
 
 
+def _invariant_coefficients(f: Correspondence, r: BinaryForm) -> tuple[Fraction, ...]:
+    """The coefficients of f's multiplier form r over a00*a_de, as multiplier_form promises."""
+    d, e = f.deg_x, f.deg_y
+    norm = f.form.coeffs[0][0] * f.form.coeffs[d][e]
+    return tuple(c / norm for c in r.coeffs)
+
+
 def sigma_spectrum(r: BinaryForm) -> MultiplierSpectrum:
     """Normalized spectrum sigma[i] = (-1)^i * r[dx^i dy^(n-i)] / r[dy^n]."""
     lead = r.coeffs[0]

@@ -99,6 +99,12 @@ def test_retired_verify_and_spectrum_members_are_gone():
     assert [f.name for f in dataclasses.fields(corrdyn.MultiplierSpectrum)] == ["sigma"]
 
 
+def test_forms_restate_no_normal_form_or_projective_equality():
+    # binary_gcd([f]) is the normal form, and _Form.projectively_equal the one test.
+    assert not hasattr(corrdyn.BinaryForm, "primitive_normalized")
+    assert not hasattr(corrdyn.forms, "projectively_equal")
+
+
 def test_moebius_map_has_no_apply():
     assert not hasattr(corrdyn.MoebiusMap, "apply")
 
@@ -143,6 +149,19 @@ def test_library_has_no_unused_imports():
         found += [f"{path.parent.name}/{path.name}:{line} {name}"
                   for name, line in imported.items() if name not in used]
     assert not found
+
+
+def test_verify_draws_through_the_public_forms_api():
+    # verify's generators build their inputs from public corrdyn.forms names only.
+    path = Path(corrdyn.verify.__file__)
+    private = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and node.module in ("forms", "corrdyn.forms")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private
 
 
 def test_dir_lists_every_public_name():

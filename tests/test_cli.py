@@ -71,8 +71,39 @@ class TestCompose:
         assert code == 2
         assert "DegenerateComposition" in err
 
+    def test_shared_irrational_factor_names_its_certificate(self, tmp_path, capsys):
+        # f = (x0 + 3x1)(y0^2 - 2y1^2) and g = (x0^2 - 2x1^2)(y0 + 5y1) share
+        # the middle factor z0^2 - 2z1^2, which has no rational root.
+        left = write(tmp_path, "l.json", {"d": 1, "e": 2, "coeffs": [["1", "0", "-2"],
+                                                                   ["3", "0", "-6"]]})
+        right = write(tmp_path, "r.json", {"d": 2, "e": 1, "coeffs": [["1", "5"], ["0", "0"],
+                                                                    ["-2", "-10"]]})
+        code, out, err = run_main(capsys, ["compose", "--left", left, "--right", right])
+        assert code == 2 and out == ""
+        assert err == (
+            "DegenerateComposition: composition degenerates to the zero form: shared irrational "
+            "linear factor, gcd certificate BinaryForm(2, ['1', '0', '-2'])\n"
+        )
+
 
 class TestSchemaErrors:
+    @pytest.mark.parametrize("command, doc, message", [
+        # (x0 y1 - x1 y0)^2 has Cayley powers 0 and 1 both zero
+        ("project", {"d": 2, "e": 2, "coeffs": [["0", "0", "1"], ["0", "-2", "0"],
+                                                ["1", "0", "0"]]},
+         "projected form is zero (both leading components vanish)"),
+        ("reconstruct", {"d": 1, "e": 1, "parts": [{"degree": 2, "coeffs": ["0", "0", "0"]},
+                                                   {"degree": 0, "coeffs": ["0"]}]},
+         "components reconstruct to the zero form"),
+        ("reconstruct", {"d": 1, "e": 1, "parts": [["1", "2", "3"],
+                                                   {"degree": 0, "coeffs": ["0"]}]},
+         "binary form document must be a JSON object"),
+    ])
+    def test_refused_document(self, tmp_path, capsys, command, doc, message):
+        path = write(tmp_path, "f.json", doc)
+        code, out, err = run_main(capsys, [command, "--input", path])
+        assert (code, out, err) == (3, "", f"SchemaError: {message}\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run_main(capsys, ["stability", "--input", "/nonexistent.json"])
         assert code == 3 and "SchemaError" in err
@@ -205,6 +236,10 @@ class TestVerifyCommand:
     def test_cap_validation(self, capsys):
         code, _, err = run_main(capsys, ["verify", "--degree-cap", "1"])
         assert code == 3 and err == "UsageError: degree cap must be at least 2\n"
+
+    def test_cap_above_32_runs_no_identity(self, capsys):
+        code, out, err = run_main(capsys, ["verify", "--degree-cap", "33"])
+        assert (code, out, err) == (3, "", "UsageError: degree cap must be at most 32\n")
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         import corrdyn.multiplier as multiplier_mod

@@ -31,6 +31,15 @@ def rand_coeff(rng):
     return F(rng.randint(-(10**25), 10**25), rng.randint(1, 10**25))
 
 
+def primitive_normalized(form):
+    """form cleared to integers over its content, with positive first nonzero coefficient."""
+    den = math.lcm(*(c.denominator for c in form.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in form.coeffs]
+    sign = -1 if next((v for v in ints if v), 0) < 0 else 1
+    content = math.gcd(*ints) or 1
+    return BinaryForm(form.degree, [sign * v // content for v in ints])
+
+
 def rand_biform(rng, d, e):
     return BiForm(d, e, [[rng.randint(-9, 9) for _ in range(e + 1)] for _ in range(d + 1)])
 
@@ -204,7 +213,7 @@ def fraction_binary_gcd(forms):
         ks = [k for k, c in enumerate(f.coeffs) if c != 0]
         core = list(f.coeffs[ks[0] : ks[-1] + 1])
         acc = core if acc is None else poly_gcd(acc, core)
-    return BinaryForm(v1 + len(acc) - 1 + v0, [0] * v1 + acc + [0] * v0).primitive_normalized()
+    return primitive_normalized(BinaryForm(v1 + len(acc) - 1 + v0, [0] * v1 + acc + [0] * v0))
 
 
 def rand_gcd_inputs(rng):
@@ -262,7 +271,7 @@ class TestBinaryGcd:
                 q = h.divide_exact(g)
                 assert q * g == h
             # the planted factor divides the gcd
-            assert g.divide_exact(shared.primitive_normalized()) is not None
+            assert g.divide_exact(primitive_normalized(shared)) is not None
 
     def test_normalization(self):
         # primitive with positive first nonzero coefficient
@@ -511,7 +520,7 @@ def trial_division_roots(form):
     core's constant and leading coefficients is tried as a root, with its
     multiplicity counted by repeated Fraction synthetic division.  Exponential in the
     coefficients' bit size, so only for small heights."""
-    prim = form.primitive_normalized()
+    prim = primitive_normalized(form)
     ks = [k for k, c in enumerate(prim.coeffs) if c != 0]
     lo, hi = ks[0], ks[-1]
     roots = []

@@ -33,6 +33,8 @@ class TestSuite:
     def test_cap_validation(self):
         with pytest.raises(ValueError):
             run_verify_suite(seed=1, degree_cap=1)
+        with pytest.raises(ValueError, match="at most 32"):
+            run_verify_suite(seed=1, degree_cap=33)
         with pytest.raises(ValueError):
             run_verify_suite(seed=1, degree_cap=3, only="nonexistent")
 
@@ -237,6 +239,20 @@ class TestPlantedFaults:
                 "        product = _times_linear(product, y, _horner(xs, p0, p1))\n",
                 {"multiplier-oracle-agreement": None},
                 id="oracle-product-sign-flip",
+            ),
+            pytest.param(
+                "multiplier.py",
+                "    norm = f.form.coeffs[0][0] * f.form.coeffs[d][e]\n",
+                "    norm = f.form.coeffs[0][0]\n",
+                {"invariant-normalized-coefficients": None},
+                id="invariant-coefficients-drop-a-de",
+            ),
+            pytest.param(
+                "clebsch.py",
+                "cayley_omega(f, 1), 1, d + e - 1, scale)",
+                "cayley_omega(f, 1), 1, d + e - 1, scale[::-1])",
+                {"hyperplane-residual": None},
+                id="projection-swaps-scales",
             ),
         ],
     )
