@@ -29,13 +29,21 @@ multiplier form does not take.  Rows are scaled to integer entries first and
 the known scale factor is divided back out at the end, and every division the
 recurrence performs is exact.  The last two are two-block matrices: the rows
 above a split are polynomials in u, the rest polynomials in v.  Their
-determinant goes through the same integer kernel (evaluation/interpolation,
-as in Collins' resultant method, J. ACM 18 (1971)): its degree in u is at
-most D_u, the sum of the u-rows' largest degrees, and likewise in v, so it is
-taken at every point of the grid {0..D_u} x {0..D_v} and its coefficients are
-recovered by exact Newton interpolation along u and then along v.  Each block
-is evaluated once per value of its variable, and the integer matrix at a grid
-point is the u-block's rows at that u followed by the v-block's rows at that v.
+determinant goes through the same integer kernel: its degree in u is at most
+D_u, the sum of the u-rows' largest degrees, and likewise in v.  One variable
+is evaluated at 0..D (evaluation/interpolation, as in Collins' resultant
+method, J. ACM 18 (1971)) and the other is packed by Kronecker substitution
+(von zur Gathen and Gerhard, Modern Computer Algebra, 8.4): its entries are
+taken at 2^B, so each evaluation point is one integer matrix, the evaluated
+rows followed by the packed ones.  Evaluation at 2^B is a ring homomorphism,
+so every Bareiss division stays exact and the integer determinant is the
+determinant polynomial at 2^B.  B is the bit length of the product of the
+rows' l1 norms (the evaluated rows' at this point, the packed rows' summed
+over their coefficients), plus 2; that product caps every coefficient, so the
+polynomial is read back exactly as signed base-2^B digits and then
+interpolated along the evaluated variable.  The variable of larger degree
+bound is packed, which takes fewer determinants; on a tie the block with
+fewer rows is packed, then v.
 """
 
 from __future__ import annotations
@@ -69,28 +77,73 @@ def _interpolate_line(vals: list[int]) -> list[int]:
     return out
 
 
+def _signed_digits(value: int, width: int, count: int) -> list[int]:
+    """The count base-2^width digits of value, lowest first, each in [-2^(width-1), 2^(width-1)).
+
+    This reads back the coefficients of an integer polynomial from its value
+    at 2^width when each coefficient is that small.
+    """
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    digits = []
+    for _ in range(count):
+        digit = value & mask
+        if digit >= half:
+            digit -= mask + 1
+        digits.append(digit)
+        value = (value - digit) >> width
+    if value:
+        raise ArithmeticError("determinant exceeds its packing bound")
+    return digits
+
+
 def bareiss_det_poly(rows: list[list[tuple[int, ...]]], split: int) -> dict[tuple[int, int], int]:
     """Determinant of a two-block matrix of integer polynomials, as {(i, j): c} for c*u^i*v^j.
 
     rows[:split] are polynomials in u and rows[split:] polynomials in v; each
     entry is the ascending tuple of its integer coefficients, () for zero.
-    The determinant is taken with bareiss_det_int at every (u, v) in
-    {0..D_u} x {0..D_v}, where D_u sums the u-rows' largest degrees (a bound
-    on every term of the expansion) and D_v the v-rows', and interpolated
-    along u and then along v.  Zero coefficients are left out, so the zero
-    determinant is {} and the empty matrix gives {(0, 0): 1}.
+    D_u sums the u-rows' largest degrees (a bound on the determinant's degree
+    in u) and D_v the v-rows'.  The block of larger degree bound is packed
+    (on a tie the one with fewer rows, then v) and the other is evaluated at
+    0..D: at each point bareiss_det_int takes the evaluated rows followed by
+    the packed rows at 2^B (a packed u-block moves below the v-block, with the
+    sign (-1)^(split*(n-split))), and the result is read back as signed
+    base-2^B digits and interpolated along the evaluated variable.  Zero
+    coefficients are left out, so the zero determinant is {} and the empty
+    matrix gives {(0, 0): 1}.
     """
-    grids = []
-    for block in (rows[:split], rows[split:]):
-        top = sum(max(1, *map(len, row)) - 1 for row in block)
-        grids.append(
-            [[[_horner(entry, 1, x) for entry in row] for row in block] for x in range(top + 1)]
-        )
-    us, vs = grids
-    dets = [[bareiss_det_int(at_u + at_v) for at_v in vs] for at_u in us]
-    along_u = [_interpolate_line(list(line)) for line in zip(*dets)]
-    coeffs = [_interpolate_line(list(line)) for line in zip(*along_u)]
-    return {(i, j): c for i, line in enumerate(coeffs) for j, c in enumerate(line) if c}
+    n = len(rows)
+    blocks = [rows[:split], rows[split:]]
+    tops = [sum(max(1, *map(len, row)) - 1 for row in block) for block in blocks]
+    pack_u = tops[0] > tops[1] or (tops[0] == tops[1] and split < n - split)
+    sign = 1
+    if pack_u:
+        blocks.reverse()
+        tops.reverse()
+        sign = (-1) ** (split * (n - split))
+    evaluated, packed = blocks
+    # The product of the rows' l1 norms bounds every coefficient of the
+    # determinant; a packed row's norm is the sum of its coefficients' sizes.
+    packed_norm = 1
+    for row in packed:
+        packed_norm *= sum(abs(c) for entry in row for c in entry)
+    lines = []
+    for x in range(tops[0] + 1):
+        at_x = [[_horner(entry, 1, x) for entry in row] for row in evaluated]
+        bound = packed_norm
+        for row in at_x:
+            bound *= sum(map(abs, row))
+        width = bound.bit_length() + 2
+        at_w = [[sum(c << k * width for k, c in enumerate(entry)) for entry in row]
+                for row in packed]
+        lines.append(_signed_digits(sign * bareiss_det_int(at_x + at_w), width, tops[1] + 1))
+    # coeffs[i][j] multiplies (packed variable)^i * (evaluated variable)^j.
+    coeffs = [_interpolate_line(list(line)) for line in zip(*lines)]
+    return {
+        (i, j) if pack_u else (j, i): c
+        for i, line in enumerate(coeffs)
+        for j, c in enumerate(line)
+        if c
+    }
 
 
 def bareiss_det_int(rows: list[list[int]]) -> int:

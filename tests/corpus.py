@@ -13,10 +13,13 @@ record both run the first ``FUZZ_CASES`` of them from
 
 The kernel corpus mixes zero, integer, half-integer and large-denominator
 coefficients, degree-0 and zero forms, singular and half-integer matrices and
-degenerate compositions.  The Cayley corpus has bidegrees with d = 0 or
-e = 0, where the projection rho_embed(Omega^0, Omega^1) has no first power
-and fails.  The cg_reconstruct corpus takes arbitrary component lists, not only
-images of cg_decompose: zero parts, all-zero lists, d = 0 or e = 0 and the
+degenerate compositions; compose_large reaches bidegree (5, 5) and unbalanced
+pairs such as (6, 2) with (1, 3), where one block of the Sylvester matrix
+outweighs the other, and plants a shared factor in about one case in five.
+The Cayley corpus has bidegrees with d = 0 or e = 0, where the projection
+rho_embed(Omega^0, Omega^1) has no first power and fails.  The
+cg_reconstruct corpus takes arbitrary component lists, not only images of
+cg_decompose: zero parts, all-zero lists, d = 0 or e = 0 and the
 asymmetric bidegrees (9, 4) and (4, 9); cg_roundtrip_large takes integer
 forms, rational forms and arbitrary component lists both ways at bidegrees
 (8, 8) to (14, 14), (12, 7), (7, 12) and (14, 9).  rho_embed_scaled embeds
@@ -216,8 +219,30 @@ def _case_diagonal_derivative_forms(rng):
 
 def _case_compose(rng):
     d, e, dp, ep = (rng.randint(0, 2) for _ in range(4))
+    return _compose_text(rng, d, e, dp, ep, 0.25)
+
+
+# Unbalanced pairs for compose_large: one block of the composite's Sylvester
+# matrix has a much larger degree bound or many more rows than the other.
+_UNBALANCED = [(6, 2, 1, 3), (2, 6, 3, 1), (1, 1, 1, 4), (3, 1, 1, 1), (4, 1, 2, 1),
+               (1, 5, 5, 1), (5, 1, 1, 5), (2, 3, 6, 1)]
+
+
+def _case_compose_large(rng):
+    if rng.random() < 0.3:
+        d, e, dp, ep = rng.choice(_UNBALANCED)
+    else:
+        d, e, dp, ep = (rng.randint(1, 5) for _ in range(4))
+    return _compose_text(rng, d, e, dp, ep, 0.2)
+
+
+def _compose_text(rng, d, e, dp, ep, planted):
+    """compose of two drawn forms of bidegrees (d, e) and (dp, ep), as text.
+
+    With probability planted (when e, dp >= 1) the pair shares a linear factor.
+    """
     f, g = _corr(rng, d, e), _corr(rng, dp, ep)
-    if rng.random() < 0.25 and e >= 1 and dp >= 1:
+    if rng.random() < planted and e >= 1 and dp >= 1:
         # Plant a shared linear factor (p1*z0 - p0*z1) in f's y-pair and
         # g's x-pair, so the composite degenerates.
         p0, p1 = rng.randint(-3, 3), rng.choice([1, 2, -3])
@@ -470,6 +495,7 @@ CASES = {
     "substitute_linear": (_case_substitute_linear, 300),
     "diagonal_derivative_forms": (_case_diagonal_derivative_forms, 200),
     "compose": (_case_compose, 120),
+    "compose_large": (_case_compose_large, 60),
     "covariant_resultant": (_case_covariant_resultant, 200),
     "multiplier_form": (_case_multiplier_form, 120),
     "woods_hole_resultant": (_case_woods_hole_resultant, 80),

@@ -10,8 +10,10 @@ and rho_embed_scaled before the Clebsch-Gordan layer moved onto integers);
 rational_roots was recorded while roots were still found by trial division.
 conjugate, substitute_pair_square, dz_coordinates and
 rational_fixed_point_oracle were recorded on the integer Moebius tables,
-classify_stability_large while stability still restricted every chart partial
-and cg_roundtrip_large while cg_reconstruct still reduced every entry by a gcd.
+classify_stability_large while stability still restricted every chart partial,
+cg_roundtrip_large while cg_reconstruct still reduced every entry by a gcd,
+and compose_large while bareiss_det_poly still took a determinant at every
+point of the two-variable grid.
 tools/sameness.py records the same draws one case at a time.
 
 To re-record after a deliberate change of output, print `_digest(name)` for
@@ -28,6 +30,7 @@ GOLDEN = {
     "substitute_linear": "1fb2c00de86be73448f34185d602d9b76f867d693deb5e9ca3e63f48bee3f6f3",
     "diagonal_derivative_forms": "9ad198945503420a7b43cece7cb20989724bbecc46436a15199076f6259dbe89",
     "compose": "8da861da97b1963cb69238f3ed7943ec28519dd80a6fe7b545641c77a5f5c20c",
+    "compose_large": "a488b594cad7862ca72379928c11c3ecab1c94883bc5df5762f25feca8157045",
     "covariant_resultant": "5a49c9286d094793e338144ebcc85b5bb2f62798fb02a50c1441cd85b52d50e4",
     "multiplier_form": "c1536876b571097bfa2164e3ef5588abeb216e6f8379a6fdfd7e5b12cbc8fd0a",
     "woods_hole_resultant": "44fb39ffae1f66c3c30d19e1894a15a9f0894c2a33003547e504e217eb88785f",

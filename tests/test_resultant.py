@@ -5,7 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
+import corrdyn.resultant
+from corrdyn.correspondence import Correspondence, compose
 from corrdyn.forms import BinaryForm, binary_gcd
+from corrdyn.multiplier import woods_hole_resultant
 from corrdyn.resultant import (
     _interpolate_line,
     _resultant_prs,
@@ -319,6 +322,15 @@ def as_dict_rows(rows, split):
             for r, row in enumerate(rows)]
 
 
+@pytest.fixture
+def det_int_calls(monkeypatch):
+    """A list that grows by one for each bareiss_det_int call made inside corrdyn.resultant."""
+    calls = []
+    monkeypatch.setattr(corrdyn.resultant, "bareiss_det_int",
+                        lambda rows: calls.append(1) or bareiss_det_int(rows))
+    return calls
+
+
 class TestDetPoly:
     def test_empty_matrix(self):
         assert bareiss_det_poly([], 0) == {(0, 0): 1}
@@ -395,6 +407,73 @@ class TestDetPoly:
             rows = [[rng.choice(upool if r < split else pool) for _ in range(n)] for r in range(n)]
             want = leibniz_det_poly(as_dict_rows(rows, split))
             assert bareiss_det_poly(rows, split) == want, rows
+
+    def test_signed_digits_with_borrows(self):
+        # Coefficients of +-2**80 beside zeros, and a negative top coefficient,
+        # packed into one integer, in either block.
+        big = 2**80
+        entry = (big, 0, -big, 0, 0, -1)
+        assert bareiss_det_poly([[entry]], 0) == {(0, 0): big, (0, 2): -big, (0, 5): -1}
+        assert bareiss_det_poly([[entry]], 1) == {(0, 0): big, (5, 0): -1, (2, 0): -big}
+        rows = [[(0, 1), (1,)], [(-big, 0, big, 0, -3), (0, 0, -big)]]
+        for split in range(3):
+            assert bareiss_det_poly(rows, split) == leibniz_det_poly(as_dict_rows(rows, split))
+        rng = random.Random(32)
+        for _ in range(20):
+            n = rng.randint(1, 4)
+            split = rng.randint(0, n)
+            rows = [[tuple(rng.choice([0, 0, big, -big, -1]) for _ in range(rng.randint(0, 3)))
+                     for _ in range(n)] for _ in range(n)]
+            assert bareiss_det_poly(rows, split) == leibniz_det_poly(as_dict_rows(rows, split))
+
+    def test_diagonal_meets_the_packing_bound(self):
+        # With positive monomials on the diagonal the determinant's one
+        # coefficient is the product of the rows' l1 norms, the bound the
+        # packing width is taken from, so a width one bit short misreads it.
+        rng = random.Random(33)
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            split = rng.randint(0, n)
+            rows = [[()] * n for _ in range(n)]
+            want_key, want = [0, 0], 1
+            for r in range(n):
+                k, c = rng.randint(0, 3), rng.choice([1, rng.randint(2, 99), 2**rng.randint(1, 60)])
+                rows[r][r] = (0,) * k + (c,)
+                want_key[r >= split] += k
+                want *= c
+            assert bareiss_det_poly(rows, split) == {tuple(want_key): want}
+        # positive entries of several terms each
+        rows = [[(3, 1, 4), (), ()], [(), (1, 5), ()], [(), (), (9, 2, 6, 5)]]
+        for split in range(4):
+            assert bareiss_det_poly(rows, split) == leibniz_det_poly(as_dict_rows(rows, split))
+
+    def test_packed_u_block_with_odd_sign(self, det_int_calls):
+        # The u-block is packed when its degree bound is larger, or equal with
+        # fewer rows; its rows then follow the v-block's, with the sign
+        # (-1)^(split * (n - split)), here -1.  It takes D_v + 1 determinants.
+        rng = random.Random(34)
+        for n, split, top_u, top_v in [(2, 1, 3, 1), (4, 1, 6, 1), (4, 3, 2, 1), (4, 1, 3, 1)]:
+            for _ in range(5):
+                tops = [top_u] * split + [top_v] * (n - split)
+                rows = [[tuple(rng.randint(-9, 9) for _ in range(top + 1)) for _ in range(n)]
+                        for top in tops]
+                det_int_calls.clear()
+                got = bareiss_det_poly(rows, split)
+                assert got == leibniz_det_poly(as_dict_rows(rows, split)), rows
+                assert len(det_int_calls) == (n - split) * top_v + 1
+
+    def test_determinant_counts_of_compose_and_woods_hole(self, det_int_calls):
+        # One determinant per value of the evaluated variable: (3,3) o (3,3)
+        # packs y1 and evaluates x1 at 0..9, and the Woods Hole matrix, whose
+        # u-block is constant, needs one.
+        rng = random.Random(35)
+        f, g = (Correspondence.from_matrix(3, 3, [[rng.randint(1, 9) for _ in range(4)]
+                                                  for _ in range(4)]) for _ in range(2))
+        compose(f, g)
+        assert len(det_int_calls) == 10
+        det_int_calls.clear()
+        woods_hole_resultant([rng.randint(-9, 9) for _ in range(9)] + [1], [1, 2, 3])
+        assert len(det_int_calls) == 1
 
 
 class TestInterpolateLine:

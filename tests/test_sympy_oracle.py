@@ -39,8 +39,10 @@ def coeff_of(poly, var_powers):
 
 def test_compose_matches_sympy():
     rng = random.Random(31)
-    for _ in range(12):
-        d, e, dp, ep = (rng.randint(1, 2) for _ in range(4))
+    # Twelve drawn bidegree pairs, then three where one block of the Sylvester
+    # matrix dominates: x1 packed with an odd row-order sign, x1 packed, y1 packed.
+    for fixed in [None] * 12 + [(3, 1, 1, 1), (4, 1, 2, 1), (1, 1, 1, 4)]:
+        d, e, dp, ep = fixed or (rng.randint(1, 2) for _ in range(4))
         a = [[nonzero(rng) for _ in range(e + 1)] for _ in range(d + 1)]
         b = [[nonzero(rng) for _ in range(ep + 1)] for _ in range(dp + 1)]
         h = compose(Correspondence.from_matrix(d, e, a), Correspondence.from_matrix(dp, ep, b))
