@@ -92,12 +92,15 @@ class MoebiusMap:
 class Correspondence:
     """A nonzero bihomogeneous form up to scalars; the dynamical object."""
 
-    __slots__ = ("form",)
+    __slots__ = ("form", "_fixed_divisors")
 
     def __init__(self, form: BiForm):
         if form.is_zero():
             raise ValueError("a correspondence needs a nonzero defining form")
         self.form = form
+        # Set by iterate only: the fixed point forms of the lower iterates
+        # f^k, k a proper divisor of n, each of which divides this one's.
+        self._fixed_divisors: tuple[BinaryForm, ...] = ()
 
     @classmethod
     def from_matrix(cls, deg_x: int, deg_y: int, rows) -> "Correspondence":
@@ -176,16 +179,28 @@ def compose(f: Correspondence, g: Correspondence) -> Correspondence:
 
 
 def iterate(f: Correspondence, n: int) -> Correspondence:
-    """Left fold of composition; fold order is projectively irrelevant."""
+    """The n-th iterate f^n, as a left fold of composition.
+
+    Fold order is exactly irrelevant: composition is associative on the
+    nose, not only up to scalars.  On the way the fold passes f^k for every
+    k < n; for each proper divisor k of n it records the fixed point form
+    f^k.form.diagonal_restriction() on the result, since a fixed point of f^k
+    is one of f^n.  multiplier_form splits its resultant along these forms.
+    """
     if n < 1:
         raise ValueError("iteration count must be positive")
     acc = f
+    divisors = []
     for step in range(1, n):
+        if n % step == 0:
+            divisors.append(acc.form.diagonal_restriction())
         try:
             acc = compose(acc, f)
         except DegenerateComposition as exc:
             exc.step = step
             raise
+    if divisors:
+        acc._fixed_divisors = tuple(divisors)
     return acc
 
 

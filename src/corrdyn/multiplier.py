@@ -24,10 +24,20 @@ as w0*dz0 + w1*dz1 in the basis
 with w0[k] = (d+e-2k)*F[k] and w1 = z0*z1 * (first Cayley power of f); the
 dz coordinates are where the image hyperplane [coefficient of
 dz0^(d+e-1)*dz1] = 0 lives.
+
+On an iterate f^n the resultant splits.  A fixed point of f^k is one of f^n
+when k divides n, so F(f^k) divides F(f^n) (Silverman, The Arithmetic of
+Dynamical Systems, 4.1), and iterate records F(f^k) for each proper divisor
+k.  multiplier_form splits F along them, each by a gcd and an exact division,
+and multiplies the resultants of the factors against the same pencil: a
+factor of degree m takes m + 1 subresultant sequences instead of d+e+1.  The
+gcd makes each split exact whatever the record holds, so the product is the
+unsplit form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -41,6 +51,7 @@ from .forms import (
     _int_rows,
     _int_scale,
     _times_linear,
+    binary_gcd,
     rational_roots,
 )
 from .resultant import bareiss_det_poly, covariant_resultant, sylvester_rows
@@ -107,7 +118,9 @@ def multiplier_form(f: Correspondence) -> BinaryForm:
     Raises IndeterminateMultiplier when the form is zero, which happens exactly
     when a fixed point is a common root of diag_x and diag_y.  The result is
     well-defined up to scalars; its coefficients divided by a00*a_de are
-    conjugation-invariant functions of the coefficient matrix.
+    conjugation-invariant functions of the coefficient matrix.  On a form
+    built by iterate the resultant is taken factor by factor, as the module
+    docstring describes; the result is the same.
     """
     d, e = f.deg_x, f.deg_y
     a00 = f.form.coeffs[0][0]
@@ -118,7 +131,17 @@ def multiplier_form(f: Correspondence) -> BinaryForm:
             "Moebius map first"
         )
     dd = diagonal_derivative_forms(f)
-    r = covariant_resultant(dd.diag, dd.diag_x, dd.diag_y)
+    # Split F along the fixed point forms iterate records (module docstring).
+    factors = [dd.diag]
+    for divisor in f._fixed_divisors:
+        refined = []
+        for a in factors:
+            g = binary_gcd([a, divisor])
+            refined += [g, a.divide_exact(g)] if 0 < g.degree < a.degree else [a]
+        factors = refined
+    r = math.prod(
+        (covariant_resultant(a, dd.diag_x, dd.diag_y) for a in factors), start=BinaryForm(0, [1])
+    )
     if r.is_zero():
         raise IndeterminateMultiplier(
             "a fixed point is critical in both directions; the multiplier map is undefined"

@@ -8,16 +8,19 @@ the descending-order classical layout by the sign (-1)^(d*e); all downstream
 consumers either compare projectively or are validated against independent
 oracles, so the sign is absorbed here once.
 
-The covariant resultant res(f, p*dx + q*dy) takes the pencil at n + 1
-integer points dx = t, dy = 1 and interpolates.  At each point a
+The covariant resultant res(f, p*dx + q*dy), for f of degree n and a pencil
+of degree N >= n, is a form of degree n in (dx, dy); it takes the pencil at
+n + 1 integer points dx = t, dy = 1 and interpolates.  At each point a
 fraction-free subresultant polynomial remainder sequence (Collins, J. ACM 14
 (1967); Cohen, A Course in Computational Algebraic Number Theory, Algorithm
-3.3.7) gives the integer resultant in O(n^2) operations instead of the O(n^3)
-of an elimination.  That sequence needs exact degrees, so the declared
-degrees are reduced first: a degree-0 argument gives a power of its constant,
-two vanishing leading coefficients give 0, a vanishing leading coefficient of
-f alone swaps the arguments with the sign (-1)^(d*e), and g of actual degree
-k < e contributes lc(f)^(e-k).
+3.3.7) gives the integer resultant in O(N*n) operations instead of the
+O((n+N)^3) of an elimination.  Being multiplicative in f, it lets a caller
+that knows a factorization of f take one small resultant per factor (the
+multiplier form of an iterate does).  That sequence needs exact degrees, so
+the declared degrees are reduced first: a degree-0 argument gives a power of
+its constant, two vanishing leading coefficients give 0, a vanishing leading
+coefficient of f alone swaps the arguments with the sign (-1)^(d*e), and g
+of actual degree k < e contributes lc(f)^(e-k).
 
 Every other determinant is evaluated by fraction-free Bareiss elimination on
 plain Python integers: homogeneous_resultant, the resultant of two binary
@@ -262,22 +265,27 @@ def _resultant_prs(f: Sequence[int], g: Sequence[int]) -> int:
 def covariant_resultant(f: BinaryForm, p: BinaryForm, q: BinaryForm) -> BinaryForm:
     """Resultant of f against the pencil p*dx + q*dy, as a form in (dx, dy).
 
-    All three inputs share one declared degree n >= 1, so the result is
+    p and q share one declared degree m >= n = deg f >= 1, and the resultant
+    is taken at the declared degrees (n, m).  Up to a constant it is the
+    product of the pencil's values at the n roots of f, so the result is
     homogeneous of degree n: a BinaryForm read with (z0, z1) = (dy, dx), so
     coefficient k multiplies dx^k * dy^(n-k) and r.evaluate(dy, dx) is the
     resultant of f against p*dx + q*dy.  It is taken at dx = t, dy = 1 for
     t = 0..n by the integer subresultant kernel and interpolated back, in the
     ascending-layout Sylvester sign.  The result is the zero form exactly when
-    f shares a projective root with both p and q.
+    f shares a projective root with both p and q.  Being a resultant, it is
+    multiplicative in f: the result for f = a*b is the product of those for a
+    and b, each against the same pencil.
     """
-    n = f.degree
-    if p.degree != n or q.degree != n:
+    n, m = f.degree, p.degree
+    # A degree-0 f gets the mismatch message unless the pencil has degree 0 too.
+    if q.degree != m or m < n or n == 0 < m:
         raise ValueError("pencil forms must match the declared degree of f")
     if n < 1:
         raise ValueError("declared degree must be at least 1")
     fi, df = _int_scale(f.coeffs)
     pq, den = _int_scale(p.coeffs + q.coeffs)
-    pi, qi = pq[: n + 1], pq[n + 1 :]
+    pi, qi = pq[: m + 1], pq[m + 1 :]
     values = [_resultant_prs(fi, [t * a + b for a, b in zip(pi, qi)]) for t in range(n + 1)]
-    scale = df**n * den**n
+    scale = df**m * den**n
     return BinaryForm(n, [Fraction(c, scale) for c in _interpolate_line(values)])

@@ -12,6 +12,7 @@ from corrdyn.correspondence import (
     moebius_graph,
 )
 from corrdyn.forms import BiForm, BinaryForm
+from corrdyn.serialization import correspondence_from_doc, correspondence_to_doc
 from corrdyn.verify import rand_correspondence, rand_moebius
 
 
@@ -181,6 +182,24 @@ class TestIterate:
     def test_bad_count(self):
         with pytest.raises(ValueError):
             iterate(SQUARE, 0)
+
+    def test_records_fixed_point_forms_of_divisors(self):
+        # f^6 carries the fixed point forms of f, f^2 and f^3, each of which
+        # divides its own; nothing else sets or passes them on.
+        rng = random.Random(39)
+        f = rand_correspondence(rng, 2, 1)
+        sixth = iterate(f, 6)
+        lower = [iterate(f, k).form.diagonal_restriction() for k in (1, 2, 3)]
+        assert sixth._fixed_divisors == tuple(lower)
+        own = sixth.form.diagonal_restriction()
+        for form in lower:
+            own.divide_exact(form)
+        assert iterate(f, 5)._fixed_divisors == (lower[0],)
+        assert iterate(f, 1) is f and f._fixed_divisors == ()
+        assert compose(sixth, f)._fixed_divisors == ()
+        assert conjugate(sixth, rand_moebius(rng))._fixed_divisors == ()
+        assert Correspondence(sixth.form)._fixed_divisors == ()
+        assert correspondence_from_doc(correspondence_to_doc(sixth))._fixed_divisors == ()
 
 
 class TestConjugate:

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from corrdyn import clebsch
+from corrdyn import clebsch, multiplier
 from corrdyn.clebsch import cayley_omega
 from corrdyn.correspondence import (
     Correspondence,
@@ -31,6 +31,7 @@ from corrdyn.resultant import covariant_resultant
 from corrdyn.verify import (
     _projection_agrees,
     conjugated_square_map,
+    rand_binary_form,
     rand_correspondence,
     rand_good_position,
     rand_map_graph,
@@ -447,6 +448,78 @@ class TestNthMultiplier:
         f = Correspondence.from_matrix(1, 1, [[1, 0], [0, 0]])
         with pytest.raises(DegenerateComposition):
             multiplier_form(iterate(f, 2))
+
+    def test_split_matches_unsplit_route(self, monkeypatch):
+        # iterate records the fixed point forms of f^k for k | n, and
+        # multiplier_form takes one resultant per factor they split off.  The
+        # product must equal the single resultant of the whole fixed point
+        # form, and an iterate with a planted node must raise the same error
+        # as the same form without the record.
+        rng = random.Random(84)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0].degree)
+            return covariant_resultant(*args)
+
+        monkeypatch.setattr(multiplier, "covariant_resultant", counted)
+
+        def rand_bi(d, e):
+            return BiForm(d, e, [[rng.randint(-6, 6) for _ in range(e + 1)] for _ in range(d + 1)])
+
+        def planted_node(d, e):
+            p = F(rng.choice([-2, -1, 1, 2]))
+            u, v = BiForm(1, 0, [[-p], [1]]), BiForm(0, 1, [[-p, 1]])
+            form = u * v * rand_bi(d - 1, e - 1) + u * u * rand_bi(d - 2, e)
+            return Correspondence(form + v * v * rand_bi(d, e - 2))
+
+        plan = [
+            ("good", (1, 1), 4), ("good", (2, 1), 2), ("good", (2, 2), 2), ("good", (3, 2), 2),
+            ("good", (3, 3), 2), ("good", (1, 2), 3), ("good", (2, 2), 3), ("good", (2, 1), 4),
+            ("map", 2, 2), ("map", 2, 3), ("map", 2, 4), ("map", 3, 2),
+            ("node", (2, 2), 2), ("node", (3, 2), 2), ("node", (2, 2), 3),
+        ]
+        for kind, deg, n in plan:
+            if kind == "good":
+                f = rand_good_position(rng, *deg)
+            elif kind == "map":
+                f = rand_map_graph(rng, deg)
+            else:
+                f = planted_node(*deg)
+            it = iterate(f, n)
+            calls.clear()
+            got = outcome(multiplier_form, it)
+            factors = list(calls)
+            assert got == outcome(multiplier_form, Correspondence(it.form)), (kind, deg, n)
+            assert sum(factors) == it.deg_x + it.deg_y
+            if kind == "node":
+                assert got == (IndeterminateMultiplier, (
+                    "a fixed point is critical in both directions; the multiplier map is undefined",
+                ))
+                continue
+            dd = diagonal_derivative_forms(it)
+            assert got == covariant_resultant(dd.diag, dd.diag_x, dd.diag_y)
+            # One factor per distinct fixed point form along the divisors.
+            lower = {form.degree for form in it._fixed_divisors}
+            assert len(factors) == len(lower - {it.deg_x + it.deg_y}) + 1, (kind, deg, n)
+
+    def test_split_ignores_a_wrong_record(self):
+        # The gcd keeps the split exact whatever the record holds: an
+        # unrelated form, the zero form, a non-divisor, another map's forms.
+        rng = random.Random(85)
+        f = rand_good_position(rng, 2, 1)
+        it = iterate(f, 4)
+        want = multiplier_form(it)
+        other = iterate(rand_good_position(rng, 2, 1), 4)
+        for record in [
+            (rand_binary_form(rng, 5),),
+            (BinaryForm.zero(3),),
+            (iterate(f, 3).form.diagonal_restriction(),),
+            other._fixed_divisors,
+            it._fixed_divisors[::-1],
+        ]:
+            it._fixed_divisors = record
+            assert multiplier_form(it) == want
 
 
 class TestDzCoordinates:

@@ -192,23 +192,42 @@ class TestCovariant:
         assert out.is_zero()
 
     def test_degree_mismatch(self):
-        with pytest.raises(ValueError):
-            covariant_resultant(BinaryForm(2, [1, 0, 1]), BinaryForm(1, [1, 0]), BinaryForm(1, [0, 1]))
+        pencil = "pencil forms must match the declared degree of f"
+        cases = [
+            ((2, 1, 1), pencil),  # pencil below deg f
+            ((2, 3, 2), pencil),  # p and q disagree
+            ((2, 2, 3), pencil),
+            ((0, 2, 2), pencil),  # a constant f against a pencil of higher degree
+            ((0, 0, 0), "declared degree must be at least 1"),
+        ]
+        for (n, dp, dq), message in cases:
+            with pytest.raises(ValueError) as info:
+                covariant_resultant(BinaryForm(n, [1] * (n + 1)), BinaryForm(dp, [1] * (dp + 1)),
+                                    BinaryForm(dq, [1] * (dq + 1)))
+            assert info.value.args == (message,)
 
     def test_specializations(self):
+        # After 25 pencils of degree n, 30 of degree N > n: the result keeps
+        # degree n, specializes at the declared degrees (n, N), and is
+        # multiplicative in f.
         rng = random.Random(25)
-        for _ in range(25):
+        for trial in range(55):
             n = rng.randint(1, 4)
+            big = n + (rng.randint(1, 4) if trial >= 25 else 0)
             f = rand_binary_form(rng, n, nonzero=False)
             if f.is_zero():
                 continue
-            p, q = rand_binary_form(rng, n, nonzero=False), rand_binary_form(rng, n, nonzero=False)
+            p, q = rand_binary_form(rng, big, nonzero=False), rand_binary_form(rng, big, nonzero=False)
             r = covariant_resultant(f, p, q)
+            assert r.degree == n
             assert r.evaluate(1, 0) == homogeneous_resultant(f, q)
             assert r.evaluate(0, 1) == homogeneous_resultant(f, p)
             t, u = F(rng.randint(-5, 5)), F(rng.randint(-5, 5))
-            pencil = BinaryForm(n, [t * a + u * b for a, b in zip(p.coeffs, q.coeffs)])
+            pencil = BinaryForm(big, [t * a + u * b for a, b in zip(p.coeffs, q.coeffs)])
             assert r.evaluate(u, t) == homogeneous_resultant(f, pencil)
+            if big > n:
+                g = rand_binary_form(rng, rng.randint(1, big - n))
+                assert covariant_resultant(f * g, p, q) == r * covariant_resultant(g, p, q)
 
     def test_zero_iff_triple_common_root(self):
         rng = random.Random(26)

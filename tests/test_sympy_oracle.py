@@ -57,23 +57,30 @@ def test_compose_matches_sympy():
 
 def test_covariant_resultant_matches_sympy():
     rng = random.Random(32)
-    for trial in range(16):
+    for trial in range(28):
         n = trial % 8 + 1
+        # After sixteen pencils of degree n, twelve of degree N > n, as
+        # multiplier_form passes them for each factor of a fixed point form.
+        big = n + (rng.randint(1, 5) if trial >= 16 else 0)
         f, p, q = (
-            [F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n)] + [nonzero(rng)]
-            for _ in range(3)
+            [F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(deg)] + [nonzero(rng)]
+            for deg in (n, big, big)
         )
         # A zero leading coefficient in p or q (not both, so the pencil keeps
-        # z-degree n for sympy) exercises the declared-degree sign.
+        # its z-degree for sympy) exercises the declared-degree sign.
         if trial % 3 == 1:
             p[-1] = F(0)
         elif trial % 3 == 2:
             q[-1] = F(0)
-        r = covariant_resultant(BinaryForm(n, f), BinaryForm(n, p), BinaryForm(n, q))
+        r = covariant_resultant(BinaryForm(n, f), BinaryForm(big, p), BinaryForm(big, q))
         # Dehomogenized at z0 = 1 and dy = 1, with t standing for dx.
         fz = sum(rat(c) * z**k for k, c in enumerate(f))
         pencil = sum((rat(a) * t + rat(b)) * z**k for k, (a, b) in enumerate(zip(p, q)))
-        want = sympy.expand((-1) ** (n * n) * sympy.resultant(fz, pencil, z))
+        # Res(pencil, f) = (-1)^(n*N) Res(f, pencil), the ascending-layout sign.
+        # The argument of higher degree goes first: that is the order in which
+        # sympy.resultant is the Sylvester determinant; the other order lacks
+        # the sign (-1)^(n*N) of the swap.
+        want = sympy.expand(sympy.resultant(pencil, fz, z))
         assert list(r.coeffs) == [coeff_of(want, [(t, k)]) for k in range(n + 1)]
 
 
