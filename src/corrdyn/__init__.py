@@ -32,8 +32,7 @@ _EXPORTS = {
                    "sigma_spectrum", "woods_hole_resultant"),
     "resultant": ("covariant_resultant", "homogeneous_resultant"),
     "serialization": ("SchemaError", "parse_correspondence", "serialize_correspondence"),
-    "stability": ("StabilityVerdict", "Verdict", "classify_stability",
-                  "diagonal_multiplicity_at_least"),
+    "stability": ("StabilityVerdict", "Verdict", "classify_stability"),
     "verify": ("run_verify_suite",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

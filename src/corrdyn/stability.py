@@ -58,15 +58,16 @@ those below, so one upward scan finds the largest multiplicity.  Order k
 takes the GCD of the GCD carried from order k-1 and the restrictions of order
 k; corrected at [0:1], that is the witness W of m = k+1.  The scan stops at
 the first order whose witness is constant: "some diagonal point has
-multiplicity >= m" is monotone in m, which the ``multiplicity-monotonicity``
-identity of ``corrdyn verify`` checks, so no order above it can hold.  Each
-y-order is therefore restricted at most once per chart and call, the GCD stops
-reading an order's family once it is 1, and the mirrored family read for one
-[0:1] correction serves every order above it; the mirrored chart is first
-read when that correction first needs an order above 0.  On a form without a
-double point the scan usually ends at order 1, after two restrictions.
-``classify_stability`` scans up to m = d+e and returns the last hit with its
-witness in the verdict; ``diagonal_multiplicity_at_least`` scans up to its m.
+multiplicity >= m" is monotone in m, so no order above it can hold.  (The
+``multiplicity-monotonicity`` identity of ``corrdyn verify`` checks the stop
+against the definition: the GCD of every order-(m-1) partial, restricted, at
+the last hit and at the order above it.)  Each y-order is therefore restricted
+at most once per chart and call, the GCD stops reading an order's family once
+it is 1, and the mirrored family read for one [0:1] correction serves every
+order above it; the mirrored chart is first read when that correction first
+needs an order above 0.  On a form without a double point the scan usually
+ends at order 1, after two restrictions.  ``classify_stability`` scans up to
+m = d+e and returns the last hit with its witness in the verdict.
 
 The restrictions are computed on integers.  The coefficients of f are
 cleared once per call to integer rows over their common denominator D, and the
@@ -100,23 +101,6 @@ class StabilityVerdict:
     verdict: Verdict
     max_multiplicity: int
     witness: BinaryForm
-
-
-def diagonal_multiplicity_at_least(f: Correspondence, m: int) -> tuple[bool, BinaryForm]:
-    """Whether some diagonal point has multiplicity >= m, with a GCD witness.
-
-    The witness is the homogeneous GCD of all order-(m-1) mixed partials
-    restricted to the diagonal; it is nonconstant or zero exactly when the
-    answer is true, and its roots are the offending points.  It is computed
-    from the restrictions of d_{y1}^l f for l < min(m, e+1) and their
-    z1-derivatives, which span those of the chart partials of orders < m and
-    give the same GCD.
-    """
-    n = f.deg_x + f.deg_y
-    if not 1 <= m <= n:
-        raise ValueError(f"multiplicity order must lie in 1..{n}")
-    mult, witness = _scan(f, m)
-    return (True, witness) if mult == m else (False, BinaryForm(0, [1]))
 
 
 def _scan(f: Correspondence, top: int) -> tuple[int, BinaryForm]:

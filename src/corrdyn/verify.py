@@ -499,24 +499,26 @@ def _check_torus_weight_scaling(rng, cap, c: CheckResult):
         c.record(ok, lambda: f"f={f!r} t={t}")
 
 
-def _planted_instance(rng, cap, moved: bool, unstable=False) -> Correspondence:
-    """rand_planted_corner at a random order (above (d+e)/2 if unstable), moved if moved."""
+def _planted_instance(rng, cap, moved: bool, unstable=False) -> tuple[Correspondence, int]:
+    """rand_planted_corner at a random order k (> (d+e)/2 if unstable), moved if moved; and k."""
     d, e = rand_bidegree(rng, cap)
-    n = d + e
-    f = rand_planted_corner(rng, d, e, rng.randint(n // 2 + 1 if unstable else 0, n))
-    return conjugate(f, rand_moebius(rng)) if moved else f
+    k = rng.randint((d + e) // 2 + 1 if unstable else 0, d + e)
+    f = rand_planted_corner(rng, d, e, k)
+    return (conjugate(f, rand_moebius(rng)) if moved else f), k
 
 
 def _check_stability_conjugation(rng, cap, c: CheckResult):
     # Conjugation moves diagonal points along the diagonal and keeps their
-    # multiplicities, so the verdict and the largest multiplicity stay.
-    for k in range(10):
-        f = _planted_instance(rng, cap, k % 2 == 1)
+    # multiplicities, so the verdict and the largest multiplicity stay.  A
+    # planted k > (d+e)/2 is that multiplicity, as in stability-odd-parity.
+    for i in range(10):
+        f, k = _planted_instance(rng, cap, i % 2 == 1)
         g = rand_moebius(rng)
         lhs = stability.classify_stability(f)
         rhs = stability.classify_stability(conjugate(f, g))
         same = (lhs.verdict, lhs.max_multiplicity) == (rhs.verdict, rhs.max_multiplicity)
-        c.record(same, lambda: f"f={f!r} g={g!r}")
+        exact = 2 * k <= sum(f.bidegree) or lhs.max_multiplicity == k
+        c.record(same and exact, lambda: f"f={f!r} g={g!r} k={k}")
 
 
 def _check_stability_odd_parity(rng, cap, c: CheckResult):
@@ -542,7 +544,7 @@ def _check_stability_matrix_crosscheck(rng, cap, c: CheckResult):
     # unless f(z, z) vanishes, and moving it to [1:0] clears every a_ij with
     # 2(i+j) <= d+e.
     for k in range(10):
-        f = _planted_instance(rng, cap, k % 2 == 1, unstable=True)
+        f, _ = _planted_instance(rng, cap, k % 2 == 1, unstable=True)
         d, e = f.bidegree
         res = stability.classify_stability(f)
         unstable = res.verdict == stability.Verdict.UNSTABLE and not res.witness.is_zero()
@@ -564,17 +566,30 @@ def _check_stability_matrix_crosscheck(rng, cap, c: CheckResult):
         c.record(ok, lambda: f"f={f!r} witness={res.witness!r}")
 
 
+def _definition_witness(f: Correspondence, m: int) -> BinaryForm:
+    """The GCD of all order-(m-1) mixed partials of f restricted to the diagonal, by definition."""
+    o = m - 1
+    return binary_gcd([
+        f.form.mixed_partial((i, j, k, o - i - j - k)).diagonal_restriction()
+        for i in range(o + 1) for j in range(o + 1 - i) for k in range(o + 1 - i - j)
+    ])
+
+
 def _check_multiplicity_monotonicity(rng, cap, c: CheckResult):
-    # Once "some diagonal point has multiplicity >= m" fails it fails for every
-    # larger m: the premise of the scan's stop at the first miss.
-    for k in range(8):
-        f = _planted_instance(rng, cap, k % 2 == 1)
-        d, e = f.bidegree
-        flags = [
-            stability.diagonal_multiplicity_at_least(f, m)[0] for m in range(1, d + e + 1)
-        ]
-        ok = all(not later or earlier for earlier, later in zip(flags, flags[1:]))
-        c.record(ok, lambda: f"f={f!r} flags={flags}")
+    # "Some diagonal point has multiplicity >= m" is monotone in m, the premise
+    # of the scan's stop at its first miss.  So the definition's GCD, which no
+    # chart, z1-derivative or [0:1] correction enters, is the verdict's witness
+    # and nonconstant or zero at the largest multiplicity, and constant above it.
+    for i in range(8):
+        f, _ = _planted_instance(rng, cap, i % 2 == 1)
+        res = stability.classify_stability(f)
+        top = res.max_multiplicity
+        w = _definition_witness(f, top)
+        ok = (w.is_zero() or w.degree > 0) and w == res.witness
+        if ok and top < sum(f.bidegree):
+            w = _definition_witness(f, top + 1)
+            ok = w.degree == 0 and not w.is_zero()
+        c.record(ok, lambda: f"f={f!r} max={top} witness={w!r}")
 
 
 def _check_derivative_relations(rng, cap, c: CheckResult):

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import re
 from pathlib import Path
 
 import pytest
@@ -39,7 +40,6 @@ PUBLIC = [
     "conjugate",
     "covariant_resultant",
     "diagonal_derivative_forms",
-    "diagonal_multiplicity_at_least",
     "dz_coordinates",
     "homogeneous_resultant",
     "index_residual",
@@ -58,9 +58,18 @@ PUBLIC = [
 
 
 def test_all_is_exactly_the_public_names():
-    assert len(PUBLIC) == 37
+    assert len(PUBLIC) == 36
     assert len(set(corrdyn.__all__)) == len(corrdyn.__all__)
     assert sorted(corrdyn.__all__) == PUBLIC
+
+
+def test_readme_states_the_counts():
+    # README says how many public names there are and how many identities verify replays.
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    names = re.findall(r"The\s+(\d+)\s+names\s+of\s+`corrdyn.__all__`", text)
+    identities = re.findall(r"replays\s+(\d+)\s+identities", text)
+    assert names == [str(len(corrdyn.__all__))]
+    assert identities == [str(len(corrdyn.verify.CHECK_NAMES))]
 
 
 def test_every_public_name_resolves():
@@ -81,6 +90,7 @@ RETIRED = [
     "dz_to_covariant",
     "max_diagonal_multiplicity",
     "rho_compatibility_check",
+    "diagonal_multiplicity_at_least",
 ]
 
 

@@ -2,8 +2,6 @@ import math
 import random
 from fractions import Fraction as F
 
-import pytest
-
 from corrdyn.correspondence import Correspondence, MoebiusMap, conjugate
 from corrdyn.forms import (
     BiForm,
@@ -15,7 +13,7 @@ from corrdyn.forms import (
     rational_roots,
 )
 import corrdyn.stability
-from corrdyn.stability import Verdict, classify_stability, diagonal_multiplicity_at_least
+from corrdyn.stability import Verdict, _scan, classify_stability
 from corrdyn.verify import rand_correspondence, rand_moebius, rand_planted_corner
 from test_forms import fraction_binary_gcd, fraction_diagonal_restriction, rand_coeff
 
@@ -63,26 +61,18 @@ class TestMultiplicity:
     def test_cusp_has_triple_point_at_infinity(self):
         # chart at ([0:1], [0:1]): the dehomogenization of x0^2*y0 is u^2*v
         assert affine_multiplicity(CUSP, 0, 1) == 3
-        hit, witness = diagonal_multiplicity_at_least(CUSP, 3)
-        assert hit
+        mult, witness = _scan(CUSP, 3)
+        assert mult == 3
         assert rational_roots(witness) == [((0, 1), 1)]
 
     def test_square_graph_is_smooth_on_diagonal(self):
-        hit, witness = diagonal_multiplicity_at_least(SQUARE, 2)
-        assert not hit
-        assert witness.degree == 0 and not witness.is_zero()
+        assert _scan(SQUARE, 2)[0] == 1
 
     def test_order_one_always_holds(self):
         rng = random.Random(61)
         for _ in range(10):
             f = rand_correspondence(rng, rng.randint(1, 3), rng.randint(1, 3))
-            assert diagonal_multiplicity_at_least(f, 1)[0]
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            diagonal_multiplicity_at_least(SQUARE, 0)
-        with pytest.raises(ValueError):
-            diagonal_multiplicity_at_least(SQUARE, 4)
+            assert _scan(f, 1)[0] == 1
 
     def test_planted_multiplicity(self):
         # multiplying by vertical/horizontal lines through a diagonal point
@@ -104,15 +94,17 @@ class TestMultiplicity:
             f = Correspondence(form)
             assert affine_multiplicity(f, p0, p1) == alpha + beta
             for m in range(1, alpha + beta + 1):
-                assert diagonal_multiplicity_at_least(f, m)[0]
+                assert _scan(f, m)[0] == m
             assert max_multiplicity(f)[0] >= alpha + beta
 
     def test_monotonicity(self):
+        # The definition's order test is monotone in m, the premise of the
+        # scan's stop at its first miss.
         rng = random.Random(63)
         for _ in range(10):
             f = rand_correspondence(rng, rng.randint(1, 3), rng.randint(1, 3))
             n = f.deg_x + f.deg_y
-            flags = [diagonal_multiplicity_at_least(f, m)[0] for m in range(1, n + 1)]
+            flags = [partial_route_multiplicity(f, m)[0] for m in range(1, n + 1)]
             for earlier, later in zip(flags, flags[1:]):
                 assert earlier or not later
 
@@ -132,7 +124,7 @@ def partial_route_multiplicity(f: Correspondence, m: int):
     """Reference route: every order-(m-1) partial as a form, restricted, monic Fraction GCD.
 
     Restriction and GCD are the Fraction routes of the test suite, so nothing
-    here shares the integer kernels of diagonal_multiplicity_at_least.
+    here shares the integer kernels of the scan.
     """
     order = m - 1
     restrictions = [
@@ -202,8 +194,7 @@ class TestIntegerRestrictions:
                 cofactor[0][0] = cofactor[0][0] or 1
                 form = BiForm(d - 1, e - 1, cofactor) * DIAGONAL.form
             f = Correspondence(form)
-            for m in range(1, d + e + 1):
-                assert diagonal_multiplicity_at_least(f, m) == partial_route_multiplicity(f, m)
+            assert scans(f) == last_hits(f, partial_route_multiplicity)
 
     def test_matches_the_chart_route_at_large_bidegree(self):
         # Above (5, 5), where the partial route is too slow, against every
@@ -217,9 +208,7 @@ class TestIntegerRestrictions:
                 for f in (rand_planted_corner(rng, d, e, k),
                           conjugate(rand_planted_corner(rng, d, e, k), rand_moebius(rng)),
                           Correspondence.from_matrix(d, e, at_infinity)):
-                    for m in range(1, d + e + 1):
-                        got = diagonal_multiplicity_at_least(f, m)
-                        assert got == chart_route_multiplicity(f, m), (d, e, k, m)
+                    assert scans(f) == last_hits(f, chart_route_multiplicity), (d, e, k)
 
     def test_matches_partial_route_off_the_corner(self):
         # Forms planted at ([0:1], [0:1]), the only inputs whose witness the
@@ -234,12 +223,30 @@ class TestIntegerRestrictions:
                 f = Correspondence.from_matrix(d, e, planted_at_infinity(rng, d, e, k))
             else:
                 f = conjugate(rand_planted_corner(rng, d, e, k), rand_moebius(rng))
-            for m in range(1, d + e + 1):
-                got = diagonal_multiplicity_at_least(f, m)
-                assert got == partial_route_multiplicity(f, m), (trial, m)
+            assert scans(f) == last_hits(f, partial_route_multiplicity), trial
 
 
-def linear_scan_multiplicity(f: Correspondence, at_least=diagonal_multiplicity_at_least):
+def scans(f: Correspondence):
+    """_scan(f, m) for m = 1..d+e."""
+    return [_scan(f, m) for m in range(1, f.deg_x + f.deg_y + 1)]
+
+
+def last_hits(f: Correspondence, at_least):
+    """For m = 1..d+e, the largest m' <= m at which at_least(f, m') hits, with its witness.
+
+    (0, 1) while none has.  This is what _scan(f, m) reports, read off an
+    order test that need not be monotone.
+    """
+    best, out = (0, BinaryForm(0, [1])), []
+    for m in range(1, f.deg_x + f.deg_y + 1):
+        hit, witness = at_least(f, m)
+        if hit:
+            best = (m, witness)
+        out.append(best)
+    return out
+
+
+def linear_scan_multiplicity(f: Correspondence, at_least=chart_route_multiplicity):
     """Oracle: try the orders m = 1, 2, ... in turn and keep the last hit with its witness."""
     best, best_witness = 0, BinaryForm(0, [1])
     for m in range(1, f.deg_x + f.deg_y + 1):
@@ -332,7 +339,7 @@ class TestBisection:
                 f = rand_planted_corner(rng, 12, 12, k)
             for m in range(1, k + 1):
                 reads.clear()
-                assert diagonal_multiplicity_at_least(f, m)[0]
+                assert _scan(f, m)[0] == m
                 assert len(reads) == min(m, 13), (k, m, len(reads))
                 assert all(args[0] is reads[0][0] for args in reads)
         for trial in range(24):
@@ -347,7 +354,7 @@ class TestBisection:
                     continue
             for m in range(1, k + 1):
                 reads.clear()
-                assert diagonal_multiplicity_at_least(f, m)[0]
+                assert _scan(f, m)[0] == m
                 chart = min(m, e + 1)
                 if at_infinity and m > 1:
                     assert chart < len(reads) <= 2 * (e + 1), (trial, m)

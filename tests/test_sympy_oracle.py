@@ -40,8 +40,11 @@ def coeff_of(poly, var_powers):
 def test_compose_matches_sympy():
     rng = random.Random(31)
     # Twelve drawn bidegree pairs, then three where one block of the Sylvester
-    # matrix dominates: x1 packed with an odd row-order sign, x1 packed, y1 packed.
-    for fixed in [None] * 12 + [(3, 1, 1, 1), (4, 1, 2, 1), (1, 1, 1, 4)]:
+    # matrix dominates: x1 packed with an odd row-order sign, x1 packed, y1 packed;
+    # then an odd e*dp with e < dp, and two whose middle degrees e, dp are both >= 2.
+    fixed_shapes = [(3, 1, 1, 1), (4, 1, 2, 1), (1, 1, 1, 4), (2, 1, 3, 1), (3, 2, 2, 1),
+                    (1, 2, 2, 3)]
+    for fixed in [None] * 12 + fixed_shapes:
         d, e, dp, ep = fixed or (rng.randint(1, 2) for _ in range(4))
         a = [[nonzero(rng) for _ in range(e + 1)] for _ in range(d + 1)]
         b = [[nonzero(rng) for _ in range(ep + 1)] for _ in range(dp + 1)]
@@ -49,7 +52,14 @@ def test_compose_matches_sympy():
         # Dehomogenized at x0 = y0 = z0 = 1: f read in (x, z), g in (z, y).
         fz = sum(rat(a[i][j]) * x**i * z**j for i in range(d + 1) for j in range(e + 1))
         gz = sum(rat(b[k][l]) * z**k * y**l for k in range(dp + 1) for l in range(ep + 1))
-        want = sympy.expand((-1) ** (e * dp) * sympy.resultant(fz, gz, z))
+        # h is (-1)^(e*dp) Res(fz, gz) = Res(gz, fz).  The argument of higher
+        # z-degree goes first, the order in which sympy.resultant is the
+        # Sylvester determinant; the other order lacks the sign of the swap.
+        if dp >= e:
+            want = sympy.resultant(gz, fz, z)
+        else:
+            want = (-1) ** (e * dp) * sympy.resultant(fz, gz, z)
+        want = sympy.expand(want)
         for i in range(d * dp + 1):
             for j in range(e * ep + 1):
                 assert h.form.coeffs[i][j] == coeff_of(want, [(x, i), (y, j)])

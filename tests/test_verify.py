@@ -115,6 +115,13 @@ _INTERPOLATION_USERS = (
     "index-residual",
     "woods-hole-residual",
 )
+# The identities that read classify_stability's largest multiplicity.
+_STABILITY_IDENTITIES = (
+    "stability-conjugation-invariance",
+    "stability-odd-parity",
+    "stability-matrix-crosscheck",
+    "multiplicity-monotonicity",
+)
 _BLIND_SPOT = pytest.mark.xfail(strict=True, reason="verify blind spot, ROADMAP item 4")
 
 
@@ -170,14 +177,22 @@ class TestPlantedFaults:
                 "stability.py",
                 "        mult, witness = k + 1, w\n",
                 "        mult, witness = k + 2, w\n",
-                dict.fromkeys(
-                    (
-                        "stability-odd-parity",
-                        "multiplicity-monotonicity",
-                        "stability-matrix-crosscheck",
-                    )
-                ),
+                dict.fromkeys(_STABILITY_IDENTITIES),
                 id="order-m-minus-2-partials",
+            ),
+            pytest.param(
+                "stability.py",
+                "rs = [[i * c for i, c in enumerate(r)][1:] for r in rs]",
+                "rs = [r[1:] for r in rs]",
+                dict.fromkeys(_STABILITY_IDENTITIES),
+                id="z1-derivative-drops-its-weights",
+            ),
+            pytest.param(
+                "stability.py",
+                "        if len(w) == 1 and w[0]:\n",
+                "        if len(w) == 1 and w[0] or k == 2:\n",
+                dict.fromkeys(_STABILITY_IDENTITIES),
+                id="scan-stops-after-order-2",
             ),
             pytest.param(
                 "stability.py",
@@ -315,19 +330,11 @@ class TestStabilityCoverage:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_monotonicity_sees_orders_above_one(self, monkeypatch, seed):
-        hits = []
-        inner = stability_mod.diagonal_multiplicity_at_least
-
-        def recording(f, m):
-            hit, witness = inner(f, m)
-            hits.append(m if hit else 0)
-            return hit, witness
-
-        monkeypatch.setattr(stability_mod, "diagonal_multiplicity_at_least", recording)
+        seen = self.verdicts(monkeypatch)
         for cap in (2, 3):
             (result,) = run_verify_suite(seed, cap, only="multiplicity-monotonicity").results
             assert result.passed and result.total == 8
-        assert max(hits) >= 3
+        assert max(r.max_multiplicity for r in seen) >= 3
 
 
 class TestMutationSensitivity:
